@@ -29,6 +29,8 @@ worker schedule.  ``COAG_THREADS`` caps the number of worker processes used
 for replicate fan-out.
 
 Exit codes: 0 success, 2 config/usage error, 3 numerical/convergence failure.
+Config errors include integer fields that are not integers in range and, for
+``gw``, a degenerate initial state, whose trees need not end.
 A subcommand that fails for any reason leaves no new files in its output
 directory; any other exception is then re-raised with its traceback.
 """
@@ -80,6 +82,8 @@ def _number(value, where: str):
     if isinstance(value, int):
         return value
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ConfigError(f"{where}: expected a finite number, got {value!r}")
         return value
     if isinstance(value, str):
         try:
@@ -89,10 +93,29 @@ def _number(value, where: str):
     raise ConfigError(f"{where}: expected a number, got {type(value).__name__}")
 
 
+def _integer(value, where: str, least: int):
+    """JSON integer (an integral float such as 1e5 is accepted), at least ``least``."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where}: expected an integer, got {value!r}")
+    if value < least:
+        raise ConfigError(f"{where}: must be at least {least}, got {value}")
+    return value
+
+
 def _check_keys(obj: dict, allowed: set, where: str) -> None:
     unknown = set(obj) - allowed
     if unknown:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}; allowed: {sorted(allowed)}")
+
+
+def _section(obj: dict, key: str, allowed: set) -> dict:
+    section = obj.get(key, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{key} must be an object")
+    _check_keys(section, allowed, key)
+    return section
 
 
 def _measure_1d(obj, where: str) -> Measure1D:
@@ -175,9 +198,9 @@ def parse_config(obj: dict) -> RunConfig:
                     raise ConfigError(f"initial[{k}] is missing {fld!r}")
             particles.append(
                 (
-                    int(row["a"]),
-                    int(row["b"]),
-                    int(row["m"]),
+                    _integer(row["a"], f"initial[{k}].a", 0),
+                    _integer(row["b"], f"initial[{k}].b", 0),
+                    _integer(row["m"], f"initial[{k}].m", 1),
                     _number(row["conc"], f"initial[{k}].conc"),
                 )
             )
@@ -207,19 +230,17 @@ def parse_config(obj: dict) -> RunConfig:
     else:
         raise ConfigError("initial must be a particle list or a family object")
 
-    trunc = obj.get("truncation", {})
-    _check_keys(trunc, {"mass_cap", "arm_cap"}, "truncation")
-    try:
-        policy = TruncationPolicy(
-            mass_cap=int(trunc.get("mass_cap", 64)), arm_cap=int(trunc.get("arm_cap", 32))
-        )
-    except ValueError as exc:
-        raise ConfigError(f"truncation: {exc}") from exc
+    trunc = _section(obj, "truncation", {"mass_cap", "arm_cap"})
+    policy = TruncationPolicy(
+        mass_cap=_integer(trunc.get("mass_cap", 64), "truncation.mass_cap", 1),
+        arm_cap=_integer(trunc.get("arm_cap", 32), "truncation.arm_cap", 0),
+    )
 
-    sol = obj.get("solver", {})
-    _check_keys(sol, {"rhs", "dt"}, "solver")
+    sol = _section(obj, "solver", {"rhs", "dt"})
     try:
-        solver = SolverSettings(rhs=sol.get("rhs", "full"), dt=float(sol.get("dt", 1e-3)))
+        solver = SolverSettings(
+            rhs=sol.get("rhs", "full"), dt=float(_number(sol.get("dt", 1e-3), "solver.dt"))
+        )
     except ValueError as exc:
         raise ConfigError(f"solver: {exc}") from exc
 
@@ -230,8 +251,7 @@ def parse_config(obj: dict) -> RunConfig:
     if any(float(t) < 0 for t in t_grid) or sorted(map(float, t_grid)) != list(map(float, t_grid)):
         raise ConfigError("t_grid must be nonnegative and increasing")
 
-    gw = obj.get("gw", {})
-    _check_keys(gw, {"replicates", "population_cap"}, "gw")
+    gw = _section(obj, "gw", {"replicates", "population_cap"})
 
     return RunConfig(
         initial_particles=particles,
@@ -239,12 +259,12 @@ def parse_config(obj: dict) -> RunConfig:
         truncation=policy,
         solver=solver,
         t_grid=t_grid,
-        n=int(obj.get("n", 10_000)),
-        seed=int(obj.get("seed", 0)),
-        replicates=int(obj.get("replicates", 1)),
-        max_mass=int(obj.get("max_mass", 12)),
-        gw_replicates=int(gw.get("replicates", 100_000)),
-        gw_population_cap=int(gw.get("population_cap", 1_000_000)),
+        n=_integer(obj.get("n", 10_000), "n", 1),
+        seed=_integer(obj.get("seed", 0), "seed", 0),
+        replicates=_integer(obj.get("replicates", 1), "replicates", 1),
+        max_mass=_integer(obj.get("max_mass", 12), "max_mass", 1),
+        gw_replicates=_integer(gw.get("replicates", 100_000), "gw.replicates", 1),
+        gw_population_cap=_integer(gw.get("population_cap", 1_000_000), "gw.population_cap", 2),
         raw=obj,
     )
 
@@ -432,6 +452,9 @@ def cmd_limit(cfg: RunConfig, out_dir: Path) -> list[Path]:
 def cmd_gw(cfg: RunConfig, out_dir: Path) -> list[Path]:
     c0, _ = cfg.state()
     mu = initial_arm_measure(c0)  # raises for non-monodisperse states
+    reasons = degeneracy_reasons(mu)
+    if reasons:  # a tree that does not end grows to the population cap
+        raise ConfigError("degenerate initial state, trees need not end: " + "; ".join(reasons))
     nu_m, nu_f = size_biased_laws(mu)
     limit = limiting_concentrations(c0, cfg.max_mass)
     pmf = gw_progeny_pmf_series(nu_m, nu_f, cfg.max_mass)
@@ -450,15 +473,12 @@ def cmd_gw(cfg: RunConfig, out_dir: Path) -> list[Path]:
     )
     header = ["m", "c_inf", "pmf_series", "pmf_sampled", "censored_fraction"]
     path = _write_table(out_dir, "gw", header, rows)
-    reasons = degeneracy_reasons(mu)
     summary = {
         "command": "gw",
         "config": cfg.raw,
         "replicates": sample.replicates,
         "censored": sample.censored,
         "censored_fraction": sample.censored_fraction,
-        "degenerate": bool(reasons),
-        "degenerate_reasons": reasons,
     }
     spath = out_dir / "gw_summary.json"
     _write_json(spath, summary)

@@ -382,12 +382,3 @@ def empirical_error(
         out.append(max(abs(emp.get(p, 0.0) - ref[p]) for p in tracked))
     return out
 
-
-def closed_form_error(
-    run: SimulationRun,
-    reference: "dict[ParticleType, float] | Mapping",
-    checkpoint_index: int = -1,
-) -> float:
-    """Sup gap between one recorded snapshot and explicit reference values."""
-    emp = run.states[checkpoint_index]
-    return max(abs(emp.get(as_particle_type(p), 0.0) - float(v)) for p, v in reference.items())

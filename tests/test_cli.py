@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -74,6 +75,70 @@ def test_config_validation_failures(tmp_path, mutate):
     mutate(cfg)
     with pytest.raises(ConfigError):
         parse_config(cfg)
+
+
+SMALL_SIM = {"initial": [{"a": 1, "b": 1, "m": 1, "conc": 1.0}], "t_grid": [0.5], "n": 100}
+
+
+def _set_row(field, value):
+    return lambda c: c["initial"][0].update({field: value})
+
+
+def _set(key, value):
+    return lambda c: c.update({key: value})
+
+
+@pytest.mark.parametrize(
+    "mutate, where",
+    [
+        pytest.param(_set_row("a", 1.5), "initial[0].a", id="a-fraction"),
+        pytest.param(_set_row("a", "1"), "initial[0].a", id="a-string"),
+        pytest.param(_set_row("b", True), "initial[0].b", id="b-bool"),
+        pytest.param(_set_row("m", 0.5), "initial[0].m", id="m-fraction"),
+        pytest.param(_set("truncation", {"mass_cap": "64"}), "mass_cap", id="mass_cap-string"),
+        pytest.param(_set("truncation", {"arm_cap": 2.5}), "arm_cap", id="arm_cap-fraction"),
+        pytest.param(_set("n", "abc"), "n:", id="n-string"),
+        pytest.param(_set("n", 2.5), "n:", id="n-fraction"),
+        pytest.param(_set("n", 0), "n:", id="n-zero"),
+        pytest.param(_set("n", -5), "n:", id="n-negative"),
+        pytest.param(_set("seed", -1), "seed", id="seed-negative"),
+        pytest.param(_set("seed", True), "seed", id="seed-bool"),
+        pytest.param(_set("replicates", 1.5), "replicates", id="replicates-fraction"),
+        pytest.param(_set("max_mass", "12"), "max_mass", id="max_mass-string"),
+        pytest.param(_set("gw", {"replicates": False}), "gw.replicates", id="gw-replicates-bool"),
+        pytest.param(_set("gw", {"population_cap": 2.5}), "population_cap", id="gw-cap-fraction"),
+        pytest.param(_set("solver", {"dt": "abc"}), "solver.dt", id="dt-string"),
+        pytest.param(_set("solver", {"dt": [0.1]}), "solver.dt", id="dt-list"),
+        pytest.param(_set("solver", {"dt": float("nan")}), "solver.dt", id="dt-nan"),
+    ],
+)
+def test_config_bad_values_exit_2(tmp_path, capsys, mutate, where):
+    cfg = json.loads(json.dumps(SMALL_SIM))
+    mutate(cfg)
+    out = tmp_path / "out"
+    assert main(["simulate", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert where in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_config_accepts_integral_floats_and_documented_configs():
+    cfg = parse_config(dict(SMALL_SIM, n=1e5, truncation={"mass_cap": 64.0}))
+    assert (cfg.n, cfg.truncation.mass_cap) == (100_000, 64)
+    assert isinstance(cfg.n, int)
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+    assert blocks
+    for block in blocks:
+        parse_config(json.loads(block))
+
+
+def test_gw_refuses_degenerate_state(tmp_path, capsys):
+    """The (1,1) state of criterion 1 would grow every tree to the population cap."""
+    cfg = {"initial": [{"a": 1, "b": 1, "m": 1, "conc": 1.0}], "t_grid": [1.0]}
+    out = tmp_path / "gw"
+    assert main(["gw", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert "single atom at (1,1)" in capsys.readouterr().err
+    assert not any(out.iterdir())
 
 
 def test_config_round_trip(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -16,7 +17,14 @@ from coaglab import (
     rhs_reduced,
     truncation_error_estimate,
 )
-from coaglab.kinetics import TruncatedSystem, UniformArmSystem, make_system
+from coaglab.kinetics import (
+    IntegrationError,
+    TruncatedSystem,
+    UniformArmSystem,
+    _Integrator,
+    _snapshot,
+    make_system,
+)
 
 
 def test_rhs_full_examples():
@@ -99,6 +107,73 @@ def test_pair_rhs_buffers_match_direct_gather(pq_state):
         loss = c * (system.a * float(system.b @ c) + system.b * float(system.a @ c))
         d, *_ = system.rhs(c, 0.3, False)
         assert np.array_equal(d, gain - loss)
+
+
+def _gain_and_fluxes(system, c):
+    """Gain term (the RHS with the loss added back) and the three lost fluxes."""
+    d, *fluxes = system.rhs(c, 0.4, False)
+    loss = c * (system.a * float(system.b @ c) + system.b * float(system.a @ c))
+    return dict(zip(system.types, d + loss)), fluxes
+
+
+@pytest.mark.parametrize(
+    "seeds, s, mass_cap, arm_cap",
+    [
+        ([(3, 0, 1), (0, 3, 1)], 3, 16, 18),  # arm cap not binding: arms(16) = 18
+        ([(3, 0, 1), (0, 3, 1)], 3, 16, 14),
+        ([(3, 1, 1), (1, 3, 1), (2, 2, 1)], 4, 10, 22),  # arms(10) = 22
+        ([(3, 1, 1), (1, 3, 1), (2, 2, 1)], 4, 10, 16),
+    ],
+)
+def test_fft_engine_matches_pair_engine_on_short_arm_axis(seeds, s, mass_cap, arm_cap):
+    pol = TruncationPolicy(mass_cap=mass_cap, arm_cap=arm_cap)
+    generic = TruncatedSystem(seeds, pol)
+    fast = UniformArmSystem(seeds, pol, s)
+    n_rows = max(p.a for p in fast.types) + 2
+    assert fast._fshape[0] < 2 * n_rows - 1  # products wrap on the arm axis
+    rng = np.random.default_rng(mass_cap + arm_cap)
+    state = ConcentrationState(
+        {p: float(w) for p, w in zip(generic.types, rng.random(generic.size))}
+    )
+    gain_g, flux_g = _gain_and_fluxes(generic, generic.concentration_vector(state))
+    gain_f, flux_f = _gain_and_fluxes(fast, fast.concentration_vector(state))
+    scale = max(abs(v) for v in gain_g.values())
+    gap = max(abs(gain_g.get(p, 0.0) - gain_f.get(p, 0.0)) for p in set(gain_g) | set(gain_f))
+    assert gap <= 1e-13 * scale
+    assert flux_f == pytest.approx(flux_g, rel=1e-13, abs=0)
+
+
+def test_integrator_counts_rhs_calls_of_bisected_steps(three_arm_state):
+    """A rejected step hands its k1 to its first half-step."""
+    system = make_system(three_arm_state.support(), TruncationPolicy(mass_cap=160, arm_cap=162))
+    calls = []
+    rhs = system.rhs
+
+    def counted(c, t, reduced):
+        calls.append(t)
+        return rhs(c, t, reduced)
+
+    system.rhs = counted
+    stepper = _Integrator(system, SolverSettings(dt=0.05))
+    y = np.concatenate([system.concentration_vector(three_arm_state), [0.0, 0.0, 0.0]])
+    for k in range(5):  # to t = 0.25
+        y = stepper.advance(y, 0.05 * k, 0.05)
+    assert stepper.rejected > 0
+    assert len(calls) == 4 * stepper.accepted + 3 * stepper.rejected
+
+
+def test_snapshot_names_first_negative_species(pq_state):
+    system = TruncatedSystem(pq_state.support(), TruncationPolicy(mass_cap=6, arm_cap=4))
+    y = np.zeros(system.size + 3)
+    y[: system.size] = 0.5
+    y[3] = -1e-9  # below the clamp floor -1e-12 * max(1, 0.5)
+    y[5] = -1e-6
+    with pytest.raises(IntegrationError, match=re.escape(f"for {tuple(system.types[3])} at")):
+        _snapshot(system, y, 0.5, 1e-12)
+    y[3] = -1e-13  # within the floor: clamped away
+    y[5] = 0.0
+    state = _snapshot(system, y, 0.5, 1e-12)
+    assert state.support() == [p for i, p in enumerate(system.types) if i not in (3, 5)]
 
 
 def test_integrate_one_female_family():
