@@ -29,8 +29,10 @@ worker schedule.  ``COAG_THREADS`` caps the number of worker processes used
 for replicate fan-out.
 
 Exit codes: 0 success, 2 config/usage error, 3 numerical/convergence failure.
-Config errors include integer fields that are not integers in range and, for
-``gw``, a degenerate initial state, whose trees need not end.
+Config errors include integer fields that are not integers in range, for
+``gw`` a degenerate initial state, whose trees need not end, a path that
+cannot be read or written, and for ``compare`` a tolerance that is not a
+finite number >= 0 or a table cell that is not a finite number.
 A subcommand that fails for any reason leaves no new files in its output
 directory; any other exception is then re-raised with its traceback.
 """
@@ -286,11 +288,9 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_table(out_dir: Path, stem: str, header: list, rows) -> Path:
-    """Write one table to ``<out_dir>/<stem>.csv`` and return its path."""
-    path = out_dir / f"{stem}.csv"
-    write_csv(path, header, rows)
-    return path
+def _write_table(out_dir: Path, stem: str, header: list, rows) -> None:
+    """Write one table to ``<out_dir>/<stem>.csv``."""
+    write_csv(out_dir / f"{stem}.csv", header, rows)
 
 
 def _jsonable(x):
@@ -329,20 +329,16 @@ def cmd_analyze(cfg: RunConfig, out: "Path | None") -> dict:
     return report
 
 
-def cmd_ode(cfg: RunConfig, out_dir: Path) -> list[Path]:
+def cmd_ode(cfg: RunConfig, out_dir: Path) -> None:
     c0, _ = cfg.state()
     grid = [float(t) for t in cfg.t_grid]
     traj = integrate(c0, grid[-1], cfg.truncation, cfg.solver, checkpoints=grid)
-    paths = [
-        _write_table(out_dir, "concentrations", *traj.concentration_rows()),
-        _write_table(out_dir, "observables", *traj.observable_rows()),
-        out_dir / "meta.json",
-    ]
-    _write_json(paths[2], {"command": "ode", "config": cfg.raw})
-    return paths
+    _write_table(out_dir, "concentrations", *traj.concentration_rows())
+    _write_table(out_dir, "observables", *traj.observable_rows())
+    _write_json(out_dir / "meta.json", {"command": "ode", "config": cfg.raw})
 
 
-def cmd_explicit(cfg: RunConfig, out_dir: Path) -> list[Path]:
+def cmd_explicit(cfg: RunConfig, out_dir: Path) -> None:
     if cfg.family is None:
         raise ConfigError("the explicit command needs a family initial condition")
     rows = (
@@ -351,9 +347,8 @@ def cmd_explicit(cfg: RunConfig, out_dir: Path) -> list[Path]:
         for m in range(1, cfg.max_mass + 1)
         for a, b in live_types(cfg.family, m)
     )
-    path = _write_table(out_dir, "explicit", ["t", "a", "b", "m", "value"], rows)
+    _write_table(out_dir, "explicit", ["t", "a", "b", "m", "value"], rows)
     _write_json(out_dir / "meta.json", {"command": "explicit", "config": cfg.raw})
-    return [path, out_dir / "meta.json"]
 
 
 def _replicate_job(args):
@@ -369,7 +364,7 @@ def _worker_count() -> int:
         return 1
 
 
-def cmd_simulate(cfg: RunConfig, out_dir: Path) -> list[Path]:
+def cmd_simulate(cfg: RunConfig, out_dir: Path) -> None:
     c0, _ = cfg.state()
     counts = {}
     for p, wgt in c0.items():
@@ -396,7 +391,6 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> list[Path]:
         runs = [_replicate_job(j) for j in jobs]
     wall = time.perf_counter() - t0
     print(f"simulate: {len(runs)} replicate(s) in {wall:.3f} s wall time", file=sys.stderr)
-    paths = []
     for r, run in enumerate(runs):
         rows = (
             (t, p.a, p.b, p.m, state[p])
@@ -404,7 +398,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> list[Path]:
             for p in sorted(state, key=lambda q: (q.m, q.a, q.b))
         )
         header = ["t", "a", "b", "m", "C_n"]
-        paths.append(_write_table(out_dir, f"empirical_{r:03d}", header, rows))
+        _write_table(out_dir, f"empirical_{r:03d}", header, rows)
     meta = {
         "command": "simulate",
         "config": cfg.raw,
@@ -422,16 +416,14 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> list[Path]:
             for run in runs
         ],
     }
-    meta_path = out_dir / "meta.json"
-    _write_json(meta_path, meta)
-    return paths + [meta_path]
+    _write_json(out_dir / "meta.json", meta)
 
 
-def cmd_limit(cfg: RunConfig, out_dir: Path) -> list[Path]:
+def cmd_limit(cfg: RunConfig, out_dir: Path) -> None:
     c0, _ = cfg.state()
     limit = limiting_concentrations(c0, cfg.max_mass)
     rows = ((m, limit.c_inf[m]) for m in range(1, cfg.max_mass + 1))
-    path = _write_table(out_dir, "limit", ["m", "c_inf"], rows)
+    _write_table(out_dir, "limit", ["m", "c_inf"], rows)
     monodisperse = all(p.m == 1 for p in c0.support())
     reasons = degeneracy_reasons(initial_arm_measure(c0)) if monodisperse else []
     summary = {
@@ -444,12 +436,10 @@ def cmd_limit(cfg: RunConfig, out_dir: Path) -> list[Path]:
         "degenerate": bool(reasons),
         "degenerate_reasons": reasons,
     }
-    spath = out_dir / "limit_summary.json"
-    _write_json(spath, summary)
-    return [path, spath]
+    _write_json(out_dir / "limit_summary.json", summary)
 
 
-def cmd_gw(cfg: RunConfig, out_dir: Path) -> list[Path]:
+def cmd_gw(cfg: RunConfig, out_dir: Path) -> None:
     c0, _ = cfg.state()
     mu = initial_arm_measure(c0)  # raises for non-monodisperse states
     reasons = degeneracy_reasons(mu)
@@ -472,7 +462,7 @@ def cmd_gw(cfg: RunConfig, out_dir: Path) -> list[Path]:
         for m in range(1, cfg.max_mass + 1)
     )
     header = ["m", "c_inf", "pmf_series", "pmf_sampled", "censored_fraction"]
-    path = _write_table(out_dir, "gw", header, rows)
+    _write_table(out_dir, "gw", header, rows)
     summary = {
         "command": "gw",
         "config": cfg.raw,
@@ -480,12 +470,13 @@ def cmd_gw(cfg: RunConfig, out_dir: Path) -> list[Path]:
         "censored": sample.censored,
         "censored_fraction": sample.censored_fraction,
     }
-    spath = out_dir / "gw_summary.json"
-    _write_json(spath, summary)
-    return [path, spath]
+    _write_json(out_dir / "gw_summary.json", summary)
 
 
 def cmd_compare(path_a: str, path_b: str, tolerance: float) -> int:
+    if not (math.isfinite(tolerance) and tolerance >= 0):
+        raise ConfigError(f"--tolerance must be a finite number >= 0, got {tolerance}")
+
     def read(path):
         with open(path, "r", encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
@@ -495,8 +486,16 @@ def cmd_compare(path_a: str, path_b: str, tolerance: float) -> int:
         if len(header) < 2:
             raise ConfigError(f"{path} needs key columns and a value column")
         table = {}
-        for row in body:
-            table[tuple(row[:-1])] = float(row[-1])
+        for line, row in enumerate(body, start=2):
+            try:
+                value = float(row[-1]) if len(row) == len(header) else math.nan
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise ConfigError(
+                    f"{path}, line {line}: expected {len(header)} cells ending in a finite number"
+                )
+            table[tuple(row[:-1])] = value
         return header[:-1], table
 
     keys_a, table_a = read(path_a)
@@ -584,6 +583,9 @@ def main(argv: "list[str] | None" = None) -> int:
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:  # a path on the command line that cannot be read or written
+        print(f"file error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (ConvergenceError, IntegrationError, ValueError, ZeroDivisionError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -105,6 +105,14 @@ class ConcentrationState:
         if self.time < 0:
             raise ValueError(f"time must be nonnegative, got {self.time}")
 
+    @classmethod
+    def _trusted(cls, entries: dict, time: float) -> "ConcentrationState":
+        """A state over ``ParticleType`` keys with positive weights, built
+        without validating them again; for callers that made them valid."""
+        state = cls.__new__(cls)
+        state.entries, state.time = entries, time
+        return state
+
     def __getitem__(self, p: TypeLike):
         return self.entries.get(as_particle_type(p), 0)
 

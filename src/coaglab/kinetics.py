@@ -15,6 +15,12 @@ but its mass and arm content is accumulated into running "lost" totals, so
 ``retained mass + lost mass`` is a linear invariant of the augmented system
 and is preserved to rounding error by the Runge-Kutta steps.
 
+Both engines share one right-hand side, ``_Engine.rhs``.  An engine builds
+its species table and supplies only ``_gain(c)``, the bilinear gain term,
+since only that term depends on how pairs are enumerated.  The loss term and
+the three lost fluxes are properties of the equation, computed in ``rhs``
+for every engine.
+
 Integration is explicit RK4 with a fixed base step and bisection on a
 nonnegativity monitor; the system is smooth and non-stiff before the critical
 time, so no implicit machinery is warranted.
@@ -159,29 +165,63 @@ def reachable_types(
     return out
 
 
-class TruncatedSystem:
-    """Vectorized right-hand side over a fixed truncated index set.
+class _Engine:
+    """Species table and right-hand side shared by both engines.
+
+    A subclass builds ``types`` and supplies ``_gain(c)``, the gain term of
+    every species; ``rhs`` adds the loss term and the flux lost past the caps.
+    """
+
+    def __init__(self, policy: TruncationPolicy, types: list[ParticleType]):
+        self.policy = policy
+        self.types = types
+        self.index = {p: i for i, p in enumerate(types)}
+        self.a = np.array([p.a for p in types], dtype=np.float64)
+        self.b = np.array([p.b for p in types], dtype=np.float64)
+        self.m = np.array([p.m for p in types], dtype=np.float64)
+        self.size = len(types)
+
+    def concentration_vector(self, c: ConcentrationState) -> np.ndarray:
+        v = np.zeros(self.size)
+        for p, w in c.items():
+            v[self.index[p]] = float(w)
+        return v
+
+    def rhs(self, c: np.ndarray, t: float, reduced: bool) -> np.ndarray:
+        """Signed rates, then the lost mass, male-arm and female-arm fluxes.
+
+        Flux into dropped (out-of-cap) products is never enumerated: it is
+        the loss-side flux minus the retained gain flux, which costs O(N).
+        """
+        gain = self._gain(c)
+        if reduced:
+            loss = c * ((self.a + self.b) / (1.0 + t))
+        else:
+            am = float(self.a @ c)
+            bm = float(self.b @ c)
+            loss = c * (self.a * bm + self.b * am)
+        events = 0.5 * float(loss.sum())
+        out = np.empty(self.size + 3)
+        out[-3] = float(self.m @ loss) - float(self.m @ gain)
+        out[-2] = float(self.a @ loss) - events - float(self.a @ gain)
+        out[-1] = float(self.b @ loss) - events - float(self.b @ gain)
+        np.subtract(gain, loss, out=out[:-3])
+        return out
+
+
+class TruncatedSystem(_Engine):
+    """Gain term over a fixed truncated index set, by pair enumeration.
 
     Interaction pairs (unordered, positive rate, in-cap merge product) are
-    enumerated once; each RHS evaluation is one gather-multiply-scatter over
-    those pairs plus O(N) loss terms.  Flux into dropped (out-of-cap)
-    products is not enumerated pair by pair: it is the difference between the
-    loss-side flux and the retained gain flux, which costs O(N).  ``rhs``
-    works in buffers owned by the system, so one system must not be
-    evaluated from two threads at once.
+    enumerated once; each gain evaluation is one gather-multiply-scatter over
+    those pairs.  ``_gain`` works in buffers owned by the system, so one
+    system must not be evaluated from two threads at once.
     """
 
     def __init__(self, seeds: Iterable[ParticleType], policy: TruncationPolicy):
-        self.policy = policy
-        self.types = reachable_types(seeds, policy)
-        self.index = {p: i for i, p in enumerate(self.types)}
-        n = len(self.types)
-        self.a = np.array([p.a for p in self.types], dtype=np.float64)
-        self.b = np.array([p.b for p in self.types], dtype=np.float64)
-        self.m = np.array([p.m for p in self.types], dtype=np.float64)
+        super().__init__(policy, reachable_types(seeds, policy))
         self._build_pairs()
         self._pair_work = np.empty((2, len(self.pair_i)))
-        self.size = n
 
     def _build_pairs(self) -> None:
         cap_a = self.policy.arm_cap
@@ -197,7 +237,8 @@ class TruncatedSystem:
             table = np.full((cap_a + 1, cap_a + 1), -1, dtype=np.int64)
             table[aa, bb] = idx
             lookup[mass] = table
-        pi, pj, pc, pt = [], [], [], []
+        none = np.empty(0, dtype=np.int64)
+        pi, pj, pc, pt = [none], [none], [np.empty(0)], [none]
         masses = sorted(by_mass)
         for m1 in masses:
             for m2 in masses:
@@ -231,25 +272,12 @@ class TruncatedSystem:
                 pj.append(jj)
                 pc.append(coeff)
                 pt.append(tgt)
-        if pi:
-            self.pair_i = np.concatenate(pi)
-            self.pair_j = np.concatenate(pj)
-            self.pair_coeff = np.concatenate(pc)
-            self.pair_tgt = np.concatenate(pt)
-        else:
-            self.pair_i = np.empty(0, dtype=np.int64)
-            self.pair_j = np.empty(0, dtype=np.int64)
-            self.pair_coeff = np.empty(0, dtype=np.float64)
-            self.pair_tgt = np.empty(0, dtype=np.int64)
+        self.pair_i = np.concatenate(pi)
+        self.pair_j = np.concatenate(pj)
+        self.pair_coeff = np.concatenate(pc)
+        self.pair_tgt = np.concatenate(pt)
 
-    def concentration_vector(self, c: ConcentrationState) -> np.ndarray:
-        v = np.zeros(len(self.types))
-        for p, w in c.items():
-            v[self.index[p]] = float(w)
-        return v
-
-    def rhs(self, c: np.ndarray, t: float, reduced: bool):
-        """Signed rates plus (lost mass, lost male-arm, lost female-arm) fluxes."""
+    def _gain(self, c: np.ndarray) -> np.ndarray:
         # Pair-sized products go to preallocated buffers: with a fresh
         # temporary of this size per call, malloc can hand the memory back and
         # fault it in again on every call, which costs more than the arithmetic.
@@ -258,18 +286,7 @@ class TruncatedSystem:
         np.multiply(self.pair_coeff, w, out=w)
         np.take(c, self.pair_j, out=cj, mode="clip")
         np.multiply(w, cj, out=w)
-        gain = np.bincount(self.pair_tgt, weights=w, minlength=len(self.types))
-        if reduced:
-            loss = c * ((self.a + self.b) / (1.0 + t))
-        else:
-            am = float(self.a @ c)
-            bm = float(self.b @ c)
-            loss = c * (self.a * bm + self.b * am)
-        events = 0.5 * float(loss.sum())
-        lost_mass = float(self.m @ loss) - float(self.m @ gain)
-        lost_male = float(self.a @ loss) - events - float(self.a @ gain)
-        lost_female = float(self.b @ loss) - events - float(self.b @ gain)
-        return gain - loss, lost_mass, lost_male, lost_female
+        return np.bincount(self.pair_tgt, weights=w, minlength=self.size)
 
 
 def _next_fast_len(n: int) -> int:
@@ -289,8 +306,8 @@ def _next_fast_len(n: int) -> int:
     return best
 
 
-class UniformArmSystem:
-    """Fast right-hand side for monodisperse data with a uniform arm count.
+class UniformArmSystem(_Engine):
+    """Fast gain term for monodisperse data with a uniform arm count.
 
     If every initial particle has mass 1 and the same total arm count ``s``,
     a cluster of mass m always carries exactly ``(s - 2) m + 2`` free arms,
@@ -316,7 +333,6 @@ class UniformArmSystem:
     """
 
     def __init__(self, seeds, policy: TruncationPolicy, arms_per_particle: int):
-        self.policy = policy
         s = arms_per_particle
         mass_eff = policy.mass_cap
         if s < 2:
@@ -338,11 +354,7 @@ class UniformArmSystem:
                 raise ValueError(f"seed {tuple(p)} is not monodisperse with {s} arms")
             if not policy.admits(p):
                 raise ValueError(f"initial species {tuple(p)} exceeds truncation caps {policy}")
-        self.types = types
-        self.index = {p: i for i, p in enumerate(types)}
-        self.a = np.array([p.a for p in types], dtype=np.float64)
-        self.b = np.array([p.b for p in types], dtype=np.float64)
-        self.m = np.array([p.m for p in types], dtype=np.float64)
+        super().__init__(policy, types)
         rows = np.array(rows, dtype=np.int64)
         cols = np.array(cols, dtype=np.int64)
         n_rows = int(rows.max(initial=0)) + 2  # gain is read at row a + 1
@@ -361,15 +373,8 @@ class UniformArmSystem:
         self._conv = np.empty((n_rows, f1))  # only the rows that are read
         self._grid_at = rows * n_cols + cols  # flat index of (a, m)
         self._gain_at = (rows + 1) * f1 + cols  # flat index of (a + 1, m)
-        self.size = len(types)
 
-    def concentration_vector(self, c: ConcentrationState) -> np.ndarray:
-        v = np.zeros(len(self.types))
-        for p, w in c.items():
-            v[self.index[p]] = float(w)
-        return v
-
-    def rhs(self, c: np.ndarray, t: float, reduced: bool):
+    def _gain(self, c: np.ndarray) -> np.ndarray:
         f0, f1 = self._fshape
         # rfft2 / irfft2 split by axis (the same bits), writing into buffers
         # reused across calls; the inverse keeps only the rows that are read.
@@ -386,18 +391,7 @@ class UniformArmSystem:
         # FFT rounding noise (~1e-16 * scale) is left unclamped: it is
         # zero-mean, so moments cancel it, whereas rectifying it would bias
         # every observable upward.
-        gain = self._conv.take(self._gain_at)
-        if reduced:
-            loss = c * ((self.a + self.b) / (1.0 + t))
-        else:
-            am = float(self.a @ c)
-            bm = float(self.b @ c)
-            loss = c * (self.a * bm + self.b * am)
-        events = 0.5 * float(loss.sum())
-        lost_mass = float(self.m @ loss) - float(self.m @ gain)
-        lost_male = float(self.a @ loss) - events - float(self.a @ gain)
-        lost_female = float(self.b @ loss) - events - float(self.b @ gain)
-        return gain - loss, lost_mass, lost_male, lost_female
+        return self._conv.take(self._gain_at)
 
 
 def make_system(seeds, policy: TruncationPolicy):
@@ -410,10 +404,9 @@ def make_system(seeds, policy: TruncationPolicy):
     return TruncatedSystem(supp, policy)
 
 
-def _rate_map(system: TruncatedSystem, c: ConcentrationState, t: float, reduced: bool):
-    v = system.concentration_vector(c)
-    dc, *_ = system.rhs(v, t, reduced)
-    return {p: float(dc[i]) for i, p in enumerate(system.types)}
+def _rate_map(system: _Engine, c: ConcentrationState, t: float, reduced: bool):
+    dc = system.rhs(system.concentration_vector(c), t, reduced)[:-3]
+    return dict(zip(system.types, dc.tolist()))
 
 
 def rhs_full(c: ConcentrationState, policy: TruncationPolicy = TruncationPolicy()):
@@ -442,28 +435,25 @@ class _Integrator:
     ``4 * accepted + 3 * rejected`` RHS evaluations.
     """
 
-    def __init__(self, system: TruncatedSystem, solver: SolverSettings):
+    def __init__(self, system: _Engine, solver: SolverSettings):
         self.system = system
         self.solver = solver
         self.reduced = solver.rhs == "reduced"
         self.accepted = 0
         self.rejected = 0
 
-    def _f(self, y: np.ndarray, t: float) -> np.ndarray:
-        dc, lm, la, lb = self.system.rhs(y[:-3], t, self.reduced)
-        return np.concatenate([dc, [lm, la, lb]])
-
     def _rk4(self, y: np.ndarray, t: float, h: float, k1: np.ndarray) -> np.ndarray:
-        k2 = self._f(y + 0.5 * h * k1, t + 0.5 * h)
-        k3 = self._f(y + 0.5 * h * k2, t + 0.5 * h)
-        k4 = self._f(y + h * k3, t + h)
+        f, reduced = self.system.rhs, self.reduced
+        k2 = f((y + 0.5 * h * k1)[:-3], t + 0.5 * h, reduced)
+        k3 = f((y + 0.5 * h * k2)[:-3], t + 0.5 * h, reduced)
+        k4 = f((y + h * k3)[:-3], t + h, reduced)
         return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     def advance(
         self, y: np.ndarray, t: float, h: float, depth: int = 0, k1: "np.ndarray | None" = None
     ) -> np.ndarray:
         if k1 is None:
-            k1 = self._f(y, t)
+            k1 = self.system.rhs(y[:-3], t, self.reduced)
         ynew = self._rk4(y, t, h, k1)
         conc = ynew[:-3]
         floor = -self.solver.clamp_tol * max(1.0, float(y[:-3].max(initial=0.0)))
@@ -480,7 +470,7 @@ class _Integrator:
         return self.advance(ymid, t + h / 2, h / 2, depth + 1)
 
 
-def _observe(system: TruncatedSystem, y: np.ndarray, t: float) -> Observables:
+def _observe(system: _Engine, y: np.ndarray, t: float) -> Observables:
     c = y[:-3]
     a, b, m = system.a, system.b, system.m
     return Observables(
@@ -498,7 +488,7 @@ def _observe(system: TruncatedSystem, y: np.ndarray, t: float) -> Observables:
     )
 
 
-def _snapshot(system: TruncatedSystem, y: np.ndarray, t: float, clamp_tol: float):
+def _snapshot(system: _Engine, y: np.ndarray, t: float, clamp_tol: float):
     c = y[:-3]
     types = system.types
     bad = np.flatnonzero(c < -clamp_tol * max(1.0, float(c.max(initial=0.0))))
@@ -507,7 +497,19 @@ def _snapshot(system: TruncatedSystem, y: np.ndarray, t: float, clamp_tol: float
         raise IntegrationError(
             f"negative concentration {c[i]:.3e} for {tuple(types[i])} at t = {t}"
         )
-    return ConcentrationState({types[i]: float(c[i]) for i in np.flatnonzero(c > 0.0)}, time=t)
+    keep = np.flatnonzero(c > 0.0)
+    entries = dict(zip(map(types.__getitem__, keep.tolist()), c[keep].tolist()))
+    return ConcentrationState._trusted(entries, t)  # the engine's own valid types
+
+
+def checkpoint_times(t_end: float, checkpoints: "Sequence[float] | None") -> list[float]:
+    """Sorted checkpoint times, ``[t_end]`` by default; each must lie in [0, t_end]."""
+    if t_end < 0:
+        raise ValueError(f"t_end must be nonnegative, got {t_end}")
+    cks = sorted(float(t) for t in (checkpoints if checkpoints is not None else [t_end]))
+    if cks and (cks[0] < 0 or cks[-1] > t_end + 1e-12):
+        raise ValueError(f"checkpoints must lie in [0, {t_end}]")
+    return cks
 
 
 def integrate(
@@ -523,22 +525,12 @@ def integrate(
     Checkpoint states are clamped to zero within the tolerance; a negative
     value beyond it aborts the run.
     """
-    if t_end < 0:
-        raise ValueError(f"t_end must be nonnegative, got {t_end}")
-    if checkpoints is None:
-        checkpoints = [t_end]
-    cks = sorted(set(float(t) for t in checkpoints) | {0.0})
-    if cks and (cks[0] < 0 or cks[-1] > t_end + 1e-12):
-        raise ValueError(f"checkpoints must lie in [0, {t_end}]")
+    cks = sorted(set(checkpoint_times(t_end, checkpoints)) | {0.0})
     system = make_system(c0.support(), policy)
     stepper = _Integrator(system, solver)
     y = np.concatenate([system.concentration_vector(c0), [0.0, 0.0, 0.0]])
-    t = 0.0
-    states = [_snapshot(system, y, 0.0, solver.clamp_tol)]
-    obs = [_observe(system, y, 0.0)]
-    for target in cks:
-        if target == 0.0:
-            continue
+    t, states, obs = 0.0, [], []
+    for target in cks:  # the first is 0.0, recorded before any step
         while t < target - 1e-15:
             h = min(solver.dt, target - t)
             y = stepper.advance(y, t, h)

@@ -63,9 +63,7 @@ class GWConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name, nu in (("nu_m", self.nu_m), ("nu_f", self.nu_f)):
-            if abs(float(nu.total()) - 1.0) > 1e-9:
-                raise ValueError(f"{name} must be a probability measure, total = {nu.total()}")
+        _require_probability_laws(self.nu_m, self.nu_f)
         if self.population_cap < 2 or self.replicates < 1:
             raise ValueError("population_cap must be >= 2 and replicates >= 1")
 
@@ -146,16 +144,20 @@ def h_infinity(
     raise ConvergenceError(f"limit fixed point did not converge at z = {z}")
 
 
-def _series_fixed_point(gf: InitialGF, order: int):
-    """(h1, h2) as truncated series; every term of g0 carries z^m with m >= 1,
-    so each sweep fixes at least one further coefficient and order + 1 sweeps
-    are exact through ``order``."""
-    z = TruncatedSeries.identity(order)
-    h1 = TruncatedSeries.zero(order)
-    h2 = TruncatedSeries.zero(order)
+def _require_probability_laws(nu_m: Measure2D, nu_f: Measure2D) -> None:
+    for name, nu in (("nu_m", nu_m), ("nu_f", nu_f)):
+        if abs(float(nu.total()) - 1.0) > 1e-9:
+            raise ValueError(f"{name} must be a probability measure, total = {nu.total()}")
+
+
+def _series_sweeps(update, order: int):
+    """Fixed point of ``(x, y) -> update(x, y)`` as truncated series.  Every
+    term of each map used here carries a factor z, so each sweep from zero
+    fixes one more coefficient and order + 1 sweeps are exact through order."""
+    x = y = TruncatedSeries.zero(order)
     for _ in range(order + 1):
-        h1, h2 = gf.dy(h1, h2, z), gf.dx(h1, h2, z)
-    return h1, h2, z
+        x, y = update(x, y)
+    return x, y
 
 
 def limiting_concentrations(
@@ -169,7 +171,8 @@ def limiting_concentrations(
     _require_no_gelation(gf)
     if max_mass < 1:
         raise ValueError(f"max_mass must be >= 1, got {max_mass}")
-    h1, h2, z = _series_fixed_point(gf, max_mass)
+    z = TruncatedSeries.identity(max_mass)  # every term of g0 carries z^m, m >= 1
+    h1, h2 = _series_sweeps(lambda h1, h2: (gf.dy(h1, h2, z), gf.dx(h1, h2, z)), max_mass)
     g = gf.dz(h1, h2, z).antiderivative()
     c_inf = {m: g[m] for m in range(1, max_mass + 1)}
     total_c = sum(c_inf.values())
@@ -186,16 +189,14 @@ def gw_progeny_pmf_series(nu_m: Measure2D, nu_f: Measure2D, max_total: int) -> l
     r^m coefficient is P(total progeny = m) from one male and one female
     ancestor.  Index k of the returned list is P(T = k); entries 0 and 1 are 0.
     """
-    for name, nu in (("nu_m", nu_m), ("nu_f", nu_f)):
-        if abs(float(nu.total()) - 1.0) > 1e-9:
-            raise ValueError(f"{name} must be a probability measure, total = {nu.total()}")
+    _require_probability_laws(nu_m, nu_f)
     if max_total < 2:
         raise ValueError(f"max_total must be >= 2, got {max_total}")
     r = TruncatedSeries.identity(max_total)
-    gm = TruncatedSeries.zero(max_total)
-    gf_ = TruncatedSeries.zero(max_total)
-    for _ in range(max_total + 1):
-        gm, gf_ = r * nu_m.generating_value(gm, gf_), r * nu_f.generating_value(gm, gf_)
+    gm, gf_ = _series_sweeps(
+        lambda gm, gf_: (r * nu_m.generating_value(gm, gf_), r * nu_f.generating_value(gm, gf_)),
+        max_total,
+    )
     return list((gm * gf_).coeffs)
 
 

@@ -27,12 +27,13 @@ seeds and may be executed concurrently by callers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .core import ParticleType, as_particle_type
-from .kinetics import Trajectory
+from .kinetics import Trajectory, checkpoint_times
 
 
 class _Fenwick:
@@ -173,7 +174,7 @@ class ParticleSystemState:
         else:
             del self.counts[p]
 
-    def _merge_instances(self, i: int, j: int) -> Event:
+    def _merge_instances(self, i: int, j: int) -> tuple[ParticleType, ParticleType, ParticleType]:
         ai, bi, mi = self.arm_a[i], self.arm_b[i], self.mass[i]
         aj, bj, mj = self.arm_a[j], self.arm_b[j], self.mass[j]
         left = ParticleType(ai, bi, mi)
@@ -193,7 +194,7 @@ class ParticleSystemState:
         self.total_female -= 1
         self.sum_ab += merged.a * merged.b - ai * bi - aj * bj
         self.n_particles -= 1
-        return Event(dt=0.0, left=left, right=right, merged=merged)
+        return left, right, merged
 
 
 class _BufferedInts:
@@ -234,22 +235,30 @@ def _sample_pair(state: ParticleSystemState, rng) -> tuple[int, int]:
             return i, j
 
 
+def _waiting_time(state: ParticleSystemState, rng) -> "float | None":
+    """Time to the next event on the rescaled clock (rate ``total_rate / n``),
+    or None when the state is absorbed."""
+    rate = state.total_rate()
+    return None if rate == 0 else float(rng.exponential(state.n / rate))
+
+
+def _fire(state: ParticleSystemState, rng, dt: float):
+    """Sample the event pair, merge it and advance the clock by ``dt``."""
+    species = state._merge_instances(*_sample_pair(state, rng))
+    state.time += dt
+    if state.debug:
+        state.check_consistency()
+    return species
+
+
 def step(state: ParticleSystemState, rng) -> "Event | None":
     """Execute one event in place; returns None when the state is absorbed.
 
     The waiting time is exponential with rate ``total_rate / n`` (the rescaled
     clock); the state's rescaled time advances by it.
     """
-    rate = state.total_rate()
-    if rate == 0:
-        return None
-    dt = float(rng.exponential(state.n / rate))
-    i, j = _sample_pair(state, rng)
-    event = state._merge_instances(i, j)
-    state.time += dt
-    if state.debug:
-        state.check_consistency()
-    return Event(dt=dt, left=event.left, right=event.right, merged=event.merged)
+    dt = _waiting_time(state, rng)
+    return None if dt is None else Event(dt, *_fire(state, rng, dt))
 
 
 @dataclass(frozen=True)
@@ -284,38 +293,21 @@ def run_simulation(
     state including every event occurring at or before T.  Runs are fully
     deterministic given ``seed``.
     """
-    if t_end < 0:
-        raise ValueError(f"t_end must be nonnegative, got {t_end}")
-    if checkpoints is None:
-        checkpoints = [t_end]
-    cks = sorted(float(t) for t in checkpoints)
-    if cks and (cks[0] < 0 or cks[-1] > t_end + 1e-12):
-        raise ValueError(f"checkpoints must lie in [0, {t_end}]")
+    cks = checkpoint_times(t_end, checkpoints)
     state = ParticleSystemState(counts, n, bound=bound, debug=debug)
     rng = np.random.default_rng(seed)
     snapshots: list[dict[ParticleType, float]] = []
     events = 0
     ci = 0
     while ci < len(cks):
-        rate = state.total_rate()
-        if rate == 0:
-            while ci < len(cks):
-                snapshots.append(state.empirical_concentrations())
-                ci += 1
-            break
-        dt = float(rng.exponential(state.n / rate))
-        t_next = state.time + dt
+        dt = _waiting_time(state, rng)
+        t_next = inf if dt is None else state.time + dt
         while ci < len(cks) and cks[ci] < t_next:
             snapshots.append(state.empirical_concentrations())
             ci += 1
-        if ci >= len(cks):
-            break
-        i, j = _sample_pair(state, rng)
-        state._merge_instances(i, j)
-        state.time = t_next
-        events += 1
-        if debug:
-            state.check_consistency()
+        if ci < len(cks):
+            _fire(state, rng, dt)
+            events += 1
     return SimulationRun(
         n=n,
         seed=seed,

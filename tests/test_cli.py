@@ -299,3 +299,56 @@ def test_crash_in_handler_removes_its_outputs(tmp_path, monkeypatch):
         main(["limit", write_config(tmp_path, cfg), "--out", str(out)])
     assert not any(out.iterdir())
 
+
+
+def _table(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(
+            lambda d: ["compare", str(d / "missing.csv"), _table(d, "x.csv", "m,v\n1,2\n"),
+                       "--tolerance", "1"],
+            "missing.csv",
+            id="compare-missing-file",
+        ),
+        pytest.param(
+            lambda d: ["compare", _table(d, "a.csv", "m,v\n1,abc\n"),
+                       _table(d, "b.csv", "m,v\n1,2\n"), "--tolerance", "1"],
+            "line 2",
+            id="compare-non-numeric-cell",
+        ),
+        pytest.param(
+            lambda d: ["compare", _table(d, "a.csv", "m,v\n1,2\n3\n"),
+                       _table(d, "b.csv", "m,v\n1,2\n"), "--tolerance", "1"],
+            "line 3",
+            id="compare-short-row",
+        ),
+        pytest.param(
+            lambda d: ["compare", _table(d, "a.csv", "m,v\n1,2\n"),
+                       _table(d, "b.csv", "m,v\n1,2\n"), "--tolerance", "nan"],
+            "--tolerance",
+            id="compare-tolerance-nan",
+        ),
+        pytest.param(
+            lambda d: ["compare", _table(d, "a.csv", "m,v\n1,2\n"),
+                       _table(d, "b.csv", "m,v\n1,2\n"), "--tolerance", "-1"],
+            "--tolerance",
+            id="compare-tolerance-negative",
+        ),
+        pytest.param(
+            lambda d: ["analyze", write_config(d, THREE_ARM), "--out", str(d / "nodir" / "x.json")],
+            "nodir",
+            id="analyze-out-in-missing-dir",
+        ),
+    ],
+)
+def test_bad_command_line_inputs_exit_2(tmp_path, capsys, argv, message):
+    assert main(argv(tmp_path)) == 2
+    out, err = capsys.readouterr()
+    assert message in err
+    assert "within_tolerance" not in out  # no comparison report on bad input

@@ -1,6 +1,11 @@
+import json
 import math
 import re
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -85,8 +90,10 @@ def test_engines_agree(three_arm_state):
     state = ConcentrationState(
         {p: float(w) for p, w in zip(generic.types, rng.random(len(generic.types)))}
     )
-    dg, *fluxg = generic.rhs(generic.concentration_vector(state), 0.4, False)
-    df, *fluxf = fast.rhs(fast.concentration_vector(state), 0.4, False)
+    outg = generic.rhs(generic.concentration_vector(state), 0.4, False)
+    outf = fast.rhs(fast.concentration_vector(state), 0.4, False)
+    dg, fluxg = outg[:-3], list(outg[-3:])
+    df, fluxf = outf[:-3], list(outf[-3:])
     mg = dict(zip(generic.types, dg))
     mf = dict(zip(fast.types, df))
     assert max(abs(mg.get(p, 0.0) - mf.get(p, 0.0)) for p in set(mg) | set(mf)) < 1e-9
@@ -105,13 +112,14 @@ def test_pair_rhs_buffers_match_direct_gather(pq_state):
             minlength=system.size,
         )
         loss = c * (system.a * float(system.b @ c) + system.b * float(system.a @ c))
-        d, *_ = system.rhs(c, 0.3, False)
+        d = system.rhs(c, 0.3, False)[:-3]
         assert np.array_equal(d, gain - loss)
 
 
 def _gain_and_fluxes(system, c):
     """Gain term (the RHS with the loss added back) and the three lost fluxes."""
-    d, *fluxes = system.rhs(c, 0.4, False)
+    out = system.rhs(c, 0.4, False)
+    d, fluxes = out[:-3], list(out[-3:])
     loss = c * (system.a * float(system.b @ c) + system.b * float(system.a @ c))
     return dict(zip(system.types, d + loss)), fluxes
 
@@ -160,6 +168,42 @@ def test_integrator_counts_rhs_calls_of_bisected_steps(three_arm_state):
         y = stepper.advance(y, 0.05 * k, 0.05)
     assert stepper.rejected > 0
     assert len(calls) == 4 * stepper.accepted + 3 * stepper.rejected
+
+
+_TRACED_ENGINES = textwrap.dedent(
+    """
+    import json, sys
+    sys.path[:0] = sys.argv[1:]
+    import numpy as np
+    import tracing
+    from coaglab.kinetics import TruncatedSystem, TruncationPolicy, UniformArmSystem
+
+    tracer = tracing.install()
+    tracer.recording = True
+    seeds, policy = [(3, 0, 1), (0, 3, 1)], TruncationPolicy(mass_cap=8, arm_cap=10)
+    for engine in (TruncatedSystem(seeds, policy), UniformArmSystem(seeds, policy, 3)):
+        engine.rhs(np.full(engine.size, 0.1), 0.0, False)
+    tracer.recording = False
+    print(json.dumps({name: agg[0] for name, agg in tracer.totals().items()}))
+    """
+)
+
+
+def test_benchmark_tracer_wraps_each_engine_once():
+    """The benchmark wraps each engine's ``rhs`` and ``__init__`` by class
+    attribute; an engine that inherits from the other would be traced twice.
+    Runs in a fresh interpreter, so this session's classes stay unwrapped."""
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACED_ENGINES, str(root / "perfbench"), str(root / "src")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    spans = json.loads(proc.stdout)
+    assert (spans["kinetics.pair_rhs"], spans["kinetics.fft_rhs"]) == (1, 1)
+    assert spans["kinetics.build"] == 2
 
 
 def test_snapshot_names_first_negative_species(pq_state):

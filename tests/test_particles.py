@@ -104,6 +104,24 @@ def test_event_conservation_laws():
         assert s.n_particles == count - 1
 
 
+@pytest.mark.parametrize("seed, t_end, absorbed", [(3, 1.0, False), (11, 50.0, True)])
+def test_step_replays_run_simulation(seed, t_end, absorbed):
+    """step and run_simulation share one event path: from the same seed,
+    stepping to t_end fires the events the run counts and ends in its state."""
+    counts = {(3, 0, 1): 30, (0, 3, 1): 30, (1, 1, 1): 20}
+    run = run_simulation(counts, 80, t_end, checkpoints=[t_end / 2, t_end], seed=seed)
+    state = ParticleSystemState(counts, 80)
+    rng = np.random.default_rng(seed)
+    events, at_t_end = 0, dict(state.counts)
+    while (ev := step(state, rng)) is not None and state.time <= t_end:
+        events += 1
+        at_t_end = dict(state.counts)
+    assert (ev is None) == absorbed
+    assert events == run.events
+    assert at_t_end == run.final_counts
+    assert {p: k / 80 for p, k in at_t_end.items()} == run.states[-1]
+
+
 def test_bound_check():
     with pytest.raises(ValueError, match="population bound"):
         ParticleSystemState({(3, 3, 1): 10}, n=10, bound=2.0)
