@@ -30,9 +30,10 @@ for replicate fan-out.
 
 Exit codes: 0 success, 2 config/usage error, 3 numerical/convergence failure.
 Config errors include integer fields that are not integers in range, for
-``gw`` a degenerate initial state, whose trees need not end, a path that
-cannot be read or written, and for ``compare`` a tolerance that is not a
-finite number >= 0 or a table cell that is not a finite number.
+``ode`` an initial species outside the truncation caps, for ``gw`` a
+degenerate initial state, whose trees need not end, a path that cannot be
+read or written, and for ``compare`` a tolerance that is not a finite number
+>= 0 or a table cell that is not a finite number.
 A subcommand that fails for any reason leaves no new files in its output
 directory; any other exception is then re-raised with its traceback.
 """
@@ -288,11 +289,6 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_table(out_dir: Path, stem: str, header: list, rows) -> None:
-    """Write one table to ``<out_dir>/<stem>.csv``."""
-    write_csv(out_dir / f"{stem}.csv", header, rows)
-
-
 def _jsonable(x):
     if isinstance(x, Fraction):
         return str(x)
@@ -305,12 +301,17 @@ def _jsonable(x):
 # Subcommands
 
 
+def _degeneracy(c0: ConcentrationState) -> tuple[bool, list[str]]:
+    """Whether ``c0`` is monodisperse, and if so why its limiting tree may not end."""
+    monodisperse = all(p.m == 1 for p in c0.support())
+    return monodisperse, degeneracy_reasons(initial_arm_measure(c0)) if monodisperse else []
+
+
 def cmd_analyze(cfg: RunConfig, out: "Path | None") -> dict:
     c0, scale = cfg.state()
     gf = InitialGF(c0)
     data = gf.critical_data()
-    monodisperse = all(p.m == 1 for p in c0.support())
-    reasons = degeneracy_reasons(initial_arm_measure(c0)) if monodisperse else []
+    monodisperse, reasons = _degeneracy(c0)
     report = {
         "alpha": float(data.alpha),
         "beta": float(data.beta),
@@ -323,18 +324,21 @@ def cmd_analyze(cfg: RunConfig, out: "Path | None") -> dict:
         "concentration_scale": _jsonable(scale),
     }
     text = json.dumps(report, indent=2, sort_keys=True)
-    print(text)
-    if out is not None:
+    if out is not None:  # before printing, so a failed write prints no report
         out.write_text(text + "\n", encoding="utf-8")
+    print(text)
     return report
 
 
 def cmd_ode(cfg: RunConfig, out_dir: Path) -> None:
     c0, _ = cfg.state()
+    for p in c0.support():
+        if not cfg.truncation.admits(p):
+            raise ConfigError(f"initial species {tuple(p)} exceeds truncation caps {cfg.truncation}")
     grid = [float(t) for t in cfg.t_grid]
     traj = integrate(c0, grid[-1], cfg.truncation, cfg.solver, checkpoints=grid)
-    _write_table(out_dir, "concentrations", *traj.concentration_rows())
-    _write_table(out_dir, "observables", *traj.observable_rows())
+    write_csv(out_dir / "concentrations.csv", *traj.concentration_rows())
+    write_csv(out_dir / "observables.csv", *traj.observable_rows())
     _write_json(out_dir / "meta.json", {"command": "ode", "config": cfg.raw})
 
 
@@ -347,7 +351,7 @@ def cmd_explicit(cfg: RunConfig, out_dir: Path) -> None:
         for m in range(1, cfg.max_mass + 1)
         for a, b in live_types(cfg.family, m)
     )
-    _write_table(out_dir, "explicit", ["t", "a", "b", "m", "value"], rows)
+    write_csv(out_dir / "explicit.csv", ["t", "a", "b", "m", "value"], rows)
     _write_json(out_dir / "meta.json", {"command": "explicit", "config": cfg.raw})
 
 
@@ -398,7 +402,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> None:
             for p in sorted(state, key=lambda q: (q.m, q.a, q.b))
         )
         header = ["t", "a", "b", "m", "C_n"]
-        _write_table(out_dir, f"empirical_{r:03d}", header, rows)
+        write_csv(out_dir / f"empirical_{r:03d}.csv", header, rows)
     meta = {
         "command": "simulate",
         "config": cfg.raw,
@@ -423,9 +427,8 @@ def cmd_limit(cfg: RunConfig, out_dir: Path) -> None:
     c0, _ = cfg.state()
     limit = limiting_concentrations(c0, cfg.max_mass)
     rows = ((m, limit.c_inf[m]) for m in range(1, cfg.max_mass + 1))
-    _write_table(out_dir, "limit", ["m", "c_inf"], rows)
-    monodisperse = all(p.m == 1 for p in c0.support())
-    reasons = degeneracy_reasons(initial_arm_measure(c0)) if monodisperse else []
+    write_csv(out_dir / "limit.csv", ["m", "c_inf"], rows)
+    reasons = _degeneracy(c0)[1]
     summary = {
         "command": "limit",
         "config": cfg.raw,
@@ -462,7 +465,7 @@ def cmd_gw(cfg: RunConfig, out_dir: Path) -> None:
         for m in range(1, cfg.max_mass + 1)
     )
     header = ["m", "c_inf", "pmf_series", "pmf_sampled", "censored_fraction"]
-    _write_table(out_dir, "gw", header, rows)
+    write_csv(out_dir / "gw.csv", header, rows)
     summary = {
         "command": "gw",
         "config": cfg.raw,

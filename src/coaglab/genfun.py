@@ -148,6 +148,23 @@ class InitialGF:
             (1 + t) * y - t * self.dx(x, y, z),
         )
 
+    def _fixed_point(self, cu, cv, fac, start, z, tol, max_iter, history=None):
+        """Iterate ``(x, y) <- (cu + fac dg0/dy, cv + fac dg0/dx)`` at ``z`` from
+        ``start`` until the max-norm step is below ``tol``; None if ``max_iter``
+        steps do not get there.  Each step's max-norm is appended to ``history``
+        if that is a list."""
+        x, y = start
+        for _ in range(max_iter):
+            x1 = cu + fac * self.dy(x, y, z)
+            y1 = cv + fac * self.dx(x, y, z)
+            delta = max(abs(x1 - x), abs(y1 - y))
+            if history is not None:
+                history.append(delta)
+            x, y = x1, y1
+            if delta < tol:
+                return (x, y)
+        return None
+
     def invert_phi(
         self,
         t,
@@ -175,24 +192,14 @@ class InitialGF:
         self._check_subcritical(t, margin)
         if t == 0:
             return (u, v)
-        fac = t / (1 + t)
-        cu = u / (1 + t)
-        cv = v / (1 + t)
-        x, y = u, v
-        for _ in range(max_iter):
-            x1 = cu + fac * self.dy(x, y, z)
-            y1 = cv + fac * self.dx(x, y, z)
-            delta = max(abs(x1 - x), abs(y1 - y))
-            if history is not None:
-                history.append(delta)
-            x, y = x1, y1
-            if delta < tol:
-                break
-        else:
+        cu, cv, fac = u / (1 + t), v / (1 + t), t / (1 + t)
+        xy = self._fixed_point(cu, cv, fac, (u, v), z, tol, max_iter, history)
+        if xy is None:
             raise ConvergenceError(
                 f"fixed-point inversion did not converge in {max_iter} iterations "
                 f"at t = {t} (t may be too close to the critical time)"
             )
+        x, y = xy
         pu, pv = self.phi(t, x, y, z)
         if max(abs(pu - u), abs(pv - v)) > 10 * tol:
             raise ConvergenceError(

@@ -9,11 +9,13 @@ term by ``(a + b) / (1 + t) * c(p)`` (the two agree while the arm identity
 ``A = B = 1/(1+t)`` holds, i.e. strictly before gelation).
 
 The solver evolves the finite set of species reachable from the initial
-support under merging, intersected with a mass cap and an arm cap.  Gain flux
-whose merge product falls outside the caps is dropped from the evolved state
-but its mass and arm content is accumulated into running "lost" totals, so
-``retained mass + lost mass`` is a linear invariant of the augmented system
-and is preserved to rounding error by the Runge-Kutta steps.
+support under merging, intersected with a mass cap and an arm cap; one sweep
+over target masses, ``_merge_sweep``, yields both that set and the pairs that
+feed each species' gain term.  Gain flux whose merge product falls outside
+the caps is dropped from the evolved state but its mass and arm content is
+accumulated into running "lost" totals, so ``retained mass + lost mass`` is a
+linear invariant of the augmented system and is preserved to rounding error
+by the Runge-Kutta steps.
 
 Both engines share one right-hand side, ``_Engine.rhs``.  An engine builds
 its species table and supplies only ``_gain(c)``, the bilinear gain term,
@@ -107,7 +109,7 @@ class Trajectory:
         rows = []
         for s in self.states:
             for p in s.support():
-                rows.append((s.time, p.a, p.b, p.m, float(s[p])))
+                rows.append((s.time, p.a, p.b, p.m, float(s.entries[p])))
         return ["t", "a", "b", "m", "concentration"], rows
 
     def observable_rows(self):
@@ -122,47 +124,64 @@ class Trajectory:
         write_csv(path, *self.observable_rows())
 
 
+def _merge_sweep(seeds: Iterable[ParticleType], policy: TruncationPolicy):
+    """Species closure of ``seeds`` under merging within the caps, and its pairs.
+
+    Masses strictly increase under merging, so one sweep over target masses
+    ``mt`` in increasing order is complete.  The blocks ``(m1, mt - m1)``,
+    ``m1 <= mt / 2``, keep pairs of positive rate whose product is within the
+    caps (``i <= j`` on a diagonal block, whose rate is halved at ``i == j``).
+    Per target the pairs come by ``m1``, then row-major, which fixes the order
+    in which ``np.bincount`` sums the gain.  Returns ``(types, pair_i, pair_j,
+    pair_coeff, pair_tgt)``, with ``types`` sorted by ``(m, a, b)``.
+    """
+    cap = policy.arm_cap
+    width = cap + 1  # the key a * width + b sorts like (a, b)
+    seed_keys: dict[int, set[int]] = {}
+    for p in seeds:
+        p = as_particle_type(p)
+        if not policy.admits(p):
+            raise ValueError(f"initial species {tuple(p)} exceeds truncation caps {policy}")
+        seed_keys.setdefault(p.m, set()).add(p.a * width + p.b)
+    types: list[ParticleType] = []
+    species: dict[int, tuple[int, np.ndarray, np.ndarray]] = {}  # m -> (first index, a, b)
+    none = np.empty(0, dtype=np.int64)
+    pi, pj, pc, pt = [none], [none], [np.empty(0)], [none]
+    for mt in range(1, policy.mass_cap + 1):
+        products = [np.fromiter(seed_keys.get(mt, ()), dtype=np.int64)]
+        for m1 in range(1, mt // 2 + 1):
+            if m1 not in species or mt - m1 not in species:
+                continue
+            (s1, a1, b1), (s2, a2, b2) = species[m1], species[mt - m1]
+            a1, b1 = a1[:, None], b1[:, None]
+            rate = a1 * b2 + a2 * b1
+            na, nb = a1 + a2 - 1, b1 + b2 - 1
+            ok = (rate > 0) & (na <= cap) & (nb <= cap)
+            diagonal = 2 * m1 == mt
+            i, j = np.nonzero(np.triu(ok) if diagonal else ok)  # row-major
+            coeff = rate[i, j] * np.where(diagonal & (i == j), 0.5, 1.0)
+            pi.append(s1 + i)
+            pj.append(s2 + j)
+            pc.append(coeff)
+            products.append(na[i, j] * width + nb[i, j])
+        keys = np.flatnonzero(np.bincount(np.concatenate(products)))  # sorted, unique
+        if not len(keys):
+            continue
+        pt.extend(len(types) + np.searchsorted(keys, k) for k in products[1:])
+        species[mt] = (len(types), keys // width, keys % width)
+        types.extend(ParticleType(k // width, k % width, mt) for k in keys.tolist())
+    return types, np.concatenate(pi), np.concatenate(pj), np.concatenate(pc), np.concatenate(pt)
+
+
 def reachable_types(
     seeds: Iterable[ParticleType], policy: TruncationPolicy
 ) -> list[ParticleType]:
     """Closure of ``seeds`` under merging, intersected with the caps.
 
-    Masses strictly increase under merging, so a single sweep over target
-    masses in increasing order is complete.  Seeds outside the caps are
-    rejected rather than silently dropped (dropping initial mass would
-    corrupt the conservation accounting).
+    Seeds outside the caps are rejected rather than silently dropped (dropping
+    initial mass would corrupt the conservation accounting).
     """
-    by_mass: dict[int, set[tuple[int, int]]] = {}
-    for p in seeds:
-        p = as_particle_type(p)
-        if not policy.admits(p):
-            raise ValueError(f"initial species {tuple(p)} exceeds truncation caps {policy}")
-        by_mass.setdefault(p.m, set()).add((p.a, p.b))
-    for mt in range(2, policy.mass_cap + 1):
-        found = set(by_mass.get(mt, set()))
-        for m1 in range(1, mt // 2 + 1):
-            s1 = by_mass.get(m1)
-            s2 = by_mass.get(mt - m1)
-            if not s1 or not s2:
-                continue
-            arr1 = np.array(sorted(s1), dtype=np.int64)
-            arr2 = np.array(sorted(s2), dtype=np.int64)
-            a1, b1 = arr1[:, 0][:, None], arr1[:, 1][:, None]
-            a2, b2 = arr2[:, 0][None, :], arr2[:, 1][None, :]
-            ok = (a1 * b2 + a2 * b1) > 0
-            na, nb = a1 + a2 - 1, b1 + b2 - 1
-            ok &= (na <= policy.arm_cap) & (nb <= policy.arm_cap)
-            if ok.any():
-                pairs = np.unique(np.stack([na[ok], nb[ok]], axis=1), axis=0)
-                found.update((int(x), int(y)) for x, y in pairs)
-        if found:
-            by_mass[mt] = found
-    out = [
-        ParticleType(a, b, m)
-        for m in sorted(by_mass)
-        for a, b in sorted(by_mass[m])
-    ]
-    return out
+    return _merge_sweep(seeds, policy)[0]
 
 
 class _Engine:
@@ -219,63 +238,9 @@ class TruncatedSystem(_Engine):
     """
 
     def __init__(self, seeds: Iterable[ParticleType], policy: TruncationPolicy):
-        super().__init__(policy, reachable_types(seeds, policy))
-        self._build_pairs()
+        types, self.pair_i, self.pair_j, self.pair_coeff, self.pair_tgt = _merge_sweep(seeds, policy)
+        super().__init__(policy, types)
         self._pair_work = np.empty((2, len(self.pair_i)))
-
-    def _build_pairs(self) -> None:
-        cap_a = self.policy.arm_cap
-        by_mass: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        lookup: dict[int, np.ndarray] = {}
-        for mass in sorted({p.m for p in self.types}):
-            idx = np.array(
-                [i for i, p in enumerate(self.types) if p.m == mass], dtype=np.int64
-            )
-            aa = np.array([self.types[i].a for i in idx], dtype=np.int64)
-            bb = np.array([self.types[i].b for i in idx], dtype=np.int64)
-            by_mass[mass] = (idx, aa, bb)
-            table = np.full((cap_a + 1, cap_a + 1), -1, dtype=np.int64)
-            table[aa, bb] = idx
-            lookup[mass] = table
-        none = np.empty(0, dtype=np.int64)
-        pi, pj, pc, pt = [none], [none], [np.empty(0)], [none]
-        masses = sorted(by_mass)
-        for m1 in masses:
-            for m2 in masses:
-                if m2 < m1:
-                    continue
-                if m1 + m2 > self.policy.mass_cap:
-                    break
-                if m1 + m2 not in lookup:
-                    continue
-                idx1, a1, b1 = by_mass[m1]
-                idx2, a2, b2 = by_mass[m2]
-                rate = a1[:, None] * b2[None, :] + a2[None, :] * b1[:, None]
-                ok = rate > 0
-                na = a1[:, None] + a2[None, :] - 1
-                nb = b1[:, None] + b2[None, :] - 1
-                ok &= (na <= cap_a) & (nb <= cap_a)
-                if m1 == m2:
-                    k = len(idx1)
-                    ok &= np.arange(k)[:, None] <= np.arange(k)[None, :]
-                if not ok.any():
-                    continue
-                tgt = lookup[m1 + m2][na[ok], nb[ok]]
-                if (tgt < 0).any():
-                    raise AssertionError("merge product missing from reachable closure")
-                ii = np.broadcast_to(idx1[:, None], ok.shape)[ok]
-                jj = np.broadcast_to(idx2[None, :], ok.shape)[ok]
-                coeff = rate[ok].astype(np.float64)
-                if m1 == m2:
-                    coeff = np.where(ii == jj, 0.5 * coeff, coeff)
-                pi.append(ii)
-                pj.append(jj)
-                pc.append(coeff)
-                pt.append(tgt)
-        self.pair_i = np.concatenate(pi)
-        self.pair_j = np.concatenate(pj)
-        self.pair_coeff = np.concatenate(pc)
-        self.pair_tgt = np.concatenate(pt)
 
     def _gain(self, c: np.ndarray) -> np.ndarray:
         # Pair-sized products go to preallocated buffers: with a fresh
@@ -411,8 +376,6 @@ def _rate_map(system: _Engine, c: ConcentrationState, t: float, reduced: bool):
 
 def rhs_full(c: ConcentrationState, policy: TruncationPolicy = TruncationPolicy()):
     """Signed rate map of the full system over the reachable truncated set."""
-    if len(c) == 0:
-        return {}
     return _rate_map(TruncatedSystem(c.support(), policy), c, c.time, reduced=False)
 
 
@@ -422,8 +385,6 @@ def rhs_reduced(
     """Signed rate map with the loss term replaced by (a + b)/(1 + t) c(p)."""
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
-    if len(c) == 0:
-        return {}
     return _rate_map(TruncatedSystem(c.support(), policy), c, t, reduced=True)
 
 

@@ -133,15 +133,10 @@ def h_infinity(
     _require_no_gelation(gf)
     if not (0 <= z < 1):
         raise ValueError(f"z must lie in [0, 1), got {z}")
-    x, y = 0.0, 0.0
-    for _ in range(max_iter):
-        x1 = gf.dy(x, y, z)
-        y1 = gf.dx(x, y, z)
-        delta = max(abs(x1 - x), abs(y1 - y))
-        x, y = x1, y1
-        if delta < tol:
-            return (x, y)
-    raise ConvergenceError(f"limit fixed point did not converge at z = {z}")
+    xy = gf._fixed_point(0.0, 0.0, 1.0, (0.0, 0.0), z, tol, max_iter)
+    if xy is None:
+        raise ConvergenceError(f"limit fixed point did not converge at z = {z}")
+    return xy
 
 
 def _require_probability_laws(nu_m: Measure2D, nu_f: Measure2D) -> None:

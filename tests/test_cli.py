@@ -345,10 +345,19 @@ def _table(tmp_path, name, text):
             "nodir",
             id="analyze-out-in-missing-dir",
         ),
+        pytest.param(
+            lambda d: ["ode", write_config(d, {"initial": [{"a": 40, "b": 40, "m": 1, "conc": 1.0}],
+                                               "truncation": {"arm_cap": 32}}),
+                       "--out", str(d / "ode")],
+            "exceeds truncation caps",
+            id="ode-seed-outside-caps",
+        ),
     ],
 )
 def test_bad_command_line_inputs_exit_2(tmp_path, capsys, argv, message):
     assert main(argv(tmp_path)) == 2
     out, err = capsys.readouterr()
     assert message in err
-    assert "within_tolerance" not in out  # no comparison report on bad input
+    assert out == ""  # no report on bad input
+    ode_out = tmp_path / "ode"
+    assert not ode_out.exists() or not any(ode_out.iterdir())  # ode wrote no file

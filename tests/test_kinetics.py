@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from coaglab import core
 from coaglab import (
     ConcentrationState,
     ParticleType,
@@ -74,6 +75,30 @@ def test_reachable_types():
     assert types == [ParticleType(1, 1, m) for m in range(1, 6)]
     with pytest.raises(ValueError, match="exceeds truncation caps"):
         reachable_types([(9, 1, 1)], pol)
+
+
+def test_pair_table_matches_brute_force_double_loop():
+    """The merge sweep's pairs are every unordered pair of positive rate whose
+    product is admitted, on a state with a binding arm cap and heavy seeds."""
+    pol = TruncationPolicy(mass_cap=14, arm_cap=5)
+    seeds = [(1, 1, 1), (3, 0, 3), (0, 3, 2), (0, 0, 4)]
+    system = TruncatedSystem(seeds, pol)
+    expected, arm_capped = [], 0
+    for i, p in enumerate(system.types):
+        for j, q in enumerate(system.types[i:], start=i):
+            if core.coagulation_rate(p, q) <= 0:
+                continue
+            r = core.merge(p, q)
+            if pol.admits(r):
+                coeff = core.coagulation_rate(p, q) * (0.5 if i == j else 1.0)
+                expected.append((i, j, coeff, system.index[r]))
+            elif r.m <= pol.mass_cap:
+                arm_capped += 1
+    table = zip(system.pair_i.tolist(), system.pair_j.tolist(),
+                system.pair_coeff.tolist(), system.pair_tgt.tolist())
+    assert sorted(table) == sorted(expected)
+    assert arm_capped > 0 and any(system.pair_i == system.pair_j)
+    assert reachable_types(seeds, pol) == system.types
 
 
 def test_engine_dispatch(three_arm_state, pq_state):
