@@ -27,9 +27,6 @@ from .exact import (
     RandomGender,
     TwoGender,
     concentration,
-    concentration_one_female,
-    concentration_random_gender,
-    concentration_two_gender,
     initial_state,
     limiting_mass_concentration,
     live_types,

@@ -1,43 +1,46 @@
 """Closed-form solutions for three monodisperse initial-condition families.
 
 All particles have mass 1 at time 0, so the initial data is an arm-count
-measure.  The three families admit explicit concentrations at every time:
+measure.  For all three families, Lagrange inversion of the characteristic
+equations gives explicit concentrations of one shape:
+
+    c_t(a, b, m) = K(a, b, m) * tau^(m-1) * (1+t)^-(a+b),    tau = t/(1+t).
+
+Mass-1 species only lose, so ``K(a, b, 1) = c_0(a, b, 1)``.  For m >= 2 each
+family gives the time-free coefficient K as a sum of factorial ratios times
+convolution-power weights, with ``nu(j) = (j+1) mu(j+1)`` the size-biased law:
 
 * :class:`OneFemaleArm` - every particle has exactly one female arm and a
   male-arm count drawn from a unit-mean probability law ``mu1``.  Then
 
-      c_t(a, 1, m) = t^(m-1) / (1+t)^(m+a) * (1/m) * C(m+a-1, a) * mu1^{*m}(m+a-1)
+      K(a, 1, m) = (m+a-1)! / (m! a!) * mu1^{*m}(m+a-1)
 
   and concentrations vanish off b = 1.  This family never gels.
 
 * :class:`RandomGender` - the total arm count is drawn from ``mu1`` (a
   probability law with mean 2) and each arm is independently male or female
-  with probability 1/2.  With ``nu1(j) = (j+1) mu1(j+1)``, for (a, b) != (0, 0)
+  with probability 1/2.  With k = a + b,
 
-      c_t(a, b, m) = 1/2 * t^(m-1) / (1+t)^(a+b+m-1)
-                     * (m+a+b-2)! / (m! a! b!) * (nu1/2)^{*m}(m+a+b-2)
+      K(a, b, m) = (m+k-2)! / (m! a! b!) * 2^(1-k) * (nu1/2)^{*m}(m+k-2),
 
-  and   c_t(0, 0, m) = 1/(m(m-1)) * 1/2 * (t/(1+t))^(m-1) * (nu1/2)^{*m}(m-2)
-  for m >= 2 (the value is 0 whenever nu1(0) = 0: if no particle has exactly
-  one arm, every cluster retains at least two free arms).
+  (0, 0) included; it is 0 whenever nu1(0) = 0: if no particle has exactly
+  one arm, every cluster retains at least two free arms.
 
 * :class:`TwoGender` - every particle carries arms of a single gender;
   male-armed counts follow ``mu1``, female-armed counts follow ``mu2`` (both
-  unit-mean with ``mu1(0) = mu2(0)``).  With ``nu_i(j) = (j+1) mu_i(j+1)``,
-  for (a, b) != (0, 0)
+  unit-mean with ``mu1(0) = mu2(0)``).  Then
 
-      c_t(a, b, m) = t^(m-1) / (1+t)^(m+a+b-1) * sum_{k=0}^{m}
-          (m-k+b-1)! (k+a-1)! / ((m-k)! k! a! b!)
-          * nu1^{*(m-k)}(k+a-1) * nu2^{*k}(m-k-1+b)
+      K(a, b, m) = sum_{k=0}^{m} (m-k+b-1)! (k+a-1)! / ((m-k)! k! a! b!)
+                   * nu1^{*(m-k)}(k+a-1) * nu2^{*k}(m-k-1+b).
 
-  and   c_t(0, 0, m) = 1/(m-1) * (t/(1+t))^(m-1) * (nu1 <> nu2)(m)
-  for m >= 2, with the diamond product from :mod:`coaglab.measures`.  As
-  t -> infinity all concentrations with arms vanish and
-  c(0, 0, m) -> (nu1 <> nu2)(m) / (m - 1).
+  At (0, 0) only 0 < k < m contribute and the sum is
+  ``(nu1 <> nu2)(m) / (m-1)``, with the diamond product from
+  :mod:`coaglab.measures`.  As t -> infinity, tau -> 1, so all concentrations
+  with arms vanish and c(0, 0, m) -> (nu1 <> nu2)(m) / (m - 1).
 
 Rational inputs (Fraction weights and times) are evaluated exactly; float
-inputs use log-gamma factorial ratios so large masses neither overflow nor
-lose the leading digits.
+inputs sum the terms in log space (log-gamma factorials, log-sum-exp), so
+large masses neither overflow nor lose the leading digits.
 """
 
 from __future__ import annotations
@@ -47,14 +50,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import ConcentrationState
-from .measures import Measure1D, convolution_power, diamond, _sorted_sum
+from .measures import Measure1D, convolution_power, diamond
 
 _EXACT_TYPES = (int, Fraction)
-_LGAMMA_CUTOFF = 170  # largest factorial argument evaluated exactly in float mode
 
 
-def _binom(n: int, k: int) -> int:
-    return math.comb(n, k)
+def _support(nu: Measure1D, k: int) -> list[int]:
+    return [j for j, _ in convolution_power(nu, k).weights]
+
+
+# A family's ``_terms(a, b, m)``, m >= 2, yields the terms of K(a, b, m), each
+# as ``(nums, dens, weights)``: the term is prod(n!) / prod(d!) * prod(weights).
+# Terms with a zero weight are skipped unevaluated, so their factorial
+# arguments may be negative.  ``_live(m)``, m >= 2, is the set of (a, b) with
+# nonzero K, read off the supports of the convolution powers.
 
 
 @dataclass(frozen=True)
@@ -69,6 +78,13 @@ class OneFemaleArm:
         if abs(self.mu1.mean() - 1) > 1e-9:
             raise ValueError(f"mu1 must have unit mean, got {self.mu1.mean()}")
 
+    def _terms(self, a, b, m):
+        if b == 1:
+            yield (m + a - 1,), (m, a), (convolution_power(self.mu1, m)(m + a - 1),)
+
+    def _live(self, m):
+        return {(s - m + 1, 1) for s in _support(self.mu1, m) if s >= m - 1}
+
 
 @dataclass(frozen=True)
 class RandomGender:
@@ -81,6 +97,16 @@ class RandomGender:
             raise ValueError(f"mu1 must be a probability measure, total = {self.mu1.total()}")
         if abs(self.mu1.mean() - 2) > 1e-9:
             raise ValueError(f"mu1 must have mean 2, got {self.mu1.mean()}")
+
+    def _terms(self, a, b, m):
+        k = a + b
+        nu_half = size_biased(self.mu1).scaled(Fraction(1, 2))
+        conv = convolution_power(nu_half, m)(m + k - 2)
+        yield (m + k - 2,), (m, a, b), (Fraction(2, 2**k), conv)  # 2^(1-k) * conv
+
+    def _live(self, m):
+        ks = (s - m + 2 for s in _support(size_biased(self.mu1), m))
+        return {(k - b, b) for k in ks if k >= 0 for b in range(k + 1)}
 
 
 @dataclass(frozen=True)
@@ -99,8 +125,24 @@ class TwoGender:
                 f"mu1(0) and mu2(0) must agree, got {self.mu1(0)} and {self.mu2(0)}"
             )
 
+    def _terms(self, a, b, m):
+        nu1, nu2 = size_biased(self.mu1), size_biased(self.mu2)
+        for k in range(m + 1):
+            v1 = convolution_power(nu1, m - k)(k + a - 1)
+            if v1:  # skips the second convolution power of a zero term
+                v2 = convolution_power(nu2, k)(m - k - 1 + b)
+                yield (m - k + b - 1, k + a - 1), (m - k, k, a, b), (v1, v2)
 
-FamilySpec = "OneFemaleArm | RandomGender | TwoGender"
+    def _live(self, m):
+        nu1, nu2 = size_biased(self.mu1), size_biased(self.mu2)
+        return {
+            (j1 - k + 1, j2 - m + k + 1)
+            for k in range(m + 1)
+            for j1 in _support(nu1, m - k)
+            if j1 >= k - 1
+            for j2 in _support(nu2, k)
+            if j2 >= m - k - 1
+        }
 
 
 def size_biased(mu: Measure1D) -> Measure1D:
@@ -118,9 +160,9 @@ def initial_state(family) -> ConcentrationState:
             for b in range(k + 1):
                 denom = 2**k
                 weight = (
-                    Fraction(_binom(k, b), denom) * w
+                    Fraction(math.comb(k, b), denom) * w
                     if isinstance(w, _EXACT_TYPES)
-                    else _binom(k, b) / denom * w
+                    else math.comb(k, b) / denom * w
                 )
                 entries[(k - b, b, 1)] = weight
         return ConcentrationState(entries)
@@ -138,160 +180,52 @@ def initial_state(family) -> ConcentrationState:
     raise TypeError(f"not a family spec: {family!r}")
 
 
-def _t_powers_exact(t, m, a, b):
-    """Exact prefactor t^(m-1) / (1+t)^(m+a+b-1)."""
-    t = Fraction(t)
-    return t ** (m - 1) / (1 + t) ** (m + a + b - 1)
+def _exact_term(nums, dens, weights) -> Fraction:
+    """One term as a Fraction, normalised once rather than once per factor."""
+    num, den = math.prod(map(math.factorial, nums)), math.prod(map(math.factorial, dens))
+    for w in weights:
+        num, den = num * w.numerator, den * w.denominator
+    return Fraction(num, den)
 
 
-def _log_t_prefactor(t, m, a, b):
-    return (m - 1) * math.log(t) - (m + a + b - 1) * math.log1p(t)
-
-
-def concentration_one_female(mu1: Measure1D, t, a: int, m: int, b: int = 1):
-    """c_t(a, b, m) for the one-female-arm family; zero off b = 1."""
-    if a < 0 or m < 1:
-        raise ValueError(f"invalid species ({a}, {b}, {m})")
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    if b != 1:
-        return 0
-    conv = convolution_power(mu1, m)(m + a - 1)
-    if conv == 0:
-        return 0
-    if t == 0:
-        return conv if m == 1 else 0
-    exact = isinstance(t, _EXACT_TYPES) and mu1.is_exact()
-    if exact:
-        # b = 1 here, so the prefactor denominator (1+t)^(m+a) fits the
-        # generic (1+t)^(m+a+b-1) shape.
-        return _t_powers_exact(t, m, a, 1) * Fraction(_binom(m + a - 1, a), m) * conv
-    if m + a - 1 <= _LGAMMA_CUTOFF:
-        return (
-            float(t) ** (m - 1)
-            / (1.0 + t) ** (m + a)
-            * _binom(m + a - 1, a)
-            / m
-            * float(conv)
-        )
-    lg = (
-        _log_t_prefactor(float(t), m, a, 1)
-        + math.lgamma(m + a)
-        - math.lgamma(a + 1)
-        - math.lgamma(m + 1)
-        + math.log(float(conv))
+def _log_term(nums, dens, weights) -> float:
+    return math.fsum(
+        [math.lgamma(n + 1) for n in nums]
+        + [-math.lgamma(d + 1) for d in dens]
+        + [math.log(float(w)) for w in weights]
     )
-    return math.exp(lg)
 
 
-def concentration_random_gender(mu1: Measure1D, t, a: int, b: int, m: int):
-    """c_t(a, b, m) for the uniform-random-gender family."""
+def concentration(family, t, a: int, b: int, m: int):
+    """Closed-form c_t(a, b, m) = K(a, b, m) tau^(m-1) (1+t)^-(a+b) of a family."""
     if a < 0 or b < 0 or m < 1:
         raise ValueError(f"invalid species ({a}, {b}, {m})")
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
-    nu_half = size_biased(mu1).scaled(
-        Fraction(1, 2) if mu1.is_exact() else 0.5
-    )
-    exact = isinstance(t, _EXACT_TYPES) and mu1.is_exact()
-    if (a, b) == (0, 0):
-        if m == 1:
-            return mu1(0)
-        conv = convolution_power(nu_half, m)(m - 2)
-        if conv == 0 or t == 0:
-            return 0
-        if exact:
-            tt = Fraction(t)
-            return (tt / (1 + tt)) ** (m - 1) * conv / (2 * m * (m - 1))
-        lg = (
-            (m - 1) * (math.log(t) - math.log1p(t))
-            + math.log(float(conv))
-            - math.log(2.0 * m * (m - 1))
-        )
-        return math.exp(lg)
-    conv = convolution_power(nu_half, m)(m + a + b - 2)
-    if conv == 0:
-        return 0
     if t == 0:
-        return initial_state(RandomGender(mu1))[(a, b, 1)] if m == 1 else 0
-    if exact:
-        num = math.factorial(m + a + b - 2)
-        den = 2 * math.factorial(m) * math.factorial(a) * math.factorial(b)
-        return _t_powers_exact(t, m, a, b) * Fraction(num, den) * conv
-    lg = (
-        _log_t_prefactor(float(t), m, a, b)
-        + math.lgamma(m + a + b - 1)
-        - math.lgamma(m + 1)
-        - math.lgamma(a + 1)
-        - math.lgamma(b + 1)
-        - math.log(2.0)
-        + math.log(float(conv))
-    )
-    return math.exp(lg)
-
-
-def concentration_two_gender(mu1: Measure1D, mu2: Measure1D, t, a: int, b: int, m: int):
-    """c_t(a, b, m) for the one-gender-per-particle family."""
-    if a < 0 or b < 0 or m < 1:
-        raise ValueError(f"invalid species ({a}, {b}, {m})")
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    nu1 = size_biased(mu1)
-    nu2 = size_biased(mu2)
-    exact = isinstance(t, _EXACT_TYPES) and mu1.is_exact() and mu2.is_exact()
-    if (a, b) == (0, 0):
-        if m == 1:
-            return mu1(0)
-        dia = diamond(nu1, nu2, m)
-        if dia == 0 or t == 0:
-            return 0
-        if exact:
-            tt = Fraction(t)
-            return (tt / (1 + tt)) ** (m - 1) * dia / (m - 1)
-        return math.exp(
-            (m - 1) * (math.log(t) - math.log1p(t)) + math.log(float(dia)) - math.log(m - 1.0)
-        )
-    if t == 0:
-        return initial_state(TwoGender(mu1, mu2))[(a, b, 1)] if m == 1 else 0
-    terms = []
-    for k in range(m + 1):
-        v1 = convolution_power(nu1, m - k)(k + a - 1)
-        if v1 == 0:
-            continue
-        v2 = convolution_power(nu2, k)(m - k - 1 + b)
-        if v2 == 0:
-            continue
-        # Both convolution arguments are >= 0 here, so the factorials are valid.
-        if exact:
-            num = math.factorial(m - k + b - 1) * math.factorial(k + a - 1)
-            den = (
-                math.factorial(m - k)
-                * math.factorial(k)
-                * math.factorial(a)
-                * math.factorial(b)
-            )
-            terms.append(Fraction(num, den) * v1 * v2)
-        else:
-            terms.append(
-                math.lgamma(m - k + b)
-                + math.lgamma(k + a)
-                - math.lgamma(m - k + 1)
-                - math.lgamma(k + 1)
-                - math.lgamma(a + 1)
-                - math.lgamma(b + 1)
-                + math.log(float(v1))
-                + math.log(float(v2))
-            )
+        return initial_state(family)[(a, b, 1)] if m == 1 else 0
+    terms = family._terms(a, b, m) if m > 1 else [((), (), (initial_state(family)[(a, b, 1)],))]
+    terms = [(nums, dens, weights) for nums, dens, weights in terms if all(weights)]
     if not terms:
         return 0
-    if exact:
-        return _t_powers_exact(t, m, a, b) * _sorted_sum(terms)
-    # log-sum-exp: individual factorial ratios overflow long before the
-    # prefactor-weighted sum does.
-    shift = max(terms)
-    total_log = shift + math.log(math.fsum(math.exp(lg - shift) for lg in terms))
-    total_log += _log_t_prefactor(float(t), m, a, b)
-    return math.exp(total_log) if total_log > -745.0 else 0.0
+    # every field of a family is an arm law
+    if isinstance(t, _EXACT_TYPES) and all(mu.is_exact() for mu in vars(family).values()):
+        k = sum(_exact_term(*term) for term in terms)
+        p, q = Fraction(t).as_integer_ratio()  # tau = p/(p+q), 1+t = (p+q)/q
+        return Fraction(
+            k.numerator * p ** (m - 1) * q ** (a + b), k.denominator * (p + q) ** (m - 1 + a + b)
+        )
+    # log-sum-exp: single factorial ratios overflow long before the
+    # time-weighted sum does.
+    logs = [_log_term(*term) for term in terms]
+    shift = max(logs)
+    t = float(t)
+    return math.exp(
+        shift
+        + math.log(math.fsum(math.exp(lg - shift) for lg in logs))
+        + (m - 1) * math.log(t)
+        - (m - 1 + a + b) * math.log1p(t)
+    )
 
 
 def limiting_mass_concentration(family: TwoGender, m: int):
@@ -306,57 +240,13 @@ def limiting_mass_concentration(family: TwoGender, m: int):
     return Fraction(dia, m - 1) if isinstance(dia, _EXACT_TYPES) else dia / (m - 1)
 
 
-def concentration(family, t, a: int, b: int, m: int):
-    """Closed-form c_t(a, b, m) for any of the three families."""
-    if isinstance(family, OneFemaleArm):
-        return concentration_one_female(family.mu1, t, a, m, b=b)
-    if isinstance(family, RandomGender):
-        return concentration_random_gender(family.mu1, t, a, b, m)
-    if isinstance(family, TwoGender):
-        return concentration_two_gender(family.mu1, family.mu2, t, a, b, m)
-    raise TypeError(f"not a family spec: {family!r}")
-
-
 def live_types(family, m: int) -> list[tuple[int, int]]:
     """Arm pairs (a, b) with possibly nonzero concentration at mass ``m``.
 
-    Derived from the supports of the convolution powers in each closed form,
-    so the list is exact (types outside it have concentration identically 0).
+    At mass 1 this is the initial support; above it, it is derived from the
+    supports of the convolution powers in the family's coefficient, so the
+    list is exact (types outside it have concentration identically 0).
     """
-    if isinstance(family, OneFemaleArm):
-        supp = {j for j, _ in convolution_power(family.mu1, m).weights}
-        return sorted((s - m + 1, 1) for s in supp if s >= m - 1)
-    if isinstance(family, RandomGender):
-        nu1 = size_biased(family.mu1)
-        out = set()
-        for s, _ in convolution_power(nu1, m).weights:
-            k = s - m + 2
-            if k >= 1:
-                out.update((k - b, b) for b in range(k + 1))
-        if m == 1 and family.mu1(0) != 0:
-            out.add((0, 0))
-        if m >= 2 and convolution_power(nu1, m)(m - 2) != 0:
-            out.add((0, 0))
-        return sorted(out)
-    if isinstance(family, TwoGender):
-        nu1 = size_biased(family.mu1)
-        nu2 = size_biased(family.mu2)
-        out = set()
-        for k in range(m + 1):
-            s1 = {j for j, _ in convolution_power(nu1, m - k).weights}
-            s2 = {j for j, _ in convolution_power(nu2, k).weights}
-            for j1 in s1:
-                a = j1 - k + 1
-                if a < 0:
-                    continue
-                for j2 in s2:
-                    b = j2 - m + k + 1
-                    if b < 0 or (a, b) == (0, 0):
-                        continue
-                    out.add((a, b))
-        if m == 1 and family.mu1(0) != 0:
-            out.add((0, 0))
-        if m >= 2 and diamond(nu1, nu2, m) != 0:
-            out.add((0, 0))
-        return sorted(out)
-    raise TypeError(f"not a family spec: {family!r}")
+    if m == 1:
+        return [(p.a, p.b) for p in initial_state(family).support()]
+    return sorted(family._live(m))

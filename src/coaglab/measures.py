@@ -5,7 +5,7 @@ Everything here is finite-support numeric arithmetic: convolution powers of
 laws derived from a 2-D arm measure, and a fixed-order truncated power series
 used by the limiting-state machinery.  Exact :class:`fractions.Fraction`
 arithmetic is used whenever the inputs are exact; float inputs fall back to
-floating point with small-to-large summation.
+floating point with correctly rounded (``math.fsum``) summation.
 
 Infinite-support laws (e.g. Poisson) must be supplied pre-truncated by the
 caller; nothing here truncates silently.
@@ -13,6 +13,7 @@ caller; nothing here truncates silently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -25,12 +26,10 @@ def _is_exact(x) -> bool:
     return isinstance(x, (int, Fraction))
 
 
-def _sorted_sum(values):
-    """Sum floats in increasing magnitude; exact inputs are summed directly."""
+def _sum(values):
+    """Exact inputs are summed exactly; floats with ``math.fsum``, correctly rounded."""
     vals = list(values)
-    if all(_is_exact(v) for v in vals):
-        return sum(vals)
-    return sum(sorted(vals, key=abs))
+    return sum(vals) if all(_is_exact(v) for v in vals) else math.fsum(vals)
 
 
 @dataclass(frozen=True)
@@ -66,10 +65,10 @@ class Measure1D:
         return 0
 
     def total(self):
-        return _sorted_sum(w for _, w in self.weights)
+        return _sum(w for _, w in self.weights)
 
     def mean(self):
-        return _sorted_sum(j * w for j, w in self.weights)
+        return _sum(j * w for j, w in self.weights)
 
     def scaled(self, factor: "Scalar") -> "Measure1D":
         return Measure1D(tuple((j, factor * w) for j, w in self.weights))
@@ -86,16 +85,18 @@ def convolve(x: Measure1D, y: Measure1D) -> Measure1D:
     for j1, w1 in x.weights:
         for j2, w2 in y.weights:
             out.setdefault(j1 + j2, []).append(w1 * w2)
-    return Measure1D(tuple(sorted((j, _sorted_sum(ws)) for j, ws in out.items())))
+    return Measure1D(tuple(sorted((j, _sum(ws)) for j, ws in out.items())))
 
 
 @lru_cache(maxsize=1024)
-def _power(nu: Measure1D, k: int) -> Measure1D:
+def _power(nu: Measure1D, k: int, exact: bool) -> Measure1D:
+    # ``exact`` is part of the cache key: a float measure equals, and hashes
+    # like, the exact one of the same values, and would be handed its powers.
     if k == 0:
         return Measure1D.delta(0)
     if k == 1:
         return nu
-    half = _power(nu, k // 2)
+    half = _power(nu, k // 2, exact)
     sq = convolve(half, half)
     return convolve(sq, nu) if k % 2 else sq
 
@@ -104,7 +105,7 @@ def convolution_power(nu: Measure1D, k: int) -> Measure1D:
     """k-fold convolution ``nu^{*k}``; the empty convolution is a unit mass at 0."""
     if k < 0:
         raise ValueError(f"convolution power requires k >= 0, got {k}")
-    return _power(nu, k)
+    return _power(nu, k, nu.is_exact())
 
 
 def diamond(nu1: Measure1D, nu2: Measure1D, m: int):
@@ -131,7 +132,7 @@ def diamond(nu1: Measure1D, nu2: Measure1D, m: int):
             terms.append(Fraction(v1) * v2 / (k * (m - k)))
         else:
             terms.append(v1 * v2 / (k * (m - k)))
-    return (m - 1) * _sorted_sum(terms) if terms else 0
+    return (m - 1) * _sum(terms) if terms else 0
 
 
 @dataclass(frozen=True)
@@ -164,13 +165,13 @@ class Measure2D:
         return dict(self.weights).get((a, b), 0)
 
     def total(self):
-        return _sorted_sum(w for _, w in self.weights)
+        return _sum(w for _, w in self.weights)
 
     def mean_a(self):
-        return _sorted_sum(ab[0] * w for ab, w in self.weights)
+        return _sum(ab[0] * w for ab, w in self.weights)
 
     def mean_b(self):
-        return _sorted_sum(ab[1] * w for ab, w in self.weights)
+        return _sum(ab[1] * w for ab, w in self.weights)
 
     def is_exact(self) -> bool:
         return all(_is_exact(w) for _, w in self.weights)

@@ -160,12 +160,31 @@ def test_config_round_trip(tmp_path):
     assert again.seed == first.seed
 
 
-def test_ode_explicit_agreement(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "initial, truncation, solver",
+    [
+        pytest.param(
+            {"family": "one_female", "mu1": {"1": 1}},
+            {"mass_cap": 48, "arm_cap": 4},
+            {"dt": 0.001},
+            id="one_female",
+        ),
+        # The reduced RHS with caps that bind nowhere up to mass 10 (at most
+        # m + 2 arms) leaves only the RK4 step error.
+        pytest.param(
+            {"family": "random_gender", "mu1": {"1": "1/2", "3": "1/2"}},
+            {"mass_cap": 10, "arm_cap": 12},
+            {"dt": 0.001, "rhs": "reduced"},
+            id="random_gender",
+        ),
+    ],
+)
+def test_ode_explicit_agreement(tmp_path, capsys, initial, truncation, solver):
     cfg = {
-        "initial": {"family": "one_female", "mu1": {"1": 1}},
+        "initial": initial,
         "t_grid": [0.25, 1.0],
-        "truncation": {"mass_cap": 48, "arm_cap": 4},
-        "solver": {"dt": 0.001},
+        "truncation": truncation,
+        "solver": solver,
         "max_mass": 10,
     }
     path = write_config(tmp_path, cfg)

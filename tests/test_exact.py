@@ -9,9 +9,6 @@ from coaglab import (
     RandomGender,
     TwoGender,
     concentration,
-    concentration_one_female,
-    concentration_random_gender,
-    concentration_two_gender,
     critical_data,
     initial_state,
     limiting_mass_concentration,
@@ -19,6 +16,7 @@ from coaglab import (
     moment,
     size_biased,
 )
+from coaglab.kinetics import TruncationPolicy, _merge_sweep
 from coaglab.measures import Measure1D, diamond
 
 
@@ -34,13 +32,12 @@ def test_family_validation():
 
 
 def test_one_female_examples(fam_one_female):
-    mu1 = fam_one_female.mu1
-    assert concentration_one_female(mu1, 1, 1, 2) == Fraction(1, 8)
-    assert concentration_one_female(mu1, 0, 1, 1) == 1
+    assert concentration(fam_one_female, 1, 1, 1, 2) == Fraction(1, 8)
+    assert concentration(fam_one_female, 0, 1, 1, 1) == 1
     assert concentration(fam_one_female, 1, 0, 0, 3) == 0  # b != 1 vanishes
     # mass conservation: partial sums of m * c_t(a, 1, m)
     total = sum(
-        m * concentration_one_female(mu1, 1.0, a, m)
+        m * concentration(fam_one_female, 1.0, a, 1, m)
         for m in range(1, 41)
         for a, _ in live_types(fam_one_female, m)
     )
@@ -58,11 +55,10 @@ def test_one_female_never_gels():
 
 
 def test_random_gender_examples(fam_random_gender):
-    mu1 = fam_random_gender.mu1
-    assert concentration_random_gender(mu1, 1, 1, 1, 2) == Fraction(1, 16)
-    assert concentration_random_gender(mu1, 1, 2, 0, 2) == Fraction(1, 32)
+    assert concentration(fam_random_gender, 1, 1, 1, 2) == Fraction(1, 16)
+    assert concentration(fam_random_gender, 1, 2, 0, 2) == Fraction(1, 32)
     for m in range(2, 10):
-        assert concentration_random_gender(mu1, 1, 0, 0, m) == 0
+        assert concentration(fam_random_gender, 1, 0, 0, m) == 0
 
 
 def test_random_gender_binomial_identity():
@@ -83,10 +79,9 @@ def test_random_gender_binomial_identity():
 
 
 def test_two_gender_examples(fam_two_gender):
-    mu1 = fam_two_gender.mu1
-    assert concentration_two_gender(mu1, mu1, 2, 1, 0, 1) == Fraction(1, 3)
-    assert concentration_two_gender(mu1, mu1, 2, 0, 0, 2) == Fraction(2, 3)
-    assert concentration_two_gender(mu1, mu1, 2, 0, 0, 3) == 0
+    assert concentration(fam_two_gender, 2, 1, 0, 1) == Fraction(1, 3)
+    assert concentration(fam_two_gender, 2, 0, 0, 2) == Fraction(2, 3)
+    assert concentration(fam_two_gender, 2, 0, 0, 3) == 0
 
 
 def test_two_gender_critical_time():
@@ -114,7 +109,7 @@ def test_two_gender_limit_identity():
     assert critical_data(initial_state(fam)).t_crit == math.inf
     for m in (2, 3, 4, 6):
         limit = limiting_mass_concentration(fam, m)
-        at_large_t = concentration_two_gender(mu, mu, Fraction(10**6), 0, 0, m)
+        at_large_t = concentration(fam, Fraction(10**6), 0, 0, m)
         assert abs(float(limit - at_large_t)) <= float(limit) * 2e-5 + 1e-30
 
 
@@ -167,3 +162,55 @@ def test_three_arm_family_closed_form_matches_second_moment(three_arm_state):
 def test_negative_time_rejected(fam_one_female):
     with pytest.raises(ValueError):
         concentration(fam_one_female, -0.5, 1, 1, 1)
+
+
+def _tau_recursion(family, max_mass):
+    """K(a, b, m) with c_t = K tau^(m-1) (1+t)^-(a+b), from the merge sweep's pairs.
+
+    With ``u = (1+t)^(a+b) c`` the reduced equation reads ``du/dtau = gain(u)``,
+    so ``K(p) = sum coeff K(i) K(j) / (m - 1)`` over the pairs into p, and
+    ``K = c_0`` at mass 1.  The arm cap is too large to bind below ``max_mass``.
+    """
+    c0 = initial_state(family)
+    types, pair_i, pair_j, pair_coeff, pair_tgt = _merge_sweep(
+        c0.support(), TruncationPolicy(max_mass, 3 * max_mass)
+    )
+    k = [Fraction(c0[p]) for p in types]  # c0 is 0 above mass 1
+    pairs = zip(pair_i.tolist(), pair_j.tolist(), pair_coeff.tolist(), pair_tgt.tolist())
+    for i, j, coeff, tgt in pairs:  # grouped by increasing target mass
+        k[tgt] += Fraction(coeff) * k[i] * k[j] / (types[tgt].m - 1)
+    return {tuple(p): kp for p, kp in zip(types, k)}
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        "fam_one_female",
+        "fam_random_gender",
+        "fam_two_gender",
+        RandomGender(Measure1D.from_dict({1: Fraction(1, 2), 3: Fraction(1, 2)})),
+        OneFemaleArm(Measure1D.from_dict({0: Fraction(1, 2), 2: Fraction(1, 2)})),
+        TwoGender(
+            Measure1D.from_dict({3: Fraction(1, 3)}), Measure1D.from_dict({3: Fraction(1, 3)})
+        ),
+    ],
+    ids=[
+        "one_female", "random_gender", "two_gender",
+        "random_gender_1_3", "one_female_0_2", "three_arm",
+    ],
+)
+def test_closed_forms_equal_tau_recursion(family, request):
+    if isinstance(family, str):
+        family = request.getfixturevalue(family)
+    max_mass = 8
+    k = _tau_recursion(family, max_mass)
+    for m in range(1, max_mass + 1):
+        species = {(a, b) for a, b, mm in k if mm == m}
+        assert set(live_types(family, m)) == species
+        for t in (Fraction(1, 4), Fraction(1), Fraction(3)):
+            tau = t / (1 + t)
+            for a, b in species:
+                expected = k[(a, b, m)] * tau ** (m - 1) / (1 + t) ** (a + b)
+                assert concentration(family, t, a, b, m) == expected, (t, a, b, m)
+        if isinstance(family, TwoGender) and m >= 2:
+            assert k.get((0, 0, m), 0) == limiting_mass_concentration(family, m)

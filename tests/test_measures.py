@@ -46,6 +46,16 @@ def test_convolution_power_examples():
         convolution_power(nu, -1)
 
 
+def test_convolution_power_keeps_float_and_exact_apart():
+    # A float measure equals, and hashes like, the exact one of the same
+    # values; each must still get powers of its own weight type.
+    weights = {0: Fraction(1, 4), 1: Fraction(3, 4)}
+    floats = convolution_power(Measure1D.from_dict({j: float(w) for j, w in weights.items()}), 5)
+    exact = convolution_power(Measure1D.from_dict(weights), 5)
+    assert all(isinstance(w, float) for _, w in floats.weights)
+    assert exact.is_exact() and exact.as_dict() == brute_power(Measure1D.from_dict(weights), 5)
+
+
 @settings(max_examples=40)
 @given(small_measures, st.integers(min_value=0, max_value=6))
 def test_convolution_power_matches_brute_force(nu, k):
