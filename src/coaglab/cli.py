@@ -23,13 +23,18 @@ pipeline exact.
 Outputs are deterministic bytes given config and seed: every table is a CSV
 written by :func:`coaglab.tables.write_csv` (floats printed with 17
 significant digits, LF line endings, UTF-8), and run metadata excludes timing
-(wall time goes to stderr).  All randomness flows from the config seed;
-replicate r uses the derived seed (seed, r), so results do not depend on the
-worker schedule.  ``COAG_THREADS`` caps the number of worker processes used
-for replicate fan-out.
+(wall time goes to stderr).  All randomness flows from the config seed and
+is drawn from each generator in fixed-size blocks consumed in a fixed order.
+``simulate`` replicate r uses the derived seed (seed, r) (seed itself for a
+single replicate), so results do not depend on the worker schedule; ``gw``
+runs in one process, and its trees consume one generator seeded by seed,
+one tree after another.
+``COAG_THREADS`` (a positive integer, default 1) caps the number of worker
+processes used for replicate fan-out, which never exceeds the usable CPUs.
 
 Exit codes: 0 success, 2 config/usage error, 3 numerical/convergence failure.
-Config errors include integer fields that are not integers in range, for
+Config errors include integer fields that are not integers in range, a
+``COAG_THREADS`` that is not a positive integer, for
 ``ode`` an initial species outside the truncation caps, for ``gw`` a
 degenerate initial state, whose trees need not end, a path that cannot be
 read or written, and for ``compare`` a tolerance that is not a finite number
@@ -360,12 +365,23 @@ def _replicate_job(args):
     return run_simulation(counts, n, t_end, checkpoints=grid, seed=seed)
 
 
-def _worker_count() -> int:
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _worker_count(jobs: int) -> int:
+    """Worker processes for ``jobs`` replicates: ``COAG_THREADS`` (default 1),
+    capped at the jobs and at the usable CPUs."""
     raw = os.environ.get("COAG_THREADS", "1")
     try:
-        return max(1, int(raw))
+        threads = int(raw)
     except ValueError:
-        return 1
+        threads = 0
+    if threads < 1:
+        raise ConfigError(f"COAG_THREADS must be a positive integer, got {raw!r}")
+    return min(threads, jobs, _usable_cpus())
 
 
 def cmd_simulate(cfg: RunConfig, out_dir: Path) -> None:
@@ -383,7 +399,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> None:
         for r in range(cfg.replicates)
     ]
     t0 = time.perf_counter()
-    workers = min(_worker_count(), len(jobs))
+    workers = _worker_count(len(jobs))
     if workers > 1:
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -410,6 +426,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> None:
         "seed": cfg.seed,
         "replicates": cfg.replicates,
         "events": [run.events for run in runs],
+        "rejections": [run.rejections for run in runs],
         "final_totals": [
             {
                 "male_arms": run.final_total_male,
@@ -472,6 +489,7 @@ def cmd_gw(cfg: RunConfig, out_dir: Path) -> None:
         "replicates": sample.replicates,
         "censored": sample.censored,
         "censored_fraction": sample.censored_fraction,
+        "nodes": sample.nodes,
     }
     _write_json(out_dir / "gw_summary.json", summary)
 

@@ -36,6 +36,7 @@ import numpy as np
 from .core import ConcentrationState
 from .genfun import ConvergenceError, InitialGF
 from .measures import Measure2D, TruncatedSeries, size_biased_laws
+from .particles import _block_stream
 
 
 @dataclass(frozen=True)
@@ -75,6 +76,7 @@ class GWSample:
     counts: dict[int, int]
     replicates: int
     censored: int
+    nodes: int  # nodes of every tree, censored ones counted to where they stopped
 
     @property
     def censored_fraction(self) -> float:
@@ -208,7 +210,7 @@ class _LawSampler:
         return self.atoms[bisect.bisect_right(self.cum, u)]
 
 
-def _one_tree(sampler_m, sampler_f, cap: int, rng) -> tuple[int, bool]:
+def _one_tree(sampler_m, sampler_f, cap: int, uniform) -> tuple[int, bool]:
     pending_m, pending_f = 1, 1
     total = 2
     while pending_m or pending_f:
@@ -216,10 +218,10 @@ def _one_tree(sampler_m, sampler_f, cap: int, rng) -> tuple[int, bool]:
             return total, True
         if pending_m:
             pending_m -= 1
-            a, b = sampler_m.draw(rng.random())
+            a, b = sampler_m.draw(uniform())
         else:
             pending_f -= 1
-            a, b = sampler_f.draw(rng.random())
+            a, b = sampler_f.draw(uniform())
         pending_m += a
         pending_f += b
         total += a + b
@@ -230,19 +232,20 @@ def gw_sample_total_progeny(cfg: GWConfig) -> GWSample:
     """Simulate the two-type tree from one male plus one female ancestor.
 
     Breadth-order processing with population counters only (tree topology is
-    never materialized).  Replicate r draws from a generator seeded by
-    (seed, r), so replicates are independent and the result does not depend
-    on any execution schedule.
+    never materialized).  One generator seeded by ``cfg.seed`` serves
+    uniforms in fixed-size blocks, and replicates consume them in order, so
+    the result depends only on the seed (no execution schedule enters).
     """
     sampler_m = _LawSampler(cfg.nu_m)
     sampler_f = _LawSampler(cfg.nu_f)
+    uniform = _block_stream(np.random.default_rng(cfg.seed).random).__next__
     counts: dict[int, int] = {}
-    censored = 0
-    for r in range(cfg.replicates):
-        rng = np.random.default_rng((cfg.seed, r))
-        size, was_censored = _one_tree(sampler_m, sampler_f, cfg.population_cap, rng)
+    censored = nodes = 0
+    for _ in range(cfg.replicates):
+        size, was_censored = _one_tree(sampler_m, sampler_f, cfg.population_cap, uniform)
+        nodes += size
         if was_censored:
             censored += 1
         else:
             counts[size] = counts.get(size, 0) + 1
-    return GWSample(counts=counts, replicates=cfg.replicates, censored=censored)
+    return GWSample(counts=counts, replicates=cfg.replicates, censored=censored, nodes=nodes)

@@ -20,6 +20,15 @@ proportional to ``a_i b_j + a_j b_i``, which is exactly the event law.  Arm
 weights are integers, so the trees never accumulate float drift; sampling and
 the per-event updates are O(log K) in the number of instance slots.
 
+Randomness is drawn from the generator in blocks of at most ``_BLOCK``
+values and consumed in a fixed order, so a run is deterministic given its
+seed.  The simulator takes exponentials and 63-bit words from the blocks; a
+word becomes an exactly uniform integer below a bound by rejection (see
+:func:`_uniform_below`).  Its trees change after every event, so each
+descent stays scalar.  The frozen-state sampler behind
+:func:`first_event_distribution` walks the same trees with the same descent
+for a whole block of draws at once (:meth:`_Fenwick.find_many`).
+
 A single run is strictly sequential; replicates are independent given their
 seeds and may be executed concurrently by callers.
 """
@@ -27,6 +36,7 @@ seeds and may be executed concurrently by callers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from math import inf
 from typing import Iterable, Mapping, Sequence
 
@@ -44,8 +54,7 @@ class _Fenwick:
     def __init__(self, weights: Sequence[int]):
         n = len(weights)
         self.size = n
-        tree = [0] * (n + 1)
-        tree[1:] = list(weights)
+        tree = [0, *weights]
         for i in range(1, n + 1):
             j = i + (i & -i)
             if j <= n:
@@ -58,6 +67,8 @@ class _Fenwick:
 
     def add(self, i: int, delta: int) -> None:
         """Add ``delta`` to 0-based slot ``i``."""
+        if not delta:
+            return
         j = i + 1
         tree = self.tree
         n = self.size
@@ -80,6 +91,24 @@ class _Fenwick:
             bit >>= 1
         return pos
 
+    def find_many(self, v: np.ndarray) -> np.ndarray:
+        """:meth:`find` of every entry of ``v``: the same descent, one numpy
+        pass per tree level."""
+        # Nodes past the end are padded above any remainder, so never taken.
+        tree = np.full(2 * self.top, np.iinfo(np.int64).max, dtype=np.int64)
+        tree[: self.size + 1] = self.tree
+        pos = np.zeros(len(v), dtype=np.int64)
+        rem = np.asarray(v, dtype=np.int64)
+        bit = self.top
+        while bit:
+            nxt = pos + bit
+            below = tree[nxt]
+            take = below <= rem
+            pos = np.where(take, nxt, pos)
+            rem = np.where(take, rem - below, rem)
+            bit >>= 1
+        return pos
+
     def value(self, i: int) -> int:
         j = i + 1
         v = self.tree[j]
@@ -89,6 +118,39 @@ class _Fenwick:
             v -= self.tree[j]
             j &= j - 1
         return v
+
+
+_BLOCK = 1 << 10  # values drawn from the generator at a time
+_WORD_RANGE = 1 << 63
+
+
+def _block_stream(draw):
+    """The values of ``draw(_BLOCK)``, block after block, one at a time."""
+    while True:
+        yield from draw(_BLOCK).tolist()
+
+
+def _uniform_below(bound: int, word) -> int:
+    """Exactly uniform integer in [0, bound) from 63-bit words ``word()``.
+
+    A word at or above the largest multiple of ``bound`` in 2**63 is
+    rejected; an accepted word is uniform over whole residue classes."""
+    limit = _WORD_RANGE - _WORD_RANGE % bound  # == (2**63 // bound) * bound
+    while True:
+        x = word()
+        if x < limit:
+            return x % bound
+
+
+class _Draws:
+    """Block-drawn exponentials and 63-bit words of one generator."""
+
+    __slots__ = ("rng", "exponential", "word")
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.exponential = _block_stream(rng.standard_exponential).__next__
+        self.word = _block_stream(lambda k: rng.bit_generator.random_raw(k) >> 1).__next__
 
 
 @dataclass(frozen=True)
@@ -121,9 +183,9 @@ class ParticleSystemState:
             if k == 0:
                 continue
             self.counts[p] = self.counts.get(p, 0) + k
-            arm_a.extend([p.a] * k)
-            arm_b.extend([p.b] * k)
-            mass.extend([p.m] * k)
+            arm_a.extend(repeat(p.a, k))
+            arm_b.extend(repeat(p.b, k))
+            mass.extend(repeat(p.m, k))
         self.arm_a = arm_a
         self.arm_b = arm_b
         self.mass = mass
@@ -133,6 +195,8 @@ class ParticleSystemState:
         self.n_particles = len(mass)
         self.total_mass = sum(mass)
         self.time = 0.0
+        self.rejections = 0  # same-instance arm pairs redrawn by the sampler
+        self._draws: "_Draws | None" = None
         if bound is not None:
             load = self.total_male + self.total_female + self.total_mass
             if load > bound * n:
@@ -197,30 +261,7 @@ class ParticleSystemState:
         return left, right, merged
 
 
-class _BufferedInts:
-    """Serves ``integers(bound)`` from chunked generator draws.
-
-    Scalar ``Generator.integers`` calls dominate the cost of high-volume
-    sampler validation; buffering amortizes them without changing the
-    distribution (consumption order is fixed, so results stay deterministic).
-    """
-
-    __slots__ = ("_rng", "_chunk", "_buffers")
-
-    def __init__(self, rng, chunk: int = 8192):
-        self._rng = rng
-        self._chunk = chunk
-        self._buffers: dict[int, list[int]] = {}
-
-    def integers(self, bound: int) -> int:
-        buf = self._buffers.get(bound)
-        if not buf:
-            buf = self._rng.integers(0, bound, size=self._chunk).tolist()
-            self._buffers[bound] = buf
-        return buf.pop()
-
-
-def _sample_pair(state: ParticleSystemState, rng) -> tuple[int, int]:
+def _sample_pair(state: ParticleSystemState, draws: _Draws) -> tuple[int, int]:
     """Instance pair with probability proportional to a_i b_j + a_j b_i.
 
     Uniform male arm x uniform female arm, resampling same-instance hits;
@@ -228,23 +269,25 @@ def _sample_pair(state: ParticleSystemState, rng) -> tuple[int, int]:
     """
     fa, fb = state._fen_a, state._fen_b
     tm, tf = state.total_male, state.total_female
+    word = draws.word
     while True:
-        i = fa.find(int(rng.integers(tm)))
-        j = fb.find(int(rng.integers(tf)))
+        i = fa.find(_uniform_below(tm, word))
+        j = fb.find(_uniform_below(tf, word))
         if i != j:
             return i, j
+        state.rejections += 1
 
 
-def _waiting_time(state: ParticleSystemState, rng) -> "float | None":
+def _waiting_time(state: ParticleSystemState, draws: _Draws) -> "float | None":
     """Time to the next event on the rescaled clock (rate ``total_rate / n``),
     or None when the state is absorbed."""
     rate = state.total_rate()
-    return None if rate == 0 else float(rng.exponential(state.n / rate))
+    return None if rate == 0 else draws.exponential() * (state.n / rate)
 
 
-def _fire(state: ParticleSystemState, rng, dt: float):
+def _fire(state: ParticleSystemState, draws: _Draws, dt: float):
     """Sample the event pair, merge it and advance the clock by ``dt``."""
-    species = state._merge_instances(*_sample_pair(state, rng))
+    species = state._merge_instances(*_sample_pair(state, draws))
     state.time += dt
     if state.debug:
         state.check_consistency()
@@ -255,10 +298,15 @@ def step(state: ParticleSystemState, rng) -> "Event | None":
     """Execute one event in place; returns None when the state is absorbed.
 
     The waiting time is exponential with rate ``total_rate / n`` (the rescaled
-    clock); the state's rescaled time advances by it.
+    clock); the state's rescaled time advances by it.  The state keeps the
+    block stream of ``rng``, so stepping with a fresh generator of a seed
+    replays :func:`run_simulation` of that seed event for event.
     """
-    dt = _waiting_time(state, rng)
-    return None if dt is None else Event(dt, *_fire(state, rng, dt))
+    draws = state._draws
+    if draws is None or draws.rng is not rng:  # a new generator starts a new stream
+        draws = state._draws = _Draws(rng)
+    dt = _waiting_time(state, draws)
+    return None if dt is None else Event(dt, *_fire(state, draws, dt))
 
 
 @dataclass(frozen=True)
@@ -270,6 +318,7 @@ class SimulationRun:
     times: tuple[float, ...]
     states: tuple[dict[ParticleType, float], ...]
     events: int
+    rejections: int
     final_counts: dict[ParticleType, int]
     final_total_male: int
     final_total_female: int
@@ -295,18 +344,18 @@ def run_simulation(
     """
     cks = checkpoint_times(t_end, checkpoints)
     state = ParticleSystemState(counts, n, bound=bound, debug=debug)
-    rng = np.random.default_rng(seed)
+    draws = _Draws(np.random.default_rng(seed))
     snapshots: list[dict[ParticleType, float]] = []
     events = 0
     ci = 0
     while ci < len(cks):
-        dt = _waiting_time(state, rng)
+        dt = _waiting_time(state, draws)
         t_next = inf if dt is None else state.time + dt
         while ci < len(cks) and cks[ci] < t_next:
             snapshots.append(state.empirical_concentrations())
             ci += 1
         if ci < len(cks):
-            _fire(state, rng, dt)
+            _fire(state, draws, dt)
             events += 1
     return SimulationRun(
         n=n,
@@ -314,6 +363,7 @@ def run_simulation(
         times=tuple(cks),
         states=tuple(snapshots),
         events=events,
+        rejections=state.rejections,
         final_counts=dict(state.counts),
         final_total_male=state.total_male,
         final_total_female=state.total_female,
@@ -327,24 +377,30 @@ def first_event_distribution(
 ) -> dict[tuple[ParticleType, ParticleType], float]:
     """Empirical law of the first coagulating species pair.
 
-    Repeatedly samples the event pair from a frozen state through the same
-    arm-index path used by :func:`step` and tallies unordered species pairs
-    (canonically ordered).  Used to validate the sampler against brute-force
-    rate tables.
+    Samples the event pair of a frozen state ``draws`` times through the
+    same arm trees and rejection rule used by :func:`step`, a block of draws
+    at a time, and tallies unordered species pairs (canonically ordered).
+    Used to validate the sampler against brute-force rate tables.
     """
     state = ParticleSystemState(counts, n=1)
     if state.total_rate() == 0:
         raise ValueError("state has no possible event")
-    rng = _BufferedInts(np.random.default_rng(seed))
-    arm_a, arm_b, mass = state.arm_a, state.arm_b, state.mass
-    tallies: dict[tuple[ParticleType, ParticleType], int] = {}
-    for _ in range(draws):
-        i, j = _sample_pair(state, rng)
-        pi = ParticleType(arm_a[i], arm_b[i], mass[i])
-        pj = ParticleType(arm_a[j], arm_b[j], mass[j])
-        key = (pi, pj) if pi <= pj else (pj, pi)
-        tallies[key] = tallies.get(key, 0) + 1
-    return {k: v / draws for k, v in tallies.items()}
+    species = sorted(state.counts)
+    code = {p: k for k, p in enumerate(species)}
+    kind = np.array([code[p] for p in map(ParticleType, state.arm_a, state.arm_b, state.mass)])
+    s = len(species)
+    rng = np.random.default_rng(seed)
+    tally = np.zeros(s * s, dtype=np.int64)
+    missing = draws
+    while missing > 0:
+        size = min(_BLOCK, missing)
+        i = state._fen_a.find_many(rng.integers(0, state.total_male, size=size))
+        j = state._fen_b.find_many(rng.integers(0, state.total_female, size=size))
+        keep = i != j
+        ki, kj = kind[i[keep]], kind[j[keep]]
+        tally += np.bincount(np.minimum(ki, kj) * s + np.maximum(ki, kj), minlength=s * s)
+        missing -= int(keep.sum())
+    return {(species[k // s], species[k % s]): c / draws for k, c in enumerate(tally.tolist()) if c}
 
 
 def empirical_error(

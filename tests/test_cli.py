@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from coaglab import cli
 from coaglab.cli import ConfigError, cmd_analyze, load_config, main, parse_config
 
 
@@ -241,6 +242,27 @@ def test_simulate_determinism_across_workers(tmp_path, monkeypatch):
     assert outs[0] == outs[1] == outs[2]
     meta = json.loads((tmp_path / "run1" / "meta.json").read_text())
     assert meta["replicates"] == 3 and len(meta["events"]) == 3
+    assert len(meta["rejections"]) == 3
+
+
+def test_worker_count_is_capped(monkeypatch):
+    assert cli._usable_cpus() >= 1
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 3)
+    monkeypatch.delenv("COAG_THREADS", raising=False)
+    assert cli._worker_count(10) == 1
+    monkeypatch.setenv("COAG_THREADS", "100000")
+    assert cli._worker_count(10_000) == 3
+    assert cli._worker_count(2) == 2
+
+
+@pytest.mark.parametrize("threads", ["0", "-2", "four", "2.5", ""])
+def test_bad_coag_threads_exit_2(tmp_path, monkeypatch, capsys, threads):
+    cfg = {"initial": [{"a": 1, "b": 1, "m": 1, "conc": 1.0}], "t_grid": [1.0], "n": 50}
+    monkeypatch.setenv("COAG_THREADS", threads)
+    out = tmp_path / "out"
+    assert main(["simulate", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert "COAG_THREADS" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_gw_command(tmp_path):
@@ -261,6 +283,8 @@ def test_gw_command(tmp_path):
     assert main(["gw", path, "--out", str(out_a)]) == 0
     assert main(["gw", path, "--out", str(out_b)]) == 0
     assert (out_a / "gw.csv").read_bytes() == (out_b / "gw.csv").read_bytes()
+    summary = json.loads((out_a / "gw_summary.json").read_text())
+    assert summary["censored"] == 0 and summary["nodes"] >= 2 * 5000
     rows = list(csv.DictReader((out_a / "gw.csv").open()))
     row2 = next(r for r in rows if r["m"] == "2")
     assert float(row2["pmf_series"]) == 0.25

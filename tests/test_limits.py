@@ -98,6 +98,7 @@ def test_gw_sampling_childless():
     s = gw_sample_total_progeny(GWConfig(childless, childless, replicates=500, seed=1))
     assert s.counts == {2: 500}
     assert s.censored == 0
+    assert s.nodes == 2 * 500
 
 
 def test_gw_sampling_pq(pq_laws):
@@ -114,6 +115,7 @@ def test_gw_sampling_immortal_chain():
     nu_m, nu_f = size_biased_laws(Measure2D.delta(1, 1))
     s = gw_sample_total_progeny(GWConfig(nu_m, nu_f, population_cap=300, replicates=40, seed=3))
     assert s.censored_fraction == 1.0
+    assert s.nodes == 301 * 40  # each tree grows one node at a time past the cap
 
 
 def test_degeneracy_list():

@@ -16,7 +16,7 @@ from coaglab import (
     run_simulation,
     step,
 )
-from coaglab.particles import ParticleSystemState, _Fenwick
+from coaglab.particles import ParticleSystemState, _Fenwick, _uniform_below
 
 
 def brute_force_pair_table(counts: dict) -> dict:
@@ -54,6 +54,30 @@ def test_fenwick_against_naive(weights):
             if cum > v:
                 assert f.find(v) == i
                 break
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=40),
+    st.lists(st.tuples(st.integers(min_value=0, max_value=39), st.integers(0, 9)), max_size=4),
+)
+def test_fenwick_find_many_equals_find(weights, updates):
+    f = _Fenwick(weights)
+    for _ in range(2):  # on the fresh tree, then after the updates
+        total = sum(f.value(i) for i in range(f.size))
+        assert f.find_many(np.arange(total)).tolist() == [f.find(v) for v in range(total)]
+        for i, w in updates:
+            i %= f.size
+            f.add(i, w - f.value(i))
+
+
+@pytest.mark.parametrize("bound", [1, 3, 2**62 + 1])
+def test_uniform_below_rejects_words_past_the_last_full_block(bound):
+    limit = (2**63 // bound) * bound
+    rejected = [w for w in (limit, limit + 1, 2**63 - 1) if limit <= w < 2**63]
+    for accepted in (limit - 1, limit - 2, 0):
+        words = iter(rejected + [accepted, 12345])
+        assert _uniform_below(bound, words.__next__) == accepted % bound
+        assert next(words) == 12345  # every rejected word and one more were read
 
 
 def test_fenwick_updates():
@@ -120,6 +144,14 @@ def test_step_replays_run_simulation(seed, t_end, absorbed):
     assert events == run.events
     assert at_t_end == run.final_counts
     assert {p: k / 80 for p, k in at_t_end.items()} == run.states[-1]
+
+
+def test_run_counts_sampler_rejections():
+    # Two (1,1,1) instances: one event, whose arm pair lands on one instance
+    # with probability 1/2 per try, so the redraws are geometric with mean 1.
+    runs = [run_simulation({(1, 1, 1): 2}, 2, 100.0, seed=s) for s in range(200)]
+    assert all(run.events == 1 for run in runs)
+    assert abs(np.mean([run.rejections for run in runs]) - 1.0) <= 0.5
 
 
 def test_bound_check():
