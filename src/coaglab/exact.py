@@ -46,8 +46,9 @@ large masses neither overflow nor lose the leading digits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cached_property
 
 from .core import ConcentrationState
 from .measures import Measure1D, convolution_power, diamond
@@ -66,8 +67,21 @@ def _support(nu: Measure1D, k: int) -> list[int]:
 # nonzero K, read off the supports of the convolution powers.
 
 
+class _Family:
+    """What a family derives from its arm laws, computed once per instance."""
+
+    @cached_property
+    def _c0(self) -> ConcentrationState:
+        return initial_state(self)
+
+    @cached_property
+    def _exact(self) -> bool:
+        # every field of a family is an arm law
+        return all(getattr(self, f.name).is_exact() for f in fields(self))
+
+
 @dataclass(frozen=True)
-class OneFemaleArm:
+class OneFemaleArm(_Family):
     """Each particle has one female arm; male arms follow mu1 (probability, mean 1)."""
 
     mu1: Measure1D
@@ -87,7 +101,7 @@ class OneFemaleArm:
 
 
 @dataclass(frozen=True)
-class RandomGender:
+class RandomGender(_Family):
     """Total arms follow mu1 (probability, mean 2); genders i.i.d. uniform."""
 
     mu1: Measure1D
@@ -98,19 +112,22 @@ class RandomGender:
         if abs(self.mu1.mean() - 2) > 1e-9:
             raise ValueError(f"mu1 must have mean 2, got {self.mu1.mean()}")
 
+    @cached_property
+    def _nu_half(self) -> Measure1D:
+        return size_biased(self.mu1).scaled(Fraction(1, 2))
+
     def _terms(self, a, b, m):
         k = a + b
-        nu_half = size_biased(self.mu1).scaled(Fraction(1, 2))
-        conv = convolution_power(nu_half, m)(m + k - 2)
+        conv = convolution_power(self._nu_half, m)(m + k - 2)
         yield (m + k - 2,), (m, a, b), (Fraction(2, 2**k), conv)  # 2^(1-k) * conv
 
     def _live(self, m):
-        ks = (s - m + 2 for s in _support(size_biased(self.mu1), m))
+        ks = (s - m + 2 for s in _support(self._nu_half, m))
         return {(k - b, b) for k in ks if k >= 0 for b in range(k + 1)}
 
 
 @dataclass(frozen=True)
-class TwoGender:
+class TwoGender(_Family):
     """Single-gender particles: male-side arm law mu1, female-side mu2 (mean 1 each)."""
 
     mu1: Measure1D
@@ -125,8 +142,12 @@ class TwoGender:
                 f"mu1(0) and mu2(0) must agree, got {self.mu1(0)} and {self.mu2(0)}"
             )
 
+    @cached_property
+    def _nus(self) -> tuple[Measure1D, Measure1D]:
+        return size_biased(self.mu1), size_biased(self.mu2)
+
     def _terms(self, a, b, m):
-        nu1, nu2 = size_biased(self.mu1), size_biased(self.mu2)
+        nu1, nu2 = self._nus
         for k in range(m + 1):
             v1 = convolution_power(nu1, m - k)(k + a - 1)
             if v1:  # skips the second convolution power of a zero term
@@ -134,7 +155,7 @@ class TwoGender:
                 yield (m - k + b - 1, k + a - 1), (m - k, k, a, b), (v1, v2)
 
     def _live(self, m):
-        nu1, nu2 = size_biased(self.mu1), size_biased(self.mu2)
+        nu1, nu2 = self._nus
         return {
             (j1 - k + 1, j2 - m + k + 1)
             for k in range(m + 1)
@@ -203,14 +224,13 @@ def concentration(family, t, a: int, b: int, m: int):
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
     if t == 0:
-        return initial_state(family)[(a, b, 1)] if m == 1 else 0
-    terms = family._terms(a, b, m) if m > 1 else [((), (), (initial_state(family)[(a, b, 1)],))]
-    terms = [(nums, dens, weights) for nums, dens, weights in terms if all(weights)]
-    if not terms:
-        return 0
-    # every field of a family is an arm law
-    if isinstance(t, _EXACT_TYPES) and all(mu.is_exact() for mu in vars(family).values()):
+        return family._c0[(a, b, 1)] if m == 1 else 0
+    terms = family._terms(a, b, m) if m > 1 else [((), (), (family._c0[(a, b, 1)],))]
+    terms = (term for term in terms if all(term[2]))
+    if isinstance(t, _EXACT_TYPES) and family._exact:
         k = sum(_exact_term(*term) for term in terms)
+        if not k:  # every term is positive, so no term was left
+            return 0
         p, q = Fraction(t).as_integer_ratio()  # tau = p/(p+q), 1+t = (p+q)/q
         return Fraction(
             k.numerator * p ** (m - 1) * q ** (a + b), k.denominator * (p + q) ** (m - 1 + a + b)
@@ -218,6 +238,8 @@ def concentration(family, t, a: int, b: int, m: int):
     # log-sum-exp: single factorial ratios overflow long before the
     # time-weighted sum does.
     logs = [_log_term(*term) for term in terms]
+    if not logs:
+        return 0
     shift = max(logs)
     t = float(t)
     return math.exp(
@@ -232,9 +254,7 @@ def limiting_mass_concentration(family: TwoGender, m: int):
     """t -> infinity limit of c_t(0, 0, m) for the one-gender family (m >= 2)."""
     if m < 2:
         raise ValueError(f"needs m >= 2, got {m}")
-    nu1 = size_biased(family.mu1)
-    nu2 = size_biased(family.mu2)
-    dia = diamond(nu1, nu2, m)
+    dia = diamond(*family._nus, m)
     if dia == 0:
         return 0
     return Fraction(dia, m - 1) if isinstance(dia, _EXACT_TYPES) else dia / (m - 1)
@@ -248,5 +268,5 @@ def live_types(family, m: int) -> list[tuple[int, int]]:
     list is exact (types outside it have concentration identically 0).
     """
     if m == 1:
-        return [(p.a, p.b) for p in initial_state(family).support()]
+        return [(p.a, p.b) for p in family._c0.support()]
     return sorted(family._live(m))

@@ -21,7 +21,11 @@ and, starting from one male plus one female ancestor,
 
 The total-progeny law is provided both as an exact series computation and as
 a direct tree simulation (with censoring at a population cap, so supercritical
-or degenerate inputs degrade gracefully rather than hanging).
+or degenerate inputs degrade gracefully rather than hanging).  Both series
+fixed points, ``(h1, h2)`` and the progeny generating functions, are solved
+by one online pass: every term carries a factor z (or r), so coefficient k
+follows from the coefficients below k, and order n costs O(n^2) coefficient
+products per power of the unknowns rather than a sweep per coefficient.
 """
 
 from __future__ import annotations
@@ -147,14 +151,40 @@ def _require_probability_laws(nu_m: Measure2D, nu_f: Measure2D) -> None:
             raise ValueError(f"{name} must be a probability measure, total = {nu.total()}")
 
 
-def _series_sweeps(update, order: int):
-    """Fixed point of ``(x, y) -> update(x, y)`` as truncated series.  Every
-    term of each map used here carries a factor z, so each sweep from zero
-    fixes one more coefficient and order + 1 sweeps are exact through order."""
-    x = y = TruncatedSeries.zero(order)
-    for _ in range(order + 1):
-        x, y = update(x, y)
-    return x, y
+def _online_fixed_point(x_terms, y_terms, order: int):
+    """Series fixed point ``x = sum w x^a y^b z^m`` over ``x_terms`` and
+    ``y = sum w x^a y^b z^m`` over ``y_terms`` (terms ``(a, b, m, w)``, all
+    with m >= 1), truncated at ``order``, in one online pass.
+
+    Because m >= 1, coefficient k of x and y reads the powers ``x^a y^b``
+    only through coefficient k - 1.  So step k first extends every power by
+    its coefficient k - 1, then sets x[k] and y[k]; nothing is recomputed.
+    Each power of degree 2 or more is the power before it in a chain times x
+    or y, and costs one convolution, summed over i ascending as
+    ``TruncatedSeries.__mul__`` does; degrees 0 and 1 are 1, x and y
+    themselves.  The pass costs O(P n^2) for P such powers.
+    """
+    n = order + 1
+    x, y = [0] * n, [0] * n
+    powers = {(0, 0): [1] + [0] * order, (1, 0): x, (0, 1): y}
+    chain = []  # (power, previous power, x or y), each after its previous power
+
+    def power(a, b):
+        if (a, b) not in powers:
+            prev, factor = ((a, b - 1), y) if b else ((a - 1, 0), x)
+            power(*prev)
+            powers[(a, b)] = [0] * n
+            chain.append((powers[(a, b)], powers[prev], factor))
+        return powers[(a, b)]
+
+    x_terms = [(power(a, b), m, w) for a, b, m, w in x_terms]
+    y_terms = [(power(a, b), m, w) for a, b, m, w in y_terms]
+    for k in range(1, n):
+        for p, q, s in chain:
+            p[k - 1] = sum(q[i] * s[k - 1 - i] for i in range(k) if q[i] and s[k - 1 - i])
+        for out, terms in ((x, x_terms), (y, y_terms)):
+            out[k] = sum(w * p[k - m] for p, m, w in terms if m <= k and p[k - m])
+    return TruncatedSeries(tuple(x)), TruncatedSeries(tuple(y))
 
 
 def limiting_concentrations(
@@ -168,8 +198,8 @@ def limiting_concentrations(
     _require_no_gelation(gf)
     if max_mass < 1:
         raise ValueError(f"max_mass must be >= 1, got {max_mass}")
-    z = TruncatedSeries.identity(max_mass)  # every term of g0 carries z^m, m >= 1
-    h1, h2 = _series_sweeps(lambda h1, h2: (gf.dy(h1, h2, z), gf.dx(h1, h2, z)), max_mass)
+    h1, h2 = _online_fixed_point(gf._dy, gf._dx, max_mass)  # every term carries z^m, m >= 1
+    z = TruncatedSeries.identity(max_mass)
     g = gf.dz(h1, h2, z).antiderivative()
     c_inf = {m: g[m] for m in range(1, max_mass + 1)}
     total_c = sum(c_inf.values())
@@ -189,9 +219,9 @@ def gw_progeny_pmf_series(nu_m: Measure2D, nu_f: Measure2D, max_total: int) -> l
     _require_probability_laws(nu_m, nu_f)
     if max_total < 2:
         raise ValueError(f"max_total must be >= 2, got {max_total}")
-    r = TruncatedSeries.identity(max_total)
-    gm, gf_ = _series_sweeps(
-        lambda gm, gf_: (r * nu_m.generating_value(gm, gf_), r * nu_f.generating_value(gm, gf_)),
+    gm, gf_ = _online_fixed_point(
+        [(a, b, 1, w) for (a, b), w in nu_m.weights],
+        [(a, b, 1, w) for (a, b), w in nu_f.weights],
         max_total,
     )
     return list((gm * gf_).coeffs)

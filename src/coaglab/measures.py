@@ -260,13 +260,14 @@ class TruncatedSeries:
             self._check(other)
             n = self.order
             out = [0] * (n + 1)
+            nonzero = [(j, y) for j, y in enumerate(other.coeffs) if y != 0]
             for i, x in enumerate(self.coeffs):
                 if x == 0:
                     continue
-                for j in range(n + 1 - i):
-                    y = other.coeffs[j]
-                    if y != 0:
-                        out[i + j] += x * y
+                for j, y in nonzero:
+                    if j > n - i:
+                        break
+                    out[i + j] += x * y
             return TruncatedSeries(tuple(out))
         return TruncatedSeries(tuple(other * x for x in self.coeffs))
 

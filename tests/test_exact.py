@@ -114,12 +114,21 @@ def test_two_gender_limit_identity():
 
 
 def test_exact_and_float_paths_agree(fam_random_gender, fam_two_gender):
-    for fam in (fam_random_gender, fam_two_gender):
+    # A float family equals, and hashes like, the exact one of the same values,
+    # so nothing derived from one may be handed to the other.
+    float_families = (
+        RandomGender(Measure1D.delta(2, 1.0)),
+        TwoGender(Measure1D.delta(1, 1.0), Measure1D.delta(1, 1.0)),
+    )
+    for fam, fam_float in zip((fam_random_gender, fam_two_gender), float_families):
+        assert fam_float == fam
         for m in range(1, 9):
             for a, b in live_types(fam, m):
                 ex = concentration(fam, Fraction(1, 2), a, b, m)
                 fl = concentration(fam, 0.5, a, b, m)
                 assert fl == pytest.approx(float(ex), rel=1e-12, abs=1e-300)
+                assert isinstance(ex, Fraction)
+                assert isinstance(concentration(fam_float, Fraction(1, 2), a, b, m), float)
 
 
 def test_initial_states_are_normalized(fam_one_female, fam_random_gender, fam_two_gender):

@@ -19,7 +19,7 @@ from coaglab import (
     limiting_concentrations,
     moment,
 )
-from coaglab.measures import Measure2D, size_biased_laws
+from coaglab.measures import Measure2D, TruncatedSeries, size_biased_laws
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +91,85 @@ def test_gw_pmf_matches_limit_concentrations(pq_state, pq_laws):
     ls = limiting_concentrations(pq_state, 12)
     for m in range(2, 13):
         assert pmf[m] == (m - 1) * ls.c_inf[m]
+
+
+def _series_sweeps(update, order):
+    """The fixed point by ``order + 1`` full sweeps from zero: each sweep makes
+    one more coefficient exact.  A slow reference for the online helper."""
+    x = y = TruncatedSeries.zero(order)
+    for _ in range(order + 1):
+        x, y = update(x, y)
+    return x, y
+
+
+def _swept_limit(c0, order):
+    gf = InitialGF(c0)
+    z = TruncatedSeries.identity(order)
+    h1, h2 = _series_sweeps(lambda h1, h2: (gf.dy(h1, h2, z), gf.dx(h1, h2, z)), order)
+    return h1, h2, gf.dz(h1, h2, z).antiderivative()
+
+
+def _swept_pmf(nu_m, nu_f, order):
+    r = TruncatedSeries.identity(order)
+    gm, gf_ = _series_sweeps(
+        lambda gm, gf_: (r * nu_m.generating_value(gm, gf_), r * nu_f.generating_value(gm, gf_)),
+        order,
+    )
+    return list((gm * gf_).coeffs)
+
+
+# T_c = inf and quadratic terms, so the pq linear case hides nothing
+QUADRATIC = {(2, 0, 1): Fraction(1, 4), (0, 2, 1): Fraction(1, 4),
+             (1, 0, 1): Fraction(1, 2), (0, 1, 1): Fraction(1, 2)}
+# x^2 in dg0/dy and x y in dg0/dx, with weights that are not powers of 2
+MIXED = {(2, 1, 1): Fraction(1, 7), (1, 0, 1): Fraction(5, 7), (0, 1, 1): Fraction(6, 7)}
+
+
+@pytest.mark.parametrize("c0", [QUADRATIC, MIXED], ids=["quadratic", "mixed"])
+def test_online_fixed_point_equals_sweeps(c0):
+    order = 40
+    floats = {p: float(w) for p, w in c0.items()}
+    for state, exact in ((c0, True), (floats, False)):
+        ls = limiting_concentrations(state, order)
+        h1, h2, g = _swept_limit(state, order)
+        for got, want in ((ls.h1, h1), (ls.h2, h2), (ls.g, g)):
+            if exact:
+                assert got.coeffs == want.coeffs
+            else:  # the online powers may associate a product differently
+                assert got.coeffs == pytest.approx(want.coeffs, rel=1e-14, abs=1e-300)
+    nu_m, nu_f = size_biased_laws(initial_arm_measure(ConcentrationState(c0)))
+    pmf = gw_progeny_pmf_series(nu_m, nu_f, order)
+    assert pmf == _swept_pmf(nu_m, nu_f, order)
+    ls = limiting_concentrations(c0, order)
+    for m in range(2, order + 1):
+        assert pmf[m] == (m - 1) * ls.c_inf[m]
+
+
+def test_online_pmf_equals_sweeps_on_quadratic_laws():
+    half, quarter = Fraction(1, 2), Fraction(1, 4)
+    nu = Measure2D.from_dict({(0, 0): half, (2, 0): quarter, (0, 2): quarter})
+    assert gw_progeny_pmf_series(nu, nu, 40) == _swept_pmf(nu, nu, 40)
+    nu = Measure2D.from_dict({(0, 0): 0.5, (2, 0): 0.25, (0, 2): 0.25})
+    assert gw_progeny_pmf_series(nu, nu, 40) == pytest.approx(_swept_pmf(nu, nu, 40), rel=1e-14)
+
+
+def test_series_products_do_not_grow_with_order(pq_state, pq_laws, monkeypatch):
+    calls = []
+    mul = TruncatedSeries.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(TruncatedSeries, "__mul__", counted)
+    monkeypatch.setattr(TruncatedSeries, "__rmul__", counted)
+    counts = []
+    for n in (10, 80):
+        calls.clear()
+        limiting_concentrations(pq_state, n)
+        gw_progeny_pmf_series(*pq_laws, n)
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
 
 
 def test_gw_sampling_childless():
