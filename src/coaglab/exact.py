@@ -48,7 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .core import ConcentrationState
 from .measures import Measure1D, convolution_power, diamond
@@ -119,7 +119,7 @@ class RandomGender(_Family):
     def _terms(self, a, b, m):
         k = a + b
         conv = convolution_power(self._nu_half, m)(m + k - 2)
-        yield (m + k - 2,), (m, a, b), (Fraction(2, 2**k), conv)  # 2^(1-k) * conv
+        yield (m + k - 2,), (m, a, b), (_two_to_one_minus(k), conv)
 
     def _live(self, m):
         ks = (s - m + 2 for s in _support(self._nu_half, m))
@@ -201,12 +201,18 @@ def initial_state(family) -> ConcentrationState:
     raise TypeError(f"not a family spec: {family!r}")
 
 
-def _exact_term(nums, dens, weights) -> Fraction:
-    """One term as a Fraction, normalised once rather than once per factor."""
+@lru_cache(maxsize=256)
+def _two_to_one_minus(k: int) -> Fraction:
+    """``2^(1-k)``, the random-gender weight of k arms, built once per k."""
+    return Fraction(2, 2**k)
+
+
+def _exact_term(nums, dens, weights) -> tuple[int, int]:
+    """One term as an unnormalised integer ratio ``(num, den)``."""
     num, den = math.prod(map(math.factorial, nums)), math.prod(map(math.factorial, dens))
     for w in weights:
         num, den = num * w.numerator, den * w.denominator
-    return Fraction(num, den)
+    return num, den
 
 
 def _log_term(nums, dens, weights) -> float:
@@ -228,13 +234,15 @@ def concentration(family, t, a: int, b: int, m: int):
     terms = family._terms(a, b, m) if m > 1 else [((), (), (family._c0[(a, b, 1)],))]
     terms = (term for term in terms if all(term[2]))
     if isinstance(t, _EXACT_TYPES) and family._exact:
-        k = sum(_exact_term(*term) for term in terms)
-        if not k:  # every term is positive, so no term was left
+        # K = num/den, summed unnormalised; the entry is the one Fraction built.
+        num, den = 0, 1
+        for term in terms:
+            n, d = _exact_term(*term)
+            num, den = num * d + n * den, den * d
+        if not num:  # every term is positive, so no term was left
             return 0
-        p, q = Fraction(t).as_integer_ratio()  # tau = p/(p+q), 1+t = (p+q)/q
-        return Fraction(
-            k.numerator * p ** (m - 1) * q ** (a + b), k.denominator * (p + q) ** (m - 1 + a + b)
-        )
+        p, q = t.as_integer_ratio()  # tau = p/(p+q), 1+t = (p+q)/q
+        return Fraction(num * p ** (m - 1) * q ** (a + b), den * (p + q) ** (m - 1 + a + b))
     # log-sum-exp: single factorial ratios overflow long before the
     # time-weighted sum does.
     logs = [_log_term(*term) for term in terms]

@@ -1,8 +1,10 @@
 """Stochastic particle-system simulator for two-gender coagulation.
 
-A finite system of particle instances evolves by pairwise coagulation: the
-unordered instance pair {i, j} merges at rate ``a_i b_j + a_j b_i``.  Summing
-over pairs, the total event rate from a count state eta is
+A finite system of particles evolves by pairwise coagulation: the unordered
+instance pair {i, j} merges at rate ``a_i b_j + a_j b_i``.  Particles of one
+species are exchangeable, so the process is a Marcus–Lushnikov chain on the
+occupation numbers eta(p) of the species p = (a, b, m).  Summing over pairs,
+the total event rate from a count state eta is
 
     rate = (sum a eta) * (sum b eta) - sum_p (a b) eta(p),
 
@@ -12,13 +14,24 @@ counts / n and the event clock in rescaled time runs at rate / n, so an
 initial state of order n particles matches the kinetic equations with O(1)
 concentrations on O(1) rescaled time horizons.
 
-Pair selection is exact and cheap: one male arm is drawn uniformly among all
-male arms and one female arm uniformly among all female arms via two integer
-Fenwick (prefix-sum) trees over instances, rejecting when both arms land on
-the same instance.  The accepted pair {i, j} then has probability
-proportional to ``a_i b_j + a_j b_i``, which is exactly the event law.  Arm
-weights are integers, so the trees never accumulate float drift; sampling and
-the per-event updates are O(log K) in the number of instance slots.
+The state is a table of the live species only.  Each species holds a slot;
+two integer Fenwick (prefix-sum) trees over the slots weigh slot p by its
+male arms ``a eta(p)`` and its female arms ``b eta(p)``.  The table's size is
+a power of two; it doubles and rebuilds its trees when a new species finds
+it full, and a species whose count falls to 0 frees its slot for reuse, last
+freed first.  Memory is O(live species), whatever the number of particles.
+
+Pair selection is exact and cheap.  The arms of a species are ordered
+instance by instance: male arm r of species p belongs to its instance
+``r // a``, female arm r to instance ``r // b``.  One male arm is drawn
+uniformly among all male arms and one female arm uniformly among all female
+arms, each by one descent that returns a slot and the remainder within it.
+A draw is rejected only when both arms land on the same instance: the same
+slot and the same instance index.  The accepted pair {i, j} then has
+probability proportional to ``a_i b_j + a_j b_i``, which is exactly the event
+law.  Arm weights are integers, so the trees never accumulate float drift;
+sampling and the per-event updates of at most three slots are O(log K) in
+the number K of live species.
 
 Randomness is drawn from the generator in blocks of at most ``_BLOCK``
 values and consumed in a fixed order, so a run is deterministic given its
@@ -27,7 +40,8 @@ word becomes an exactly uniform integer below a bound by rejection (see
 :func:`_uniform_below`).  Its trees change after every event, so each
 descent stays scalar.  The frozen-state sampler behind
 :func:`first_event_distribution` walks the same trees with the same descent
-for a whole block of draws at once (:meth:`_Fenwick.find_many`).
+and rejection rule for a whole block of draws at once
+(:meth:`_Fenwick.locate_many`).
 
 A single run is strictly sequential; replicates are independent given their
 seeds and may be executed concurrently by callers.
@@ -36,7 +50,6 @@ seeds and may be executed concurrently by callers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 from math import inf
 from typing import Iterable, Mapping, Sequence
 
@@ -60,10 +73,9 @@ class _Fenwick:
             if j <= n:
                 tree[j] += tree[i]
         self.tree = tree
-        top = 1
-        while top * 2 <= n:
-            top *= 2
-        self.top = top
+        # The descent's first bit: the largest power of two below n.  Node n
+        # of a power-of-two size holds the total, which no search takes.
+        self.top = 1 << (n - 1).bit_length() >> 1
 
     def add(self, i: int, delta: int) -> None:
         """Add ``delta`` to 0-based slot ``i``."""
@@ -76,8 +88,9 @@ class _Fenwick:
             tree[j] += delta
             j += j & -j
 
-    def find(self, v: int) -> int:
-        """Smallest 0-based index with cumulative sum > v (v in [0, total))."""
+    def locate(self, v: int) -> tuple[int, int]:
+        """Smallest 0-based index i with cumulative sum > v (v in [0, total)),
+        and the remainder ``v - (weights before i)``, in [0, weight(i))."""
         pos = 0
         rem = v
         bit = self.top
@@ -89,14 +102,21 @@ class _Fenwick:
                 pos = nxt
                 rem -= tree[nxt]
             bit >>= 1
-        return pos
+        return pos, rem
 
-    def find_many(self, v: np.ndarray) -> np.ndarray:
-        """:meth:`find` of every entry of ``v``: the same descent, one numpy
+    def find(self, v: int) -> int:
+        """The index of :meth:`locate`."""
+        return self.locate(v)[0]
+
+    def locate_many(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`locate` of every entry of ``v``: the same descent, one numpy
         pass per tree level."""
-        # Nodes past the end are padded above any remainder, so never taken.
-        tree = np.full(2 * self.top, np.iinfo(np.int64).max, dtype=np.int64)
-        tree[: self.size + 1] = self.tree
+        # The descent reads nodes below 2 * top only; those past the end are
+        # padded above any remainder, so never taken.
+        width = 2 * self.top
+        tree = np.full(width, np.iinfo(np.int64).max, dtype=np.int64)
+        known = min(width, self.size + 1)
+        tree[:known] = self.tree[:known]
         pos = np.zeros(len(v), dtype=np.int64)
         rem = np.asarray(v, dtype=np.int64)
         bit = self.top
@@ -107,7 +127,11 @@ class _Fenwick:
             pos = np.where(take, nxt, pos)
             rem = np.where(take, rem - below, rem)
             bit >>= 1
-        return pos
+        return pos, rem
+
+    def find_many(self, v: np.ndarray) -> np.ndarray:
+        """The indexes of :meth:`locate_many`."""
+        return self.locate_many(v)[0]
 
     def value(self, i: int) -> int:
         j = i + 1
@@ -164,16 +188,13 @@ class Event:
 
 
 class ParticleSystemState:
-    """Mutable particle-instance population with cached totals and arm indexes."""
+    """Live species in a slot table, with cached totals and arm trees over the slots."""
 
     def __init__(self, counts: Mapping, n: int, bound: "float | None" = None, debug: bool = False):
         if n < 1:
             raise ValueError(f"scale parameter n must be >= 1, got {n}")
         self.n = n
         self.debug = debug
-        arm_a: list[int] = []
-        arm_b: list[int] = []
-        mass: list[int] = []
         self.counts: dict[ParticleType, int] = {}
         for p, k in counts.items():
             p = as_particle_type(p)
@@ -183,17 +204,17 @@ class ParticleSystemState:
             if k == 0:
                 continue
             self.counts[p] = self.counts.get(p, 0) + k
-            arm_a.extend(repeat(p.a, k))
-            arm_b.extend(repeat(p.b, k))
-            mass.extend(repeat(p.m, k))
-        self.arm_a = arm_a
-        self.arm_b = arm_b
-        self.mass = mass
-        self.total_male = sum(arm_a)
-        self.total_female = sum(arm_b)
-        self.sum_ab = sum(a * b for a, b in zip(arm_a, arm_b))
-        self.n_particles = len(mass)
-        self.total_mass = sum(mass)
+        live = list(self.counts)
+        size = 1 << (len(live) - 1).bit_length() if live else 1
+        self.types: list["ParticleType | None"] = live + [None] * (size - len(live))
+        self.slot = {p: s for s, p in enumerate(live)}
+        self._free = list(range(size - 1, len(live) - 1, -1))  # the lowest free slot on top
+        items = self.counts.items()
+        self.total_male = sum(p.a * k for p, k in items)
+        self.total_female = sum(p.b * k for p, k in items)
+        self.sum_ab = sum(p.a * p.b * k for p, k in items)
+        self.n_particles = sum(self.counts.values())
+        self.total_mass = sum(p.m * k for p, k in items)
         self.time = 0.0
         self.rejections = 0  # same-instance arm pairs redrawn by the sampler
         self._draws: "_Draws | None" = None
@@ -204,8 +225,14 @@ class ParticleSystemState:
                     f"initial state violates the population bound: "
                     f"sum (a + b + m) * count = {load} > {bound} * {n}"
                 )
-        self._fen_a = _Fenwick(arm_a)
-        self._fen_b = _Fenwick(arm_b)
+        self._fen_a, self._fen_b = self._arm_trees()
+
+    def _arm_trees(self) -> tuple[_Fenwick, _Fenwick]:
+        """Male and female arm trees over the slots, built from ``counts``."""
+        counts, types = self.counts, self.types
+        a = [p.a * counts[p] if p is not None else 0 for p in types]
+        b = [p.b * counts[p] if p is not None else 0 for p in types]
+        return _Fenwick(a), _Fenwick(b)
 
     def total_rate(self) -> int:
         """Total coagulation event rate (unrescaled) of the current state."""
@@ -215,54 +242,85 @@ class ParticleSystemState:
         return {p: k / self.n for p, k in self.counts.items()}
 
     def check_consistency(self) -> None:
-        """Recompute every cached quantity from scratch (debug aid)."""
-        live = [i for i, m in enumerate(self.mass) if m > 0]
-        assert self.n_particles == len(live)
-        assert self.total_male == sum(self.arm_a[i] for i in live)
-        assert self.total_female == sum(self.arm_b[i] for i in live)
-        assert self.sum_ab == sum(self.arm_a[i] * self.arm_b[i] for i in live)
-        assert self.total_mass == sum(self.mass[i] for i in live)
-        recount: dict[ParticleType, int] = {}
-        for i in live:
-            p = ParticleType(self.arm_a[i], self.arm_b[i], self.mass[i])
-            recount[p] = recount.get(p, 0) + 1
-        assert recount == self.counts
-        for i in range(len(self.mass)):
-            assert self._fen_a.value(i) == (self.arm_a[i] if self.mass[i] > 0 else 0)
-            assert self._fen_b.value(i) == (self.arm_b[i] if self.mass[i] > 0 else 0)
+        """Rebuild the slot table, the totals and both trees from ``counts``
+        and compare them with the cached ones (debug aid)."""
+        counts, types = self.counts, self.types
+        size = len(types)
+        assert size & (size - 1) == 0 and len(counts) <= size
+        assert all(k > 0 for k in counts.values())
+        assert self.slot == {p: s for s, p in enumerate(types) if p is not None}
+        assert self.slot.keys() == counts.keys()
+        assert sorted(self._free) == [s for s, p in enumerate(types) if p is None]
+        items = counts.items()
+        assert self.n_particles == sum(counts.values())
+        assert self.total_male == sum(p.a * k for p, k in items)
+        assert self.total_female == sum(p.b * k for p, k in items)
+        assert self.sum_ab == sum(p.a * p.b * k for p, k in items)
+        assert self.total_mass == sum(p.m * k for p, k in items)
+        fen_a, fen_b = self._arm_trees()
+        assert self._fen_a.tree == fen_a.tree and self._fen_b.tree == fen_b.tree
 
-    def _dec_count(self, p: ParticleType) -> None:
-        k = self.counts[p] - 1
-        if k:
-            self.counts[p] = k
+    def _claim(self, p: ParticleType) -> int:
+        """A free slot for the new species ``p``; a full table doubles first."""
+        if not self._free:
+            size = len(self.types)
+            self.types.extend([None] * size)
+            self._free.extend(range(2 * size - 1, size - 1, -1))
+            self._fen_a, self._fen_b = self._arm_trees()
+        s = self._free.pop()
+        self.types[s] = p
+        self.slot[p] = s
+        self.counts[p] = 0
+        return s
+
+    def _shift(self, s: int, p: ParticleType, k: int) -> None:
+        """Change eta(p) by ``k``, p in slot ``s``: its count, both trees in
+        one pass, and the slot, which is freed when eta(p) reaches 0."""
+        eta = self.counts[p] + k
+        if eta:
+            self.counts[p] = eta
         else:
             del self.counts[p]
+            del self.slot[p]
+            self.types[s] = None
+            self._free.append(s)
+        da, db = k * p.a, k * p.b
+        tree_a, tree_b = self._fen_a.tree, self._fen_b.tree
+        n = self._fen_a.size
+        j = s + 1
+        while j <= n:
+            tree_a[j] += da
+            tree_b[j] += db
+            j += j & -j
 
-    def _merge_instances(self, i: int, j: int) -> tuple[ParticleType, ParticleType, ParticleType]:
-        ai, bi, mi = self.arm_a[i], self.arm_b[i], self.mass[i]
-        aj, bj, mj = self.arm_a[j], self.arm_b[j], self.mass[j]
-        left = ParticleType(ai, bi, mi)
-        right = ParticleType(aj, bj, mj)
-        merged = ParticleType(ai + aj - 1, bi + bj - 1, mi + mj)
-        self._dec_count(left)
-        self._dec_count(right)
-        self.counts[merged] = self.counts.get(merged, 0) + 1
-        # Survivor keeps slot i; slot j dies.
-        self.arm_a[i], self.arm_b[i], self.mass[i] = merged.a, merged.b, merged.m
-        self.arm_a[j] = self.arm_b[j] = self.mass[j] = 0
-        self._fen_a.add(i, merged.a - ai)
-        self._fen_a.add(j, -aj)
-        self._fen_b.add(i, merged.b - bi)
-        self._fen_b.add(j, -bj)
+    def _merge_slots(self, i: int, j: int) -> tuple[ParticleType, ParticleType, ParticleType]:
+        """Merge one instance of the species in slot ``i`` with one in slot ``j``."""
+        left, right = self.types[i], self.types[j]
+        merged = ParticleType(left.a + right.a - 1, left.b + right.b - 1, left.m + right.m)
+        if i == j:
+            self._shift(i, left, -2)
+        else:
+            self._shift(i, left, -1)
+            self._shift(j, right, -1)
+        s = self.slot.get(merged)
+        self._shift(self._claim(merged) if s is None else s, merged, 1)
         self.total_male -= 1
         self.total_female -= 1
-        self.sum_ab += merged.a * merged.b - ai * bi - aj * bj
+        self.sum_ab += merged.a * merged.b - left.a * left.b - right.a * right.b
         self.n_particles -= 1
         return left, right, merged
 
 
+def _same_instance(male_rem, female_rem, a, b):
+    """Whether male arm ``male_rem`` and female arm ``female_rem`` of a
+    species with ``a`` male and ``b`` female arms per instance sit on one
+    instance (instance-major arm order); elementwise on arrays."""
+    return male_rem // a == female_rem // b
+
+
 def _sample_pair(state: ParticleSystemState, draws: _Draws) -> tuple[int, int]:
-    """Instance pair with probability proportional to a_i b_j + a_j b_i.
+    """Slots of an instance pair with probability proportional to
+    a_i b_j + a_j b_i.
 
     Uniform male arm x uniform female arm, resampling same-instance hits;
     acceptance exactly removes the diagonal weight sum_i a_i b_i.
@@ -271,9 +329,12 @@ def _sample_pair(state: ParticleSystemState, draws: _Draws) -> tuple[int, int]:
     tm, tf = state.total_male, state.total_female
     word = draws.word
     while True:
-        i = fa.find(_uniform_below(tm, word))
-        j = fb.find(_uniform_below(tf, word))
+        i, male_rem = fa.locate(_uniform_below(tm, word))
+        j, female_rem = fb.locate(_uniform_below(tf, word))
         if i != j:
+            return i, j
+        p = state.types[i]
+        if not _same_instance(male_rem, female_rem, p.a, p.b):
             return i, j
         state.rejections += 1
 
@@ -287,7 +348,7 @@ def _waiting_time(state: ParticleSystemState, draws: _Draws) -> "float | None":
 
 def _fire(state: ParticleSystemState, draws: _Draws, dt: float):
     """Sample the event pair, merge it and advance the clock by ``dt``."""
-    species = state._merge_instances(*_sample_pair(state, draws))
+    species = state._merge_slots(*_sample_pair(state, draws))
     state.time += dt
     if state.debug:
         state.check_consistency()
@@ -378,8 +439,9 @@ def first_event_distribution(
     """Empirical law of the first coagulating species pair.
 
     Samples the event pair of a frozen state ``draws`` times through the
-    same arm trees and rejection rule used by :func:`step`, a block of draws
-    at a time, and tallies unordered species pairs (canonically ordered).
+    same species trees and same-instance rule used by :func:`step`, a block
+    of draws at a time, and tallies unordered species pairs (canonically
+    ordered).
     Used to validate the sampler against brute-force rate tables.
     """
     state = ParticleSystemState(counts, n=1)
@@ -387,16 +449,22 @@ def first_event_distribution(
         raise ValueError("state has no possible event")
     species = sorted(state.counts)
     code = {p: k for k, p in enumerate(species)}
-    kind = np.array([code[p] for p in map(ParticleType, state.arm_a, state.arm_b, state.mass)])
+    live = [p for p in state.types if p is not None]  # slots 0, 1, ... of a new state
+    kind = np.array([code[p] for p in live])
+    arm_a = np.array([p.a for p in live])
+    arm_b = np.array([p.b for p in live])
     s = len(species)
     rng = np.random.default_rng(seed)
     tally = np.zeros(s * s, dtype=np.int64)
     missing = draws
     while missing > 0:
         size = min(_BLOCK, missing)
-        i = state._fen_a.find_many(rng.integers(0, state.total_male, size=size))
-        j = state._fen_b.find_many(rng.integers(0, state.total_female, size=size))
+        i, male_rem = state._fen_a.locate_many(rng.integers(0, state.total_male, size=size))
+        j, female_rem = state._fen_b.locate_many(rng.integers(0, state.total_female, size=size))
         keep = i != j
+        same = np.flatnonzero(~keep)
+        p = i[same]
+        keep[same] = ~_same_instance(male_rem[same], female_rem[same], arm_a[p], arm_b[p])
         ki, kj = kind[i[keep]], kind[j[keep]]
         tally += np.bincount(np.minimum(ki, kj) * s + np.maximum(ki, kj), minlength=s * s)
         missing -= int(keep.sum())

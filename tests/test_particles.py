@@ -70,6 +70,24 @@ def test_fenwick_find_many_equals_find(weights, updates):
             f.add(i, w - f.value(i))
 
 
+@given(
+    st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=40),
+    st.lists(st.tuples(st.integers(min_value=0, max_value=39), st.integers(0, 9)), max_size=4),
+)
+def test_fenwick_locate_returns_the_remainder_within_the_slot(weights, updates):
+    f = _Fenwick(weights)
+    for _ in range(2):  # on the fresh tree, then after the updates
+        w = [f.value(i) for i in range(f.size)]
+        v = np.arange(sum(w))
+        pos, rem = f.locate_many(v)
+        assert list(zip(pos.tolist(), rem.tolist())) == [f.locate(x) for x in v.tolist()]
+        for x, i, r in zip(v.tolist(), pos.tolist(), rem.tolist()):
+            assert sum(w[:i]) + r == x
+            assert 0 <= r < w[i]
+        for i, wi in updates:
+            f.add(i % f.size, wi - f.value(i % f.size))
+
+
 @pytest.mark.parametrize("bound", [1, 3, 2**62 + 1])
 def test_uniform_below_rejects_words_past_the_last_full_block(bound):
     limit = (2**63 // bound) * bound
@@ -177,6 +195,51 @@ def test_sampler_matches_rate_table(counts):
     for pair, prob in table.items():
         sigma = math.sqrt(prob * (1 - prob) / draws)
         assert abs(emp[pair] - prob) <= 4 * sigma + 1e-12
+
+
+def test_count_one_species_never_pairs_with_itself():
+    # (2,1,1) has two male arms on its one instance: the frozen sampler and
+    # the simulator's step must reject every draw that pairs it with itself.
+    counts = {(2, 1, 1): 1, (1, 1, 1): 2}
+    draws = 200_000
+    emp = first_event_distribution(counts, draws, seed=4)
+    table = brute_force_pair_table(counts)
+    assert (ParticleType(2, 1, 1), ParticleType(2, 1, 1)) not in emp
+    assert set(emp) == set(table)
+    for pair, prob in table.items():
+        assert abs(emp[pair] - prob) <= 4 * math.sqrt(prob * (1 - prob) / draws)
+    merged = []
+    for seed in range(2000):
+        ev = step(ParticleSystemState(counts, n=3), np.random.default_rng(seed))
+        assert (ev.left, ev.right) != (ParticleType(2, 1, 1), ParticleType(2, 1, 1))
+        merged.append(ev.merged)
+    # rates: (1,1,1)+(1,1,1) 2, (2,1,1)+(1,1,1) 6
+    share = merged.count(ParticleType(1, 1, 2)) / len(merged)
+    assert abs(share - 0.25) <= 4 * math.sqrt(0.25 * 0.75 / len(merged))
+
+
+def test_slot_table_grows_and_reuses_slots():
+    # Two species in a table of two; the run passes that size, then falls
+    # back to one live species.  debug rebuilds every cache after each event.
+    s = ParticleSystemState({(1, 1, 1): 40, (2, 1, 1): 10}, n=50, debug=True)
+    assert len(s.types) == 2
+    rng = np.random.default_rng(5)
+    seen, most_live = set(s.counts), len(s.counts)
+    while step(s, rng) is not None:
+        seen.update(s.counts)
+        most_live = max(most_live, len(s.counts))
+    assert most_live > 2 and len(s.types) >= most_live
+    assert len(seen) > len(s.types)  # freed slots were reused
+    assert s.total_rate() == 0 and len(s.counts) == 1
+
+
+def test_state_size_does_not_grow_with_particles():
+    small = ParticleSystemState({(1, 1, 1): 10}, n=10)
+    large = ParticleSystemState({(1, 1, 1): 10**6}, n=10**6)
+    for s in (small, large):
+        assert s.types == [ParticleType(1, 1, 1)] and s.slot == {ParticleType(1, 1, 1): 0}
+        assert len(s._fen_a.tree) == len(s._fen_b.tree) == 2
+    assert large.total_rate() == 10**12 - 10**6
 
 
 def test_run_deterministic_given_seed():
