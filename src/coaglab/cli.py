@@ -35,7 +35,8 @@ processes used for replicate fan-out, which never exceeds the usable CPUs.
 Exit codes: 0 success, 2 config/usage error, 3 numerical/convergence failure.
 Config errors include integer fields that are not integers in range, a
 ``COAG_THREADS`` that is not a positive integer, for
-``ode`` an initial species outside the truncation caps, for ``gw`` a
+``ode`` an initial species outside the truncation caps, for ``simulate`` an
+``n`` so large that an arm total exceeds 2**63, for ``gw`` a
 degenerate initial state, whose trees need not end, a path that cannot be
 read or written, and for ``compare`` a tolerance that is not a finite number
 >= 0 or a table cell that is not a finite number.
@@ -70,7 +71,7 @@ from .limits import (
     limiting_concentrations,
 )
 from .measures import Measure1D, size_biased_laws
-from .particles import run_simulation
+from .particles import ParticleSystemState, run_simulation
 from .tables import write_csv
 
 EXIT_CONFIG = 2
@@ -393,6 +394,10 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> None:
             counts[p] = k
     if not counts:
         raise ConfigError(f"initial counts are empty at n = {cfg.n}; increase n")
+    try:
+        ParticleSystemState(counts, cfg.n)  # refuse here what every replicate would refuse
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     grid = [float(t) for t in cfg.t_grid]
     jobs = [
         (counts, cfg.n, grid[-1], grid, (cfg.seed, r) if cfg.replicates > 1 else cfg.seed)

@@ -125,12 +125,6 @@ class ConcentrationState:
     def support(self) -> list[ParticleType]:
         return sorted(self.entries, key=lambda p: (p.m, p.a, p.b))
 
-    def moment(self, f: Callable[[ParticleType], float]):
-        return moment(self, f)
-
-    def copy(self) -> "ConcentrationState":
-        return ConcentrationState(dict(self.entries), self.time)
-
 
 def moment(c: "ConcentrationState | Mapping", f: Callable[[ParticleType], float]):
     """Weighted sum ``sum_p c(p) f(p)`` over the finite support of ``c``.
@@ -145,29 +139,14 @@ def moment(c: "ConcentrationState | Mapping", f: Callable[[ParticleType], float]
     return total
 
 
-def mean_male_arms(c) -> float:
-    return moment(c, lambda p: p.a)
+_BALANCE_TOL = 1e-12  # relative gap allowed between the male and female arm moments
 
 
-def mean_female_arms(c) -> float:
-    return moment(c, lambda p: p.b)
-
-
-def total_mass(c) -> float:
-    return moment(c, lambda p: p.m)
-
-
-def total_concentration(c) -> float:
-    return moment(c, lambda p: 1)
-
-
-def validate_and_normalize(
-    c0: ConcentrationState, tol: float = 1e-12
-) -> tuple[ConcentrationState, float | Fraction]:
+def validate_and_normalize(c0: ConcentrationState) -> tuple[ConcentrationState, float | Fraction]:
     """Rescale ``c0`` so both mean arm counts equal 1.
 
     Requires the male and female arm moments to be positive and to agree to
-    within ``tol`` (relative).  Returns ``(scaled_state, lam)`` with
+    within ``_BALANCE_TOL`` (relative).  Returns ``(scaled_state, lam)`` with
     ``lam = 1 / <a, c0>``; the scaled state is ``lam * c0``.
 
     Rescaling concentrations reparametrizes time: if ``c_t`` solves the
@@ -176,11 +155,11 @@ def validate_and_normalize(
     terms), so results for the normalized state at time ``t`` correspond to
     the original state at time ``t / lam``.
     """
-    am = mean_male_arms(c0)
-    bm = mean_female_arms(c0)
+    am = moment(c0, lambda p: p.a)
+    bm = moment(c0, lambda p: p.b)
     if am <= 0 or bm <= 0:
         raise ValueError(f"both arm moments must be positive: <a> = {am}, <b> = {bm}")
-    if abs(am - bm) > tol * max(am, bm):
+    if abs(am - bm) > _BALANCE_TOL * max(am, bm):
         raise ValueError(
             f"unbalanced arms: male moment <a> = {am} differs from female moment <b> = {bm}"
         )

@@ -38,6 +38,11 @@ from fractions import Fraction
 
 from .core import ConcentrationState, ParticleType, as_particle_type, moment
 
+_UNIT_MOMENT_TOL = 1e-9  # how far from 1 an arm moment of a normalized state may be
+_SUBCRITICAL_MARGIN = 1e-6  # relative distance below T_c that an evaluation time must keep
+_FIXED_POINT_TOL = 1e-12  # max-norm step at which a fixed-point iteration has converged
+_FIXED_POINT_MAX_ITER = 100_000
+
 
 class ConvergenceError(RuntimeError):
     """Fixed-point iteration failed to converge (typically t too close to T_c)."""
@@ -67,10 +72,6 @@ class CriticalData:
     big_m: "float | Fraction"
     t_crit: "float | Fraction"
 
-    @property
-    def gels(self) -> bool:
-        return self.t_crit != math.inf
-
 
 class InitialGF:
     """Generating polynomial of a normalized initial state and its derivatives.
@@ -81,7 +82,7 @@ class InitialGF:
     [0, 1] on the unit cube.
     """
 
-    def __init__(self, c0: "ConcentrationState | dict", tol: float = 1e-9):
+    def __init__(self, c0: "ConcentrationState | dict"):
         if not isinstance(c0, ConcentrationState):
             c0 = ConcentrationState(dict(c0))
         self.c0 = c0
@@ -89,7 +90,7 @@ class InitialGF:
         self._terms = terms
         am = moment(c0, lambda p: p.a)
         bm = moment(c0, lambda p: p.b)
-        if abs(am - 1) > tol or abs(bm - 1) > tol:
+        if abs(am - 1) > _UNIT_MOMENT_TOL or abs(bm - 1) > _UNIT_MOMENT_TOL:
             raise ValueError(
                 f"initial state must have unit arm moments, got <a> = {am}, <b> = {bm}"
             )
@@ -130,14 +131,14 @@ class InitialGF:
             t_crit = 1.0 / (big_m - 1.0)
         return CriticalData(self.alpha, self.beta, self.gamma, big_m, t_crit)
 
-    def _check_subcritical(self, t, margin: float = 1e-6):
+    def _check_subcritical(self, t):
         if t < 0:
             raise ValueError(f"time must be nonnegative, got {t}")
         t_crit = self.critical_data().t_crit
-        if t_crit != math.inf and t > t_crit * (1 - margin):
+        if t_crit != math.inf and t > t_crit * (1 - _SUBCRITICAL_MARGIN):
             raise ValueError(
                 f"t = {t} is not strictly below the critical time T_c = {t_crit} "
-                f"(margin {margin})"
+                f"(margin {_SUBCRITICAL_MARGIN})"
             )
         return t_crit
 
@@ -171,9 +172,8 @@ class InitialGF:
         u,
         v,
         z,
-        tol: float = 1e-12,
-        max_iter: int = 100_000,
-        margin: float = 1e-6,
+        tol: float = _FIXED_POINT_TOL,
+        max_iter: int = _FIXED_POINT_MAX_ITER,
         history: "list | None" = None,
     ):
         """Right inverse ``h_t(u, v, z)`` of the characteristic map.
@@ -189,7 +189,7 @@ class InitialGF:
         ``10 * tol``.  If ``history`` is a list, the successive max-norm
         iterate differences are appended to it.
         """
-        self._check_subcritical(t, margin)
+        self._check_subcritical(t)
         if t == 0:
             return (u, v)
         cu, cv, fac = u / (1 + t), v / (1 + t), t / (1 + t)
@@ -208,19 +208,19 @@ class InitialGF:
             )
         return (x, y)
 
-    def eval_g(self, t, x, y, z, tol: float = 1e-12, max_iter: int = 100_000):
+    def eval_g(self, t, x, y, z):
         """Scalar value of the solution's generating function at ``(x, y, z)``:
 
             g_t = g0(h_t, z) - t/(1+t) * dg0/dx(h_t, z) * dg0/dy(h_t, z).
         """
         if t == 0:
             return self.value(x, y, z)
-        hx, hy = self.invert_phi(t, x, y, z, tol=tol, max_iter=max_iter)
+        hx, hy = self.invert_phi(t, x, y, z)
         return self.value(hx, hy, z) - (t / (1 + t)) * self.dx(hx, hy, z) * self.dy(hx, hy, z)
 
-    def second_moments(self, t, margin: float = 1e-6):
+    def second_moments(self, t):
         """Closed-form ``(<a^2 - a, c_t>, <b^2 - b, c_t>)``, valid for t < T_c."""
-        self._check_subcritical(t, margin)
+        self._check_subcritical(t)
         d = (1 + t - t * self.alpha) ** 2 - t * t * self.gamma * self.beta
         if d <= 0:
             raise ValueError(

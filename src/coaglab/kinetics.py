@@ -36,7 +36,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import ConcentrationState, ParticleType, as_particle_type
-from .tables import write_csv
+
+_MIN_DT = 1e-9  # a step bisected below this aborts the run
+_CLAMP_TOL = 1e-12  # negative concentrations within this fraction of the peak are rounding
+_TIME_TOL = 1e-9  # two checkpoint times this close are the same checkpoint
 
 
 class IntegrationError(RuntimeError):
@@ -62,13 +65,11 @@ class TruncationPolicy:
 class SolverSettings:
     rhs: str = "full"  # "full" or "reduced"
     dt: float = 1e-3
-    min_dt: float = 1e-9
-    clamp_tol: float = 1e-12
 
     def __post_init__(self):
         if self.rhs not in ("full", "reduced"):
             raise ValueError(f"rhs must be 'full' or 'reduced', got {self.rhs!r}")
-        if self.dt <= 0 or self.min_dt <= 0:
+        if self.dt <= 0:
             raise ValueError("step sizes must be positive")
 
 
@@ -98,9 +99,9 @@ class Trajectory:
     def times(self) -> list[float]:
         return [s.time for s in self.states]
 
-    def state_at(self, t: float, tol: float = 1e-9) -> ConcentrationState:
+    def state_at(self, t: float) -> ConcentrationState:
         for s in self.states:
-            if abs(s.time - t) <= tol:
+            if abs(s.time - t) <= _TIME_TOL:
                 return s
         raise KeyError(f"no checkpoint at t = {t}")
 
@@ -116,12 +117,6 @@ class Trajectory:
         cols = [f.name for f in fields(Observables)]
         rows = [tuple(getattr(o, c) for c in cols) for o in self.observables]
         return ["t"] + cols[1:], rows
-
-    def write_concentrations_csv(self, path) -> None:
-        write_csv(path, *self.concentration_rows())
-
-    def write_observables_csv(self, path) -> None:
-        write_csv(path, *self.observable_rows())
 
 
 def _merge_sweep(seeds: Iterable[ParticleType], policy: TruncationPolicy):
@@ -417,12 +412,12 @@ class _Integrator:
             k1 = self.system.rhs(y[:-3], t, self.reduced)
         ynew = self._rk4(y, t, h, k1)
         conc = ynew[:-3]
-        floor = -self.solver.clamp_tol * max(1.0, float(y[:-3].max(initial=0.0)))
+        floor = -_CLAMP_TOL * max(1.0, float(y[:-3].max(initial=0.0)))
         if conc.min(initial=0.0) >= floor:
             self.accepted += 1
             return ynew
         self.rejected += 1
-        if h / 2 < self.solver.min_dt or depth > 60:
+        if h / 2 < _MIN_DT or depth > 60:
             raise IntegrationError(
                 f"step-size underflow at t = {t}: negative concentration "
                 f"{conc.min():.3e} persists below dt = {h}"
@@ -449,10 +444,10 @@ def _observe(system: _Engine, y: np.ndarray, t: float) -> Observables:
     )
 
 
-def _snapshot(system: _Engine, y: np.ndarray, t: float, clamp_tol: float):
+def _snapshot(system: _Engine, y: np.ndarray, t: float):
     c = y[:-3]
     types = system.types
-    bad = np.flatnonzero(c < -clamp_tol * max(1.0, float(c.max(initial=0.0))))
+    bad = np.flatnonzero(c < -_CLAMP_TOL * max(1.0, float(c.max(initial=0.0))))
     if len(bad):
         i = int(bad[0])
         raise IntegrationError(
@@ -497,7 +492,7 @@ def integrate(
             y = stepper.advance(y, t, h)
             t += h
         t = target  # suppress accumulated float jitter on the grid
-        states.append(_snapshot(system, y, t, solver.clamp_tol))
+        states.append(_snapshot(system, y, t))
         obs.append(_observe(system, y, t))
     return Trajectory(states=states, observables=obs)
 

@@ -38,7 +38,7 @@ from math import inf
 import numpy as np
 
 from .core import ConcentrationState
-from .genfun import ConvergenceError, InitialGF
+from .genfun import _FIXED_POINT_MAX_ITER, _FIXED_POINT_TOL, ConvergenceError, InitialGF
 from .measures import Measure2D, TruncatedSeries, size_biased_laws
 from .particles import _block_stream
 
@@ -53,10 +53,6 @@ class LimitState:
     c_inf: dict[int, "float | Fraction"]
     total_concentration: "float | Fraction"  # sum of c_inf through max_mass
     total_mass: "float | Fraction"  # sum of m * c_inf through max_mass
-
-    @property
-    def max_mass(self) -> int:
-        return self.g.order
 
 
 @dataclass(frozen=True)
@@ -127,19 +123,14 @@ def _require_no_gelation(gf: InitialGF) -> None:
         )
 
 
-def h_infinity(
-    gf: "InitialGF | ConcentrationState | dict",
-    z: float,
-    tol: float = 1e-12,
-    max_iter: int = 100_000,
-):
+def h_infinity(gf: "InitialGF | ConcentrationState | dict", z: float):
     """Numeric fixed point (h1, h2) at a scalar z in [0, 1); needs T_c = inf."""
     if not isinstance(gf, InitialGF):
         gf = InitialGF(gf)
     _require_no_gelation(gf)
     if not (0 <= z < 1):
         raise ValueError(f"z must lie in [0, 1), got {z}")
-    xy = gf._fixed_point(0.0, 0.0, 1.0, (0.0, 0.0), z, tol, max_iter)
+    xy = gf._fixed_point(0.0, 0.0, 1.0, (0.0, 0.0), z, _FIXED_POINT_TOL, _FIXED_POINT_MAX_ITER)
     if xy is None:
         raise ConvergenceError(f"limit fixed point did not converge at z = {z}")
     return xy

@@ -14,12 +14,12 @@ caller; nothing here truncates silently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Mapping
 
 Scalar = "float | Fraction | int"
+_PROBABILITY_TOL = 1e-9  # tolerance on a total or a mean that must equal 1
 
 
 def _is_exact(x) -> bool:
@@ -37,6 +37,8 @@ class Measure1D:
     """Finite measure on nonnegative integers, stored as sorted (j, weight) pairs."""
 
     weights: tuple[tuple[int, "Scalar"], ...]
+    # Convolution powers k >= 2 of this measure, filled by convolution_power.
+    _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @staticmethod
     def from_dict(d: Mapping[int, "Scalar"]) -> "Measure1D":
@@ -76,8 +78,8 @@ class Measure1D:
     def is_exact(self) -> bool:
         return all(_is_exact(w) for _, w in self.weights)
 
-    def is_probability(self, tol: float = 1e-9) -> bool:
-        return abs(self.total() - 1) <= tol
+    def is_probability(self) -> bool:
+        return abs(self.total() - 1) <= _PROBABILITY_TOL
 
 
 def convolve(x: Measure1D, y: Measure1D) -> Measure1D:
@@ -88,24 +90,22 @@ def convolve(x: Measure1D, y: Measure1D) -> Measure1D:
     return Measure1D(tuple(sorted((j, _sum(ws)) for j, ws in out.items())))
 
 
-@lru_cache(maxsize=1024)
-def _power(nu: Measure1D, k: int, exact: bool) -> Measure1D:
-    # ``exact`` is part of the cache key: a float measure equals, and hashes
-    # like, the exact one of the same values, and would be handed its powers.
-    if k == 0:
-        return Measure1D.delta(0)
-    if k == 1:
-        return nu
-    half = _power(nu, k // 2, exact)
-    sq = convolve(half, half)
-    return convolve(sq, nu) if k % 2 else sq
+def _power(nu: Measure1D, k: int) -> Measure1D:
+    if k < 2:
+        return nu if k else Measure1D.delta(0)
+    powers = nu._powers
+    if k not in powers:
+        half = _power(nu, k // 2)
+        sq = convolve(half, half)
+        powers[k] = convolve(sq, nu) if k % 2 else sq
+    return powers[k]
 
 
 def convolution_power(nu: Measure1D, k: int) -> Measure1D:
     """k-fold convolution ``nu^{*k}``; the empty convolution is a unit mass at 0."""
     if k < 0:
         raise ValueError(f"convolution power requires k >= 0, got {k}")
-    return _power(nu, k, nu.is_exact())
+    return _power(nu, k)
 
 
 def diamond(nu1: Measure1D, nu2: Measure1D, m: int):
@@ -184,7 +184,7 @@ class Measure2D:
         return acc
 
 
-def size_biased_laws(mu: Measure2D, tol: float = 1e-9) -> tuple[Measure2D, Measure2D]:
+def size_biased_laws(mu: Measure2D) -> tuple[Measure2D, Measure2D]:
     """Reproduction laws derived from an arm measure with unit arm means.
 
     ``nu_m(a, b) = (b + 1) mu(a, b + 1)`` (offspring law of a male individual)
@@ -192,7 +192,7 @@ def size_biased_laws(mu: Measure2D, tol: float = 1e-9) -> tuple[Measure2D, Measu
     both are probability measures.
     """
     ma, mb = mu.mean_a(), mu.mean_b()
-    if abs(ma - 1) > tol or abs(mb - 1) > tol:
+    if abs(ma - 1) > _PROBABILITY_TOL or abs(mb - 1) > _PROBABILITY_TOL:
         raise ValueError(f"size-biased laws need unit arm means, got <a> = {ma}, <b> = {mb}")
     nu_m: dict[tuple[int, int], Scalar] = {}
     nu_f: dict[tuple[int, int], Scalar] = {}

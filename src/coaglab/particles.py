@@ -56,11 +56,16 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .core import ParticleType, as_particle_type
-from .kinetics import Trajectory, checkpoint_times
+from .kinetics import _TIME_TOL, Trajectory, checkpoint_times
 
 
 class _Fenwick:
-    """Integer Fenwick tree with O(log n) point update and cumulative search."""
+    """Integer Fenwick (prefix-sum) tree, built from a list of weights.
+
+    A descent returns a slot and the remainder within it.  The tree is never
+    updated through a method: ``ParticleSystemState._shift`` walks the male
+    and female trees of one slot in a single fused pass.
+    """
 
     __slots__ = ("size", "tree", "top")
 
@@ -77,17 +82,6 @@ class _Fenwick:
         # of a power-of-two size holds the total, which no search takes.
         self.top = 1 << (n - 1).bit_length() >> 1
 
-    def add(self, i: int, delta: int) -> None:
-        """Add ``delta`` to 0-based slot ``i``."""
-        if not delta:
-            return
-        j = i + 1
-        tree = self.tree
-        n = self.size
-        while j <= n:
-            tree[j] += delta
-            j += j & -j
-
     def locate(self, v: int) -> tuple[int, int]:
         """Smallest 0-based index i with cumulative sum > v (v in [0, total)),
         and the remainder ``v - (weights before i)``, in [0, weight(i))."""
@@ -103,10 +97,6 @@ class _Fenwick:
                 rem -= tree[nxt]
             bit >>= 1
         return pos, rem
-
-    def find(self, v: int) -> int:
-        """The index of :meth:`locate`."""
-        return self.locate(v)[0]
 
     def locate_many(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`locate` of every entry of ``v``: the same descent, one numpy
@@ -128,20 +118,6 @@ class _Fenwick:
             rem = np.where(take, rem - below, rem)
             bit >>= 1
         return pos, rem
-
-    def find_many(self, v: np.ndarray) -> np.ndarray:
-        """The indexes of :meth:`locate_many`."""
-        return self.locate_many(v)[0]
-
-    def value(self, i: int) -> int:
-        j = i + 1
-        v = self.tree[j]
-        k = j & (j - 1)
-        j -= 1
-        while j != k:
-            v -= self.tree[j]
-            j &= j - 1
-        return v
 
 
 _BLOCK = 1 << 10  # values drawn from the generator at a time
@@ -215,6 +191,9 @@ class ParticleSystemState:
         self.sum_ab = sum(p.a * p.b * k for p, k in items)
         self.n_particles = sum(self.counts.values())
         self.total_mass = sum(p.m * k for p, k in items)
+        if max(self.total_male, self.total_female) > _WORD_RANGE:
+            # Totals only fall, so every bound _uniform_below is given is <= 2**63.
+            raise ValueError(f"an arm total exceeds 2**63, the sampler's word range, at n = {n}")
         self.time = 0.0
         self.rejections = 0  # same-instance arm pairs redrawn by the sampler
         self._draws: "_Draws | None" = None
@@ -393,8 +372,6 @@ def run_simulation(
     t_end: float,
     checkpoints: "Sequence[float] | None" = None,
     seed: "int | tuple" = 0,
-    bound: "float | None" = None,
-    debug: bool = False,
 ) -> SimulationRun:
     """Simulate from integer counts until rescaled time ``t_end``.
 
@@ -404,7 +381,7 @@ def run_simulation(
     deterministic given ``seed``.
     """
     cks = checkpoint_times(t_end, checkpoints)
-    state = ParticleSystemState(counts, n, bound=bound, debug=debug)
+    state = ParticleSystemState(counts, n)
     draws = _Draws(np.random.default_rng(seed))
     snapshots: list[dict[ParticleType, float]] = []
     events = 0
@@ -475,19 +452,18 @@ def empirical_error(
     run: SimulationRun,
     reference: Trajectory,
     tracked: Iterable[ParticleType],
-    tol: float = 1e-9,
 ) -> list[float]:
     """Per-checkpoint sup-norm gap between a run and a deterministic trajectory."""
     ref_times = reference.times
     if len(ref_times) - 1 == len(run.times) and ref_times[0] == 0.0 and (
-        len(run.times) == 0 or abs(run.times[0]) > tol
+        len(run.times) == 0 or abs(run.times[0]) > _TIME_TOL
     ):
         ref_states = reference.states[1:]  # trajectory always records t = 0
         ref_times = ref_times[1:]
     else:
         ref_states = reference.states
     if len(ref_times) != len(run.times) or any(
-        abs(t1 - t2) > tol for t1, t2 in zip(ref_times, run.times)
+        abs(t1 - t2) > _TIME_TOL for t1, t2 in zip(ref_times, run.times)
     ):
         raise ValueError(
             f"checkpoint grids differ: run has {list(run.times)}, trajectory has {ref_times}"

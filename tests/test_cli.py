@@ -2,6 +2,8 @@ import csv
 import json
 import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -262,6 +264,24 @@ def test_bad_coag_threads_exit_2(tmp_path, monkeypatch, capsys, threads):
     out = tmp_path / "out"
     assert main(["simulate", write_config(tmp_path, cfg), "--out", str(out)]) == 2
     assert "COAG_THREADS" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_simulate_arm_total_past_word_range_exit_2(tmp_path):
+    """An arm total above 2**63 leaves the sampler no word to accept.  Run in
+    a subprocess with a timeout, so a simulator that loops fails the test."""
+    cfg = {"initial": [{"a": 1, "b": 1, "m": 1, "conc": 1}], "t_grid": [1.0], "n": 2**64}
+    out = tmp_path / "out"
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "coaglab.cli", "simulate", write_config(tmp_path, cfg), "--out", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert f"n = {2**64}" in proc.stderr and "2**63" in proc.stderr
     assert list(out.iterdir()) == []
 
 

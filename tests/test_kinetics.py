@@ -31,6 +31,7 @@ from coaglab.kinetics import (
     _snapshot,
     make_system,
 )
+from coaglab.tables import write_csv
 
 
 def test_rhs_full_examples():
@@ -238,10 +239,10 @@ def test_snapshot_names_first_negative_species(pq_state):
     y[3] = -1e-9  # below the clamp floor -1e-12 * max(1, 0.5)
     y[5] = -1e-6
     with pytest.raises(IntegrationError, match=re.escape(f"for {tuple(system.types[3])} at")):
-        _snapshot(system, y, 0.5, 1e-12)
+        _snapshot(system, y, 0.5)
     y[3] = -1e-13  # within the floor: clamped away
     y[5] = 0.0
-    state = _snapshot(system, y, 0.5, 1e-12)
+    state = _snapshot(system, y, 0.5)
     assert state.support() == [p for i, p in enumerate(system.types) if i not in (3, 5)]
 
 
@@ -316,8 +317,8 @@ def test_csv_exports(tmp_path):
     traj = integrate(c0, 1.0, TruncationPolicy(mass_cap=4, arm_cap=2), SolverSettings(dt=1e-2))
     p1 = tmp_path / "conc.csv"
     p2 = tmp_path / "obs.csv"
-    traj.write_concentrations_csv(p1)
-    traj.write_observables_csv(p2)
+    write_csv(p1, *traj.concentration_rows())
+    write_csv(p2, *traj.observable_rows())
     lines = p1.read_text().splitlines()
     assert lines[0] == "t,a,b,m,concentration"
     assert any(line.startswith("1,0,0,2,") for line in lines)

@@ -40,52 +40,47 @@ def brute_force_pair_table(counts: dict) -> dict:
     return {k: v / total for k, v in table.items()}
 
 
-@given(st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=40))
-def test_fenwick_against_naive(weights):
-    f = _Fenwick(weights)
-    total = sum(weights)
-    assert f.tree[0] == 0
+def _naive_locate(weights, v):
+    """The slot holding cumulative position v and the remainder within it."""
+    cum = 0
     for i, w in enumerate(weights):
-        assert f.value(i) == w
-    for v in range(total):
-        cum = 0
-        for i, w in enumerate(weights):
-            cum += w
-            if cum > v:
-                assert f.find(v) == i
-                break
+        if cum + w > v:
+            return i, v - cum
+        cum += w
 
 
-@given(
-    st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=40),
-    st.lists(st.tuples(st.integers(min_value=0, max_value=39), st.integers(0, 9)), max_size=4),
-)
-def test_fenwick_find_many_equals_find(weights, updates):
-    f = _Fenwick(weights)
-    for _ in range(2):  # on the fresh tree, then after the updates
-        total = sum(f.value(i) for i in range(f.size))
-        assert f.find_many(np.arange(total)).tolist() == [f.find(v) for v in range(total)]
-        for i, w in updates:
-            i %= f.size
-            f.add(i, w - f.value(i))
+_WEIGHTS = st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=40)
+_UPDATES = st.lists(st.tuples(st.integers(min_value=0, max_value=39), st.integers(0, 9)), max_size=4)
 
 
-@given(
-    st.lists(st.integers(min_value=0, max_value=9), min_size=1, max_size=40),
-    st.lists(st.tuples(st.integers(min_value=0, max_value=39), st.integers(0, 9)), max_size=4),
-)
-def test_fenwick_locate_returns_the_remainder_within_the_slot(weights, updates):
-    f = _Fenwick(weights)
-    for _ in range(2):  # on the fresh tree, then after the updates
-        w = [f.value(i) for i in range(f.size)]
+def _fresh_and_rebuilt(weights, updates):
+    """The weights of a fresh tree, then those of one rebuilt after the updates."""
+    rebuilt = list(weights)
+    for i, w in updates:
+        rebuilt[i % len(rebuilt)] = w
+    return weights, rebuilt
+
+
+@given(_WEIGHTS, _UPDATES)
+def test_fenwick_against_naive(weights, updates):
+    """Scalar and vectorised descents equal brute-force prefix sums."""
+    for w in _fresh_and_rebuilt(weights, updates):
+        f = _Fenwick(w)
+        assert f.tree[0] == 0
         v = np.arange(sum(w))
+        want = [_naive_locate(w, x) for x in v.tolist()]
+        assert [f.locate(x) for x in v.tolist()] == want
         pos, rem = f.locate_many(v)
-        assert list(zip(pos.tolist(), rem.tolist())) == [f.locate(x) for x in v.tolist()]
-        for x, i, r in zip(v.tolist(), pos.tolist(), rem.tolist()):
+        assert list(zip(pos.tolist(), rem.tolist())) == want
+
+
+@given(_WEIGHTS, _UPDATES)
+def test_fenwick_locate_returns_the_remainder_within_the_slot(weights, updates):
+    for w in _fresh_and_rebuilt(weights, updates):
+        pos, rem = _Fenwick(w).locate_many(np.arange(sum(w)))
+        for x, (i, r) in enumerate(zip(pos.tolist(), rem.tolist())):
             assert sum(w[:i]) + r == x
             assert 0 <= r < w[i]
-        for i, wi in updates:
-            f.add(i % f.size, wi - f.value(i % f.size))
 
 
 @pytest.mark.parametrize("bound", [1, 3, 2**62 + 1])
@@ -96,16 +91,6 @@ def test_uniform_below_rejects_words_past_the_last_full_block(bound):
         words = iter(rejected + [accepted, 12345])
         assert _uniform_below(bound, words.__next__) == accepted % bound
         assert next(words) == 12345  # every rejected word and one more were read
-
-
-def test_fenwick_updates():
-    f = _Fenwick([1, 0, 3, 2])
-    f.add(1, 5)
-    f.add(2, -3)
-    assert [f.value(i) for i in range(4)] == [1, 5, 0, 2]
-    assert f.find(0) == 0
-    assert f.find(1) == 1
-    assert f.find(6) == 3
 
 
 def test_total_rate_examples():
@@ -176,6 +161,15 @@ def test_bound_check():
     with pytest.raises(ValueError, match="population bound"):
         ParticleSystemState({(3, 3, 1): 10}, n=10, bound=2.0)
     ParticleSystemState({(3, 3, 1): 10}, n=10, bound=7.0)
+
+
+def test_arm_totals_above_word_range_are_refused():
+    # _uniform_below accepts no 63-bit word for a bound above 2**63.
+    ParticleSystemState({(1, 1, 1): 2**63}, n=1)
+    with pytest.raises(ValueError, match=r"exceeds 2\*\*63, .* at n = 1$"):
+        ParticleSystemState({(1, 1, 1): 2**63 + 1}, n=1)
+    with pytest.raises(ValueError, match="exceed"):
+        ParticleSystemState({(0, 1, 1): 2**62, (0, 2, 1): 2**62}, n=1)
 
 
 @pytest.mark.parametrize(
