@@ -389,7 +389,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> None:
     c0, _ = cfg.state()
     counts = {}
     for p, wgt in c0.items():
-        k = int(round(float(wgt) * cfg.n))
+        k = round(wgt * cfg.n)
         if k > 0:
             counts[p] = k
     if not counts:

@@ -17,6 +17,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, NamedTuple
 
+from .measures import _quotient
+
 
 class ParticleType(NamedTuple):
     """Species label: male arms, female arms, integer mass."""
@@ -163,6 +165,6 @@ def validate_and_normalize(c0: ConcentrationState) -> tuple[ConcentrationState, 
         raise ValueError(
             f"unbalanced arms: male moment <a> = {am} differs from female moment <b> = {bm}"
         )
-    lam = 1 / Fraction(am) if isinstance(am, (int, Fraction)) else 1.0 / am
+    lam = _quotient(1, am)
     scaled = ConcentrationState({p: lam * w for p, w in c0.items()}, c0.time)
     return scaled, lam

@@ -51,9 +51,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .core import ConcentrationState
-from .measures import Measure1D, convolution_power, diamond
-
-_EXACT_TYPES = (int, Fraction)
+from .measures import _PROBABILITY_TOL, Measure1D, _is_exact, _quotient, convolution_power, diamond
 
 
 def _support(nu: Measure1D, k: int) -> list[int]:
@@ -89,7 +87,7 @@ class OneFemaleArm(_Family):
     def __post_init__(self):
         if not self.mu1.is_probability():
             raise ValueError(f"mu1 must be a probability measure, total = {self.mu1.total()}")
-        if abs(self.mu1.mean() - 1) > 1e-9:
+        if abs(self.mu1.mean() - 1) > _PROBABILITY_TOL:
             raise ValueError(f"mu1 must have unit mean, got {self.mu1.mean()}")
 
     def _terms(self, a, b, m):
@@ -109,7 +107,7 @@ class RandomGender(_Family):
     def __post_init__(self):
         if not self.mu1.is_probability():
             raise ValueError(f"mu1 must be a probability measure, total = {self.mu1.total()}")
-        if abs(self.mu1.mean() - 2) > 1e-9:
+        if abs(self.mu1.mean() - 2) > _PROBABILITY_TOL:
             raise ValueError(f"mu1 must have mean 2, got {self.mu1.mean()}")
 
     @cached_property
@@ -135,7 +133,7 @@ class TwoGender(_Family):
 
     def __post_init__(self):
         for name, mu in (("mu1", self.mu1), ("mu2", self.mu2)):
-            if abs(mu.mean() - 1) > 1e-9:
+            if abs(mu.mean() - 1) > _PROBABILITY_TOL:
                 raise ValueError(f"{name} must have unit mean, got {mu.mean()}")
         if self.mu1(0) != self.mu2(0):
             raise ValueError(
@@ -179,13 +177,7 @@ def initial_state(family) -> ConcentrationState:
         entries = {}
         for k, w in family.mu1.weights:
             for b in range(k + 1):
-                denom = 2**k
-                weight = (
-                    Fraction(math.comb(k, b), denom) * w
-                    if isinstance(w, _EXACT_TYPES)
-                    else math.comb(k, b) / denom * w
-                )
-                entries[(k - b, b, 1)] = weight
+                entries[(k - b, b, 1)] = _quotient(math.comb(k, b), 2**k) * w
         return ConcentrationState(entries)
     if isinstance(family, TwoGender):
         entries = {}
@@ -233,7 +225,7 @@ def concentration(family, t, a: int, b: int, m: int):
         return family._c0[(a, b, 1)] if m == 1 else 0
     terms = family._terms(a, b, m) if m > 1 else [((), (), (family._c0[(a, b, 1)],))]
     terms = (term for term in terms if all(term[2]))
-    if isinstance(t, _EXACT_TYPES) and family._exact:
+    if _is_exact(t) and family._exact:
         # K = num/den, summed unnormalised; the entry is the one Fraction built.
         num, den = 0, 1
         for term in terms:
@@ -265,7 +257,7 @@ def limiting_mass_concentration(family: TwoGender, m: int):
     dia = diamond(*family._nus, m)
     if dia == 0:
         return 0
-    return Fraction(dia, m - 1) if isinstance(dia, _EXACT_TYPES) else dia / (m - 1)
+    return _quotient(dia, m - 1)
 
 
 def live_types(family, m: int) -> list[tuple[int, int]]:

@@ -37,8 +37,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import ConcentrationState, ParticleType, as_particle_type, moment
+from .measures import _PROBABILITY_TOL, _quotient
 
-_UNIT_MOMENT_TOL = 1e-9  # how far from 1 an arm moment of a normalized state may be
 _SUBCRITICAL_MARGIN = 1e-6  # relative distance below T_c that an evaluation time must keep
 _FIXED_POINT_TOL = 1e-12  # max-norm step at which a fixed-point iteration has converged
 _FIXED_POINT_MAX_ITER = 100_000
@@ -90,7 +90,7 @@ class InitialGF:
         self._terms = terms
         am = moment(c0, lambda p: p.a)
         bm = moment(c0, lambda p: p.b)
-        if abs(am - 1) > _UNIT_MOMENT_TOL or abs(bm - 1) > _UNIT_MOMENT_TOL:
+        if abs(am - 1) > _PROBABILITY_TOL or abs(bm - 1) > _PROBABILITY_TOL:
             raise ValueError(
                 f"initial state must have unit arm moments, got <a> = {am}, <b> = {bm}"
             )
@@ -123,12 +123,7 @@ class InitialGF:
 
     def critical_data(self) -> CriticalData:
         big_m = self.alpha + _sqrt_exact_or_float(self.beta * self.gamma)
-        if big_m <= 1:
-            t_crit = math.inf
-        elif isinstance(big_m, (int, Fraction)):
-            t_crit = 1 / (Fraction(big_m) - 1)
-        else:
-            t_crit = 1.0 / (big_m - 1.0)
+        t_crit = math.inf if big_m <= 1 else _quotient(1, big_m - 1)
         return CriticalData(self.alpha, self.beta, self.gamma, big_m, t_crit)
 
     def _check_subcritical(self, t):

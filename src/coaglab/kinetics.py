@@ -251,19 +251,14 @@ class TruncatedSystem(_Engine):
 
 def _next_fast_len(n: int) -> int:
     """Smallest 5-smooth integer >= n (decent FFT sizes without scipy)."""
-    best = None
-    p2 = 1
-    while p2 < 16 * n:
-        p3 = p2
-        while p3 < 16 * n:
-            p5 = p3
-            while p5 < 16 * n:
-                if p5 >= n and (best is None or p5 < best):
-                    best = p5
-                p5 *= 5
-            p3 *= 3
-        p2 *= 2
-    return best
+    while True:
+        rest = n
+        for f in (2, 3, 5):
+            while rest % f == 0:
+                rest //= f
+        if rest == 1:
+            return n
+        n += 1
 
 
 class UniformArmSystem(_Engine):

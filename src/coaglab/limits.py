@@ -39,7 +39,7 @@ import numpy as np
 
 from .core import ConcentrationState
 from .genfun import _FIXED_POINT_MAX_ITER, _FIXED_POINT_TOL, ConvergenceError, InitialGF
-from .measures import Measure2D, TruncatedSeries, size_biased_laws
+from .measures import _PROBABILITY_TOL, Measure2D, TruncatedSeries, size_biased_laws
 from .particles import _block_stream
 
 
@@ -138,7 +138,7 @@ def h_infinity(gf: "InitialGF | ConcentrationState | dict", z: float):
 
 def _require_probability_laws(nu_m: Measure2D, nu_f: Measure2D) -> None:
     for name, nu in (("nu_m", nu_m), ("nu_f", nu_f)):
-        if abs(float(nu.total()) - 1.0) > 1e-9:
+        if abs(float(nu.total()) - 1.0) > _PROBABILITY_TOL:
             raise ValueError(f"{name} must be a probability measure, total = {nu.total()}")
 
 

@@ -26,6 +26,11 @@ def _is_exact(x) -> bool:
     return isinstance(x, (int, Fraction))
 
 
+def _quotient(x, d):
+    """``x / d``, a Fraction when both are exact, a float otherwise."""
+    return Fraction(x) / d if _is_exact(x) and _is_exact(d) else x / d
+
+
 def _sum(values):
     """Exact inputs are summed exactly; floats with ``math.fsum``, correctly rounded."""
     vals = list(values)
@@ -119,7 +124,6 @@ def diamond(nu1: Measure1D, nu2: Measure1D, m: int):
     """
     if m < 2:
         raise ValueError(f"diamond product is defined for m >= 2, got {m}")
-    exact = nu1.is_exact() and nu2.is_exact()
     terms = []
     for k in range(1, m):
         v1 = convolution_power(nu1, m - k)(k - 1)
@@ -128,10 +132,7 @@ def diamond(nu1: Measure1D, nu2: Measure1D, m: int):
         v2 = convolution_power(nu2, k)(m - k - 1)
         if v2 == 0:
             continue
-        if exact:
-            terms.append(Fraction(v1) * v2 / (k * (m - k)))
-        else:
-            terms.append(v1 * v2 / (k * (m - k)))
+        terms.append(_quotient(v1 * v2, k * (m - k)))
     return (m - 1) * _sum(terms) if terms else 0
 
 
@@ -290,8 +291,7 @@ class TruncatedSeries:
         (the top input coefficient is discarded)."""
         out = [0]
         for k in range(self.order):
-            c = self.coeffs[k]
-            out.append(Fraction(c, k + 1) if isinstance(c, int) else c / (k + 1))
+            out.append(_quotient(self.coeffs[k], k + 1))
         return TruncatedSeries(tuple(out))
 
     def evaluate(self, z):

@@ -56,7 +56,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .core import ParticleType, as_particle_type
-from .kinetics import _TIME_TOL, Trajectory, checkpoint_times
+from .kinetics import Trajectory, checkpoint_times
 
 
 class _Fenwick:
@@ -166,11 +166,10 @@ class Event:
 class ParticleSystemState:
     """Live species in a slot table, with cached totals and arm trees over the slots."""
 
-    def __init__(self, counts: Mapping, n: int, bound: "float | None" = None, debug: bool = False):
+    def __init__(self, counts: Mapping, n: int):
         if n < 1:
             raise ValueError(f"scale parameter n must be >= 1, got {n}")
         self.n = n
-        self.debug = debug
         self.counts: dict[ParticleType, int] = {}
         for p, k in counts.items():
             p = as_particle_type(p)
@@ -197,13 +196,6 @@ class ParticleSystemState:
         self.time = 0.0
         self.rejections = 0  # same-instance arm pairs redrawn by the sampler
         self._draws: "_Draws | None" = None
-        if bound is not None:
-            load = self.total_male + self.total_female + self.total_mass
-            if load > bound * n:
-                raise ValueError(
-                    f"initial state violates the population bound: "
-                    f"sum (a + b + m) * count = {load} > {bound} * {n}"
-                )
         self._fen_a, self._fen_b = self._arm_trees()
 
     def _arm_trees(self) -> tuple[_Fenwick, _Fenwick]:
@@ -329,8 +321,6 @@ def _fire(state: ParticleSystemState, draws: _Draws, dt: float):
     """Sample the event pair, merge it and advance the clock by ``dt``."""
     species = state._merge_slots(*_sample_pair(state, draws))
     state.time += dt
-    if state.debug:
-        state.check_consistency()
     return species
 
 
@@ -453,21 +443,15 @@ def empirical_error(
     reference: Trajectory,
     tracked: Iterable[ParticleType],
 ) -> list[float]:
-    """Per-checkpoint sup-norm gap between a run and a deterministic trajectory."""
-    ref_times = reference.times
-    if len(ref_times) - 1 == len(run.times) and ref_times[0] == 0.0 and (
-        len(run.times) == 0 or abs(run.times[0]) > _TIME_TOL
-    ):
-        ref_states = reference.states[1:]  # trajectory always records t = 0
-        ref_times = ref_times[1:]
-    else:
-        ref_states = reference.states
-    if len(ref_times) != len(run.times) or any(
-        abs(t1 - t2) > _TIME_TOL for t1, t2 in zip(ref_times, run.times)
-    ):
+    """Per-checkpoint sup-norm gap between a run and a deterministic trajectory,
+    which must have a checkpoint at every time of the run."""
+    try:
+        ref_states = [reference.state_at(t) for t in run.times]
+    except KeyError:
         raise ValueError(
-            f"checkpoint grids differ: run has {list(run.times)}, trajectory has {ref_times}"
-        )
+            f"checkpoint grids differ: run has {list(run.times)}, "
+            f"trajectory has {reference.times}"
+        ) from None
     tracked = [as_particle_type(p) for p in tracked]
     out = []
     for emp, ref in zip(run.states, ref_states):

@@ -28,6 +28,7 @@ from coaglab.kinetics import (
     TruncatedSystem,
     UniformArmSystem,
     _Integrator,
+    _next_fast_len,
     _snapshot,
     make_system,
 )
@@ -175,6 +176,19 @@ def test_fft_engine_matches_pair_engine_on_short_arm_axis(seeds, s, mass_cap, ar
     gap = max(abs(gain_g.get(p, 0.0) - gain_f.get(p, 0.0)) for p in set(gain_g) | set(gain_f))
     assert gap <= 1e-13 * scale
     assert flux_f == pytest.approx(flux_g, rel=1e-13, abs=0)
+
+
+def test_next_fast_len_is_the_smallest_5_smooth_integer_at_least_n():
+    top = 4096
+    smooth = sorted(
+        2**i * 3**j * 5**k
+        for i in range(14)
+        for j in range(9)
+        for k in range(7)
+        if 2**i * 3**j * 5**k <= 2 * top
+    )
+    for n in range(1, top + 1):
+        assert _next_fast_len(n) == next(v for v in smooth if v >= n)
 
 
 def test_integrator_counts_rhs_calls_of_bisected_steps(three_arm_state):

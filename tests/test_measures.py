@@ -1,12 +1,17 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coaglab.core import ConcentrationState, validate_and_normalize
+from coaglab.exact import RandomGender, TwoGender, initial_state, limiting_mass_concentration
+from coaglab.genfun import InitialGF
 from coaglab.measures import (
     Measure1D,
     Measure2D,
     TruncatedSeries,
+    _quotient,
     convolution_power,
     convolve,
     diamond,
@@ -145,6 +150,63 @@ def test_series_basics():
 def test_series_antiderivative_is_exact_for_rationals():
     s = TruncatedSeries((Fraction(1), Fraction(1), Fraction(1), Fraction(1)))
     assert s.antiderivative().coeffs == (0, 1, Fraction(1, 2), Fraction(1, 3))
+
+
+def _same(x, y):
+    """Equal value and equal type, so an exact result cannot pass as a float."""
+    return type(x) is type(y) and x == y
+
+
+def test_quotient_is_exact_only_for_exact_arguments():
+    assert _same(_quotient(1, 3), Fraction(1, 3))
+    assert _same(_quotient(Fraction(2, 3), 4), Fraction(1, 6))
+    assert _same(_quotient(1.0, 3), 1.0 / 3)
+    assert _same(_quotient(Fraction(1, 3), 0.5), Fraction(1, 3) / 0.5)
+
+
+def test_quotient_sites_match_the_inline_branches():
+    """Each site of ``_quotient`` against the branch it replaced: exact data
+    give the same Fraction, float data the same float."""
+    for third in (Fraction(1, 3), 1 / 3):
+        exact = isinstance(third, Fraction)
+        # core.validate_and_normalize: lam = 1 / <a, c0>
+        am = 2 * third
+        _, lam = validate_and_normalize(ConcentrationState({(2, 2, 1): third}))
+        assert _same(lam, 1 / Fraction(am) if exact else 1.0 / am)
+        # genfun.InitialGF.critical_data: T_c = 1 / (M - 1)
+        gf = InitialGF({(3, 0, 1): third, (0, 3, 1): third})
+        big_m = gf.critical_data().big_m
+        assert big_m > 1
+        want = 1 / (Fraction(big_m) - 1) if exact else 1.0 / (big_m - 1.0)
+        assert _same(gf.critical_data().t_crit, want)
+        # exact.initial_state: the random-gender weight C(k, b) 2^-k w
+        mu = Measure1D.from_dict({1: third, 3: third, 2: 1 - 2 * third})
+        c0 = initial_state(RandomGender(mu))
+        for k, w in mu.weights:
+            for b in range(k + 1):
+                want = Fraction(math.comb(k, b), 2**k) * w if exact else math.comb(k, b) / 2**k * w
+                assert _same(c0[(k - b, b, 1)], want)
+        # measures.diamond and exact.limiting_mass_concentration
+        law = Measure1D.from_dict({0: third, 1: third, 2: third})
+        family = TwoGender(law, law)
+        nu1, nu2 = family._nus
+        for m in range(2, 8):
+            terms = []
+            for k in range(1, m):
+                v1 = convolution_power(nu1, m - k)(k - 1)
+                v2 = convolution_power(nu2, k)(m - k - 1)
+                if v1 and v2:
+                    terms.append(Fraction(v1) * v2 / (k * (m - k)) if exact else v1 * v2 / (k * (m - k)))
+            dia = (m - 1) * (sum(terms) if exact else math.fsum(terms)) if terms else 0
+            assert _same(diamond(nu1, nu2, m), dia)
+            if dia:
+                want = Fraction(dia, m - 1) if exact else dia / (m - 1)
+                assert _same(limiting_mass_concentration(family, m), want)
+    # TruncatedSeries.antiderivative
+    for c in (3, Fraction(3, 7), 0.3):
+        out = TruncatedSeries((c, c, c, c)).antiderivative().coeffs
+        for k in range(3):
+            assert _same(out[k + 1], Fraction(c, k + 1) if isinstance(c, int) else c / (k + 1))
 
 
 def test_measure_validation():

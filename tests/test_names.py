@@ -1,0 +1,79 @@
+"""Static guard: every function, class and method under src/coaglab has a caller.
+
+A module-level function or class, or a method other than a dunder, that is
+named nowhere but in its own definition is dead code.  Names are counted as
+identifiers in code and inside string literals (``perfbench/tracing.py``
+names its targets in strings); comments do not count.  The count is per
+name, so a dead method that shares its name with a live one is not caught.
+"""
+
+import ast
+import io
+import re
+import tokenize
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+_WORD = re.compile(r"[A-Za-z_]\w*")
+
+
+def defined_names(source: str) -> list[str]:
+    """Module-level functions and classes of ``source``, and the non-dunder
+    methods of its classes, one entry per definition."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        if isinstance(node, ast.ClassDef):
+            names.extend(
+                item.name
+                for item in node.body
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not (item.name.startswith("__") and item.name.endswith("__"))
+            )
+    return names
+
+
+def name_counts(sources) -> Counter:
+    """Occurrences of each identifier in code and in string literals."""
+    counts: Counter = Counter()
+    for source in sources:
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+            if tok.type == tokenize.NAME:
+                counts[tok.string] += 1
+            elif tok.type == tokenize.STRING:
+                counts.update(_WORD.findall(tok.string))
+    return counts
+
+
+def unreferenced(definitions: list[str], counts: Counter) -> list[str]:
+    """Names that occur no more often than they are defined."""
+    return sorted(name for name, k in Counter(definitions).items() if counts[name] <= k)
+
+
+def test_every_definition_is_named_elsewhere():
+    files = [p for d in ("src", "tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+    sources = {p: p.read_text(encoding="utf-8") for p in files}
+    package = ROOT / "src" / "coaglab"
+    definitions = [n for p, s in sources.items() if p.parent == package for n in defined_names(s)]
+    assert len(definitions) > 100
+    assert unreferenced(definitions, name_counts(sources.values())) == []
+
+
+def test_guard_flags_names_used_only_in_comments():
+    source = (
+        "def used():\n"
+        "    return 1\n"
+        "def dead():  # dead\n"
+        "    return used()\n"
+        "class C:\n"
+        "    def __init__(self):\n"
+        "        pass\n"
+        "    def traced(self):\n"
+        "        return 'C.traced'\n"
+        "    def never(self):\n"
+        "        pass\n"
+    )
+    found = unreferenced(defined_names(source), name_counts([source, "C()\n"]))
+    assert found == ["dead", "never"]

@@ -9,6 +9,7 @@ from coaglab import (
     ConcentrationState,
     ParticleType,
     SolverSettings,
+    Trajectory,
     TruncationPolicy,
     empirical_error,
     first_event_distribution,
@@ -101,14 +102,16 @@ def test_total_rate_examples():
 
 def test_step_examples():
     rng = np.random.default_rng(0)
-    s = ParticleSystemState({(1, 0, 1): 1, (0, 1, 1): 1}, n=2, debug=True)
+    s = ParticleSystemState({(1, 0, 1): 1, (0, 1, 1): 1}, n=2)
     ev = step(s, rng)
+    s.check_consistency()
     assert ev.merged == ParticleType(0, 0, 2)
     assert s.counts == {ParticleType(0, 0, 2): 1}
     assert step(s, rng) is None  # absorbed
 
-    s = ParticleSystemState({(1, 1, 1): 2}, n=2, debug=True)
+    s = ParticleSystemState({(1, 1, 1): 2}, n=2)
     ev = step(s, rng)
+    s.check_consistency()
     assert ev.merged == ParticleType(1, 1, 2)
 
     s = ParticleSystemState({(2, 0, 1): 1, (0, 0, 5): 7}, n=8)
@@ -118,11 +121,12 @@ def test_step_examples():
 
 def test_event_conservation_laws():
     rng = np.random.default_rng(42)
-    s = ParticleSystemState({(3, 0, 1): 40, (0, 3, 1): 40, (1, 1, 1): 20}, n=100, debug=True)
+    s = ParticleSystemState({(3, 0, 1): 40, (0, 3, 1): 40, (1, 1, 1): 20}, n=100)
     mass0 = s.total_mass
     while True:
         male, female, count = s.total_male, s.total_female, s.n_particles
         ev = step(s, rng)
+        s.check_consistency()
         if ev is None:
             break
         assert s.total_mass == mass0
@@ -155,12 +159,6 @@ def test_run_counts_sampler_rejections():
     runs = [run_simulation({(1, 1, 1): 2}, 2, 100.0, seed=s) for s in range(200)]
     assert all(run.events == 1 for run in runs)
     assert abs(np.mean([run.rejections for run in runs]) - 1.0) <= 0.5
-
-
-def test_bound_check():
-    with pytest.raises(ValueError, match="population bound"):
-        ParticleSystemState({(3, 3, 1): 10}, n=10, bound=2.0)
-    ParticleSystemState({(3, 3, 1): 10}, n=10, bound=7.0)
 
 
 def test_arm_totals_above_word_range_are_refused():
@@ -214,12 +212,14 @@ def test_count_one_species_never_pairs_with_itself():
 
 def test_slot_table_grows_and_reuses_slots():
     # Two species in a table of two; the run passes that size, then falls
-    # back to one live species.  debug rebuilds every cache after each event.
-    s = ParticleSystemState({(1, 1, 1): 40, (2, 1, 1): 10}, n=50, debug=True)
+    # back to one live species.  Every cache is rebuilt and compared after
+    # each event.
+    s = ParticleSystemState({(1, 1, 1): 40, (2, 1, 1): 10}, n=50)
     assert len(s.types) == 2
     rng = np.random.default_rng(5)
     seen, most_live = set(s.counts), len(s.counts)
     while step(s, rng) is not None:
+        s.check_consistency()
         seen.update(s.counts)
         most_live = max(most_live, len(s.counts))
     assert most_live > 2 and len(s.types) >= most_live
@@ -283,6 +283,13 @@ def test_empirical_error_against_trajectory():
     with pytest.raises(ValueError, match="grids differ"):
         bad = integrate(c0, 0.7, TruncationPolicy(mass_cap=8, arm_cap=4), checkpoints=[0.7])
         empirical_error(run, bad, tracked)
+    # A reference with more checkpoints than the run is read at the run's times.
+    finer = integrate(
+        c0, 1.0, TruncationPolicy(mass_cap=32, arm_cap=4), SolverSettings(dt=1e-3), [0.25, 0.5, 0.75, 1.0]
+    )
+    assert finer.times == [0.0, 0.25, 0.5, 0.75, 1.0]
+    on_run_grid = Trajectory(finer.states[::2], finer.observables[::2])
+    assert empirical_error(run, finer, tracked) == empirical_error(run, on_run_grid, tracked)
 
 
 def test_counts_validation():
