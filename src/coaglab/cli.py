@@ -36,7 +36,8 @@ Exit codes: 0 success, 2 config/usage error, 3 numerical/convergence failure.
 Config errors include integer fields that are not integers in range, a
 ``COAG_THREADS`` that is not a positive integer, for
 ``ode`` an initial species outside the truncation caps, for ``simulate`` an
-``n`` so large that an arm total exceeds 2**63, for ``gw`` a
+``n`` so large that an arm total exceeds 2**63 or, with a float
+concentration, that a count overflows a float, for ``gw`` a
 degenerate initial state, whose trees need not end, a path that cannot be
 read or written, and for ``compare`` a tolerance that is not a finite number
 >= 0 or a table cell that is not a finite number.
@@ -389,7 +390,10 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> None:
     c0, _ = cfg.state()
     counts = {}
     for p, wgt in c0.items():
-        k = round(wgt * cfg.n)
+        try:
+            k = round(wgt * cfg.n)
+        except OverflowError as exc:  # a float weight times an n past the float range
+            raise ConfigError(f"n = {cfg.n} times concentration {wgt} of {tuple(p)}: {exc}") from exc
         if k > 0:
             counts[p] = k
     if not counts:

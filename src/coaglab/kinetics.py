@@ -276,15 +276,24 @@ class UniformArmSystem(_Engine):
     Semantics are identical to :class:`TruncatedSystem` under the same
     truncation policy; only the evaluation strategy differs.
 
-    The mass axis is padded to a full linear convolution, so no product mass
-    wraps.  The arm axis is shorter: a cluster of mass m has at most
-    ``(s - 2) m + 2`` male arms, so a product that lands at a read mass
-    ``m <= mass_cap`` has ``a1 + a2 <= (s - 2) mass_cap + 4``.  An arm axis of
-    ``min(2 n_rows - 1, (s - 2) mass_cap + 5)`` cells therefore holds every
-    read product unwrapped; wrap-around lands only at masses above the cap,
-    which are never read.  The transforms run one axis at a time into buffers
-    owned by the system, so one system must not be evaluated from two
-    threads at once.
+    Both axes are shorter than a full linear convolution, because products
+    that wrap land only on cells that are never read.  A cluster of mass m has
+    at most ``(s - 2) m + 2`` male arms, so a product that lands at a read
+    mass ``m <= mass_cap`` has ``a1 + a2 <= (s - 2) mass_cap + 4``.  An arm
+    axis of ``min(2 n_rows - 1, (s - 2) mass_cap + 5)`` cells therefore holds
+    every read product unwrapped; arm wrap-around lands only at masses above
+    the cap.  Product masses run up to ``2 mass_cap``, so a mass axis of
+    ``2 mass_cap`` cells wraps only that top mass, onto column 0.  No species
+    has mass 0, so column 0 is never read.
+
+    The transforms are ordered so that the zero padding is transformed only
+    where it holds data or is read (a pruned 2-D FFT).  The forward real
+    transform runs along the short arm axis, over the ``mass_cap + 1`` mass
+    columns that hold data; the complex one then runs along the padded mass
+    axis, over only the half-spectrum rows.  The inverse runs the other way
+    round, and its last, real transform covers only the mass columns that
+    are read.  The transforms write into buffers owned by the system, so one
+    system must not be evaluated from two threads at once.
     """
 
     def __init__(self, seeds, policy: TruncationPolicy, arms_per_particle: int):
@@ -293,16 +302,17 @@ class UniformArmSystem(_Engine):
         if s < 2:
             # arms(m) = (s - 2) m + 2 reaches 0; heavier clusters cannot form.
             mass_eff = min(mass_eff, 2 // (2 - s))
-        arms = [(s - 2) * m + 2 for m in range(mass_eff + 1)]
-        types: list[ParticleType] = []
-        rows: list[int] = []
-        cols: list[int] = []
-        for m in range(1, mass_eff + 1):
-            total = arms[m]
-            for a in range(max(0, total - policy.arm_cap), min(total, policy.arm_cap) + 1):
-                types.append(ParticleType(a, total - a, m))
-                rows.append(a)
-                cols.append(m)
+        # Per mass, the male counts a with a and total - a both within the
+        # arm cap, in order of mass and then a.
+        masses = np.arange(1, mass_eff + 1)
+        total = (s - 2) * masses + 2
+        low = np.maximum(0, total - policy.arm_cap)
+        count = np.maximum(0, np.minimum(total, policy.arm_cap) - low + 1)
+        first = np.cumsum(count) - count
+        rows = np.arange(int(count.sum())) + np.repeat(low - first, count)
+        cols = np.repeat(masses, count)
+        female = np.repeat(total, count) - rows
+        types = list(map(ParticleType, rows.tolist(), female.tolist(), cols.tolist()))
         for p in seeds:
             p = as_particle_type(p)
             if p.m != 1 or p.a + p.b != s:
@@ -310,39 +320,37 @@ class UniformArmSystem(_Engine):
             if not policy.admits(p):
                 raise ValueError(f"initial species {tuple(p)} exceeds truncation caps {policy}")
         super().__init__(policy, types)
-        rows = np.array(rows, dtype=np.int64)
-        cols = np.array(cols, dtype=np.int64)
         n_rows = int(rows.max(initial=0)) + 2  # gain is read at row a + 1
         n_cols = mass_eff + 1
         self._fshape = (
             _next_fast_len(min(2 * n_rows - 1, (s - 2) * mass_eff + 5)),
-            _next_fast_len(2 * n_cols - 1),
+            _next_fast_len(2 * mass_eff),
         )
         f0, f1 = self._fshape
-        half = f1 // 2 + 1
+        half = f0 // 2 + 1
         self._u = np.zeros((n_rows, n_cols))
         self._v = np.zeros((n_rows, n_cols))
-        self._half = np.empty((n_rows, half), dtype=np.complex128)  # one axis done
-        self._spec_u = np.empty((f0, half), dtype=np.complex128)
-        self._spec_v = np.empty((f0, half), dtype=np.complex128)
-        self._conv = np.empty((n_rows, f1))  # only the rows that are read
+        self._half = np.empty((half, n_cols), dtype=np.complex128)  # arm axis done
+        self._spec_u = np.empty((half, f1), dtype=np.complex128)
+        self._spec_v = np.empty((half, f1), dtype=np.complex128)
+        self._conv = np.empty((f0, n_cols))  # only the mass columns that are read
         self._grid_at = rows * n_cols + cols  # flat index of (a, m)
-        self._gain_at = (rows + 1) * f1 + cols  # flat index of (a + 1, m)
+        self._gain_at = (rows + 1) * n_cols + cols  # flat index of (a + 1, m)
 
     def _gain(self, c: np.ndarray) -> np.ndarray:
         f0, f1 = self._fshape
-        # rfft2 / irfft2 split by axis (the same bits), writing into buffers
-        # reused across calls; the inverse keeps only the rows that are read.
+        # rfft2 / irfft2 split by axis in the pruned order of the class
+        # docstring, writing into buffers reused across calls.
         for grid, weight, spec in (
             (self._u, self.a, self._spec_u),
             (self._v, self.b, self._spec_v),
         ):
             grid.reshape(-1)[self._grid_at] = weight * c
-            np.fft.rfft(grid, f1, axis=1, out=self._half)
-            np.fft.fft(self._half, f0, axis=0, out=spec)
+            np.fft.rfft(grid, f0, axis=0, out=self._half)
+            np.fft.fft(self._half, f1, axis=1, out=spec)
         spec = np.multiply(self._spec_u, self._spec_v, out=self._spec_u)
-        np.fft.ifft(spec, axis=0, out=spec)
-        np.fft.irfft(spec[: len(self._conv)], f1, axis=1, out=self._conv)
+        np.fft.ifft(spec, axis=1, out=spec)
+        np.fft.irfft(spec[:, : self._conv.shape[1]], f0, axis=0, out=self._conv)
         # FFT rounding noise (~1e-16 * scale) is left unclamped: it is
         # zero-mean, so moments cancel it, whereas rectifying it would bias
         # every observable upward.

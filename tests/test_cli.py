@@ -285,6 +285,14 @@ def test_simulate_arm_total_past_word_range_exit_2(tmp_path):
     assert list(out.iterdir()) == []
 
 
+def test_simulate_float_conc_with_n_past_float_range_exit_2(tmp_path, capsys):
+    cfg = {"initial": [{"a": 1, "b": 1, "m": 1, "conc": 1.0}], "t_grid": [0], "n": 10**400}
+    out = tmp_path / "out"
+    assert main(["simulate", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert f"n = {10**400}" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_simulate_counts_are_exact_past_float_precision(tmp_path):
     # conc 1 at n = 2**60 + 1 is 2**60 + 1 particles; through a float it was 2**60.
     n = 2**60 + 1

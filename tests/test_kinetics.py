@@ -166,6 +166,9 @@ def test_fft_engine_matches_pair_engine_on_short_arm_axis(seeds, s, mass_cap, ar
     fast = UniformArmSystem(seeds, pol, s)
     n_rows = max(p.a for p in fast.types) + 2
     assert fast._fshape[0] < 2 * n_rows - 1  # products wrap on the arm axis
+    # 2 * mass_cap is 5-smooth in every case, so the product at that mass
+    # wraps onto column 0 of the mass axis.
+    assert fast._fshape[1] == _next_fast_len(2 * mass_cap) == 2 * mass_cap
     rng = np.random.default_rng(mass_cap + arm_cap)
     state = ConcentrationState(
         {p: float(w) for p, w in zip(generic.types, rng.random(generic.size))}
@@ -176,6 +179,49 @@ def test_fft_engine_matches_pair_engine_on_short_arm_axis(seeds, s, mass_cap, ar
     gap = max(abs(gain_g.get(p, 0.0) - gain_f.get(p, 0.0)) for p in set(gain_g) | set(gain_f))
     assert gap <= 1e-13 * scale
     assert flux_f == pytest.approx(flux_g, rel=1e-13, abs=0)
+
+
+def test_fft_gain_transforms_only_the_pruned_lines(three_arm_state, monkeypatch):
+    """Points transformed (lines times length) by one gain call: the padded
+    mass axis is transformed only over the half-spectrum rows, and the arm
+    axis only over the mass columns that hold data or are read."""
+    fast = UniformArmSystem(three_arm_state.support(), TruncationPolicy(mass_cap=160, arm_cap=162), 3)
+    f0, f1 = fast._fshape
+    n_cols, h0 = 160 + 1, f0 // 2 + 1
+    points = []
+
+    def counted(transform):
+        def wrapped(x, n=None, axis=-1, **kwargs):
+            x = np.asarray(x)
+            length = x.shape[axis] if n is None else n
+            points.append(x.size // x.shape[axis] * length)
+            return transform(x, n, axis, **kwargs)
+
+        return wrapped
+
+    for name in ("rfft", "fft", "ifft", "irfft"):
+        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name)))
+    fast._gain(np.full(fast.size, 0.1))
+    assert len(points) == 6
+    assert sum(points) == 2 * (n_cols * f0 + h0 * f1) + h0 * f1 + n_cols * f0
+
+
+@pytest.mark.parametrize(
+    "s, seeds",
+    [(1, [(1, 0, 1), (0, 1, 1)]), (2, [(1, 1, 1)]), (3, [(3, 0, 1), (0, 3, 1)]), (4, [(2, 2, 1)])],
+)
+@pytest.mark.parametrize("arm_cap", [30, 4])  # arms(12) <= 26; 4 binds for s >= 3
+def test_uniform_arm_table_matches_brute_force(s, seeds, arm_cap):
+    mass_cap = 12
+    fast = UniformArmSystem(seeds, TruncationPolicy(mass_cap=mass_cap, arm_cap=arm_cap), s)
+    expected = [
+        ParticleType(a, (s - 2) * m + 2 - a, m)
+        for m in range(1, mass_cap + 1)
+        for a in range((s - 2) * m + 3)
+        if a <= arm_cap and (s - 2) * m + 2 - a <= arm_cap
+    ]
+    assert fast.types == expected
+    assert all(type(p) is ParticleType and all(type(v) is int for v in p) for p in fast.types)
 
 
 def test_next_fast_len_is_the_smallest_5_smooth_integer_at_least_n():
