@@ -40,6 +40,7 @@ from .core import ConcentrationState, ParticleType, as_particle_type
 _MIN_DT = 1e-9  # a step bisected below this aborts the run
 _CLAMP_TOL = 1e-12  # negative concentrations within this fraction of the peak are rounding
 _TIME_TOL = 1e-9  # two checkpoint times this close are the same checkpoint
+_FFT_NOISE_FLOOR = 1e-15  # FFT gain cells within this fraction of max|gain| are rounding
 
 
 class IntegrationError(RuntimeError):
@@ -294,6 +295,18 @@ class UniformArmSystem(_Engine):
     round, and its last, real transform covers only the mass columns that
     are read.  The transforms write into buffers owned by the system, so one
     system must not be evaluated from two threads at once.
+
+    The transforms leave rounding noise on every cell, unreachable ones
+    included.  RK4 amplifies it on the high-mass modes until the
+    nonnegativity monitor bisects steps that the dynamics do not need
+    bisected, and it would surface as species that no merge reaches.
+    ``_gain`` therefore zeroes every cell below ``_FFT_NOISE_FLOOR``
+    max|gain|, so a species whose value never rises above the transforms'
+    resolution is not reported.  Against an extended-precision sum over the
+    pair table, the gain error was at most 7.3e-16 max|gain| on states with
+    random values on every cell (mass caps 40 to 160); on the states of
+    three-arm runs at caps 40 to 100, unreachable cells held below 1e-16
+    max|gain|.
     """
 
     def __init__(self, seeds, policy: TruncationPolicy, arms_per_particle: int):
@@ -351,10 +364,15 @@ class UniformArmSystem(_Engine):
         spec = np.multiply(self._spec_u, self._spec_v, out=self._spec_u)
         np.fft.ifft(spec, axis=1, out=spec)
         np.fft.irfft(spec[:, : self._conv.shape[1]], f0, axis=0, out=self._conv)
-        # FFT rounding noise (~1e-16 * scale) is left unclamped: it is
-        # zero-mean, so moments cancel it, whereas rectifying it would bias
-        # every observable upward.
-        return self._conv.take(self._gain_at)
+        # Zero every cell with |gain| <= _FFT_NOISE_FLOOR * max|gain| (see
+        # the class docstring).  The cut is symmetric in sign, so it biases
+        # no moment, unlike a rectification; `rhs` takes the lost fluxes
+        # from this floored gain, so retained + lost mass stays a linear
+        # invariant.
+        gain = self._conv.take(self._gain_at)
+        mag = np.abs(gain)
+        gain[mag <= _FFT_NOISE_FLOOR * mag.max(initial=0.0)] = 0.0
+        return gain
 
 
 def make_system(seeds, policy: TruncationPolicy):

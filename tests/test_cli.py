@@ -11,6 +11,7 @@ import pytest
 
 from coaglab import cli
 from coaglab.cli import ConfigError, cmd_analyze, load_config, main, parse_config
+from coaglab.kinetics import TruncatedSystem, TruncationPolicy
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -210,6 +211,17 @@ def test_ode_explicit_agreement(tmp_path, capsys, initial, truncation, solver):
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["max_abs_diff"] <= 1e-8
+
+
+def test_ode_fft_engine_writes_only_reachable_species(tmp_path):
+    """FFT rounding noise on cells no merge reaches stays out of the table."""
+    truncation = {"mass_cap": 40, "arm_cap": 42}
+    cfg = dict(THREE_ARM, t_grid=[0.25, 0.5, 0.75], truncation=truncation, solver={"dt": 0.05})
+    assert main(["ode", write_config(tmp_path, cfg), "--out", str(tmp_path / "ode")]) == 0
+    reachable = set(TruncatedSystem([(3, 0, 1), (0, 3, 1)], TruncationPolicy(**truncation)).types)
+    with open(tmp_path / "ode" / "concentrations.csv", newline="", encoding="utf-8") as fh:
+        written = {(int(r["a"]), int(r["b"]), int(r["m"])) for r in csv.DictReader(fh)}
+    assert written and written <= reachable
 
 
 def test_compare_identical_and_mismatch(tmp_path, capsys):

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import textwrap
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -25,10 +26,12 @@ from coaglab import (
 )
 from coaglab.kinetics import (
     IntegrationError,
+    Observables,
     TruncatedSystem,
     UniformArmSystem,
     _Integrator,
     _next_fast_len,
+    _observe,
     _snapshot,
     make_system,
 )
@@ -238,22 +241,47 @@ def test_next_fast_len_is_the_smallest_5_smooth_integer_at_least_n():
 
 
 def test_integrator_counts_rhs_calls_of_bisected_steps(three_arm_state):
-    """A rejected step hands its k1 to its first half-step."""
-    system = make_system(three_arm_state.support(), TruncationPolicy(mass_cap=160, arm_cap=162))
-    calls = []
-    rhs = system.rhs
+    """A rejected step hands its k1 to its first half-step.  A step of 0.2
+    from t = 0 is bisected by the dynamics, on either engine."""
+    for system in (
+        TruncatedSystem(three_arm_state.support(), TruncationPolicy(mass_cap=40, arm_cap=42)),
+        make_system(three_arm_state.support(), TruncationPolicy(mass_cap=160, arm_cap=162)),
+    ):
+        calls = []
+        rhs = system.rhs
 
-    def counted(c, t, reduced):
-        calls.append(t)
-        return rhs(c, t, reduced)
+        def counted(c, t, reduced):
+            calls.append(t)
+            return rhs(c, t, reduced)
 
-    system.rhs = counted
-    stepper = _Integrator(system, SolverSettings(dt=0.05))
-    y = np.concatenate([system.concentration_vector(three_arm_state), [0.0, 0.0, 0.0]])
-    for k in range(5):  # to t = 0.25
-        y = stepper.advance(y, 0.05 * k, 0.05)
-    assert stepper.rejected > 0
-    assert len(calls) == 4 * stepper.accepted + 3 * stepper.rejected
+        system.rhs = counted
+        stepper = _Integrator(system, SolverSettings(dt=0.2))
+        y = np.concatenate([system.concentration_vector(three_arm_state), [0.0, 0.0, 0.0]])
+        stepper.advance(y, 0.0, 0.2)
+        assert stepper.rejected > 0
+        assert len(calls) == 4 * stepper.accepted + 3 * stepper.rejected
+
+
+def test_fft_trajectory_takes_the_pair_engine_steps(three_arm_state):
+    """FFT rounding noise neither bisects a step the pair engine takes whole
+    nor leaves a species the pair engine cannot reach."""
+    pol = TruncationPolicy(mass_cap=80, arm_cap=82)
+    runs = []
+    for system in (
+        TruncatedSystem(three_arm_state.support(), pol),
+        UniformArmSystem(three_arm_state.support(), pol, 3),
+    ):
+        stepper = _Integrator(system, SolverSettings(dt=0.05))
+        y = np.concatenate([system.concentration_vector(three_arm_state), [0.0, 0.0, 0.0]])
+        for k in range(15):  # to t = 0.75
+            y = stepper.advance(y, 0.05 * k, 0.05)
+        counts = (stepper.accepted, stepper.rejected)
+        runs.append((system, counts, _observe(system, y, 0.75), _snapshot(system, y, 0.75)))
+    (pair, pair_counts, pair_obs, _), (_, fft_counts, fft_obs, fft_state) = runs
+    assert fft_counts == pair_counts
+    for f in fields(Observables):
+        assert abs(getattr(fft_obs, f.name) - getattr(pair_obs, f.name)) <= 1e-10, f.name
+    assert set(fft_state.support()) <= set(pair.types)
 
 
 _TRACED_ENGINES = textwrap.dedent(
