@@ -218,55 +218,48 @@ def gw_progeny_pmf_series(nu_m: Measure2D, nu_f: Measure2D, max_total: int) -> l
     return list((gm * gf_).coeffs)
 
 
-class _LawSampler:
-    """Inverse-CDF sampler over the atoms of a 2-D probability measure."""
-
-    def __init__(self, nu: Measure2D):
-        self.atoms = [ab for ab, _ in nu.weights]
-        cum = np.cumsum([float(w) for _, w in nu.weights])
-        cum[-1] = 1.0
-        self.cum = cum.tolist()
-
-    def draw(self, u: float) -> tuple[int, int]:
-        return self.atoms[bisect.bisect_right(self.cum, u)]
-
-
-def _one_tree(sampler_m, sampler_f, cap: int, uniform) -> tuple[int, bool]:
-    pending_m, pending_f = 1, 1
-    total = 2
-    while pending_m or pending_f:
-        if total > cap:
-            return total, True
-        if pending_m:
-            pending_m -= 1
-            a, b = sampler_m.draw(uniform())
-        else:
-            pending_f -= 1
-            a, b = sampler_f.draw(uniform())
-        pending_m += a
-        pending_f += b
-        total += a + b
-    return total, False
+def _inverse_cdf(nu: Measure2D) -> tuple[list, list[float]]:
+    """The atoms of a 2-D probability measure and its cumulative weights, the
+    last set to exactly 1; atom ``bisect_right(cum, u)`` has law ``nu`` for u
+    uniform in [0, 1)."""
+    cum = np.cumsum([float(w) for _, w in nu.weights])
+    cum[-1] = 1.0
+    return [ab for ab, _ in nu.weights], cum.tolist()
 
 
 def gw_sample_total_progeny(cfg: GWConfig) -> GWSample:
     """Simulate the two-type tree from one male plus one female ancestor.
 
     Breadth-order processing with population counters only (tree topology is
-    never materialized).  One generator seeded by ``cfg.seed`` serves
-    uniforms in fixed-size blocks, and replicates consume them in order, so
-    the result depends only on the seed (no execution schedule enters).
+    never materialized): a pending male is expanded first, else a pending
+    female, each by one uniform.  A tree is censored once its total passes
+    ``population_cap`` with nodes still pending.  One generator seeded by
+    ``cfg.seed`` serves uniforms in fixed-size blocks, and replicates consume
+    them in order, so the result depends only on the seed (no execution
+    schedule enters).
     """
-    sampler_m = _LawSampler(cfg.nu_m)
-    sampler_f = _LawSampler(cfg.nu_f)
+    atoms_m, cum_m = _inverse_cdf(cfg.nu_m)
+    atoms_f, cum_f = _inverse_cdf(cfg.nu_f)
     uniform = _block_stream(np.random.default_rng(cfg.seed).random).__next__
+    bisect_right, cap = bisect.bisect_right, cfg.population_cap
     counts: dict[int, int] = {}
     censored = nodes = 0
     for _ in range(cfg.replicates):
-        size, was_censored = _one_tree(sampler_m, sampler_f, cfg.population_cap, uniform)
-        nodes += size
-        if was_censored:
+        pending_m = pending_f = 1
+        total = 2
+        while (pending_m or pending_f) and total <= cap:
+            if pending_m:
+                pending_m -= 1
+                a, b = atoms_m[bisect_right(cum_m, uniform())]
+            else:
+                pending_f -= 1
+                a, b = atoms_f[bisect_right(cum_f, uniform())]
+            pending_m += a
+            pending_f += b
+            total += a + b
+        nodes += total
+        if pending_m or pending_f:
             censored += 1
         else:
-            counts[size] = counts.get(size, 0) + 1
+            counts[total] = counts.get(total, 0) + 1
     return GWSample(counts=counts, replicates=cfg.replicates, censored=censored, nodes=nodes)

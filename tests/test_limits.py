@@ -1,6 +1,8 @@
+import bisect
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from coaglab import (
@@ -20,6 +22,7 @@ from coaglab import (
     moment,
 )
 from coaglab.measures import Measure2D, TruncatedSeries, size_biased_laws
+from coaglab.particles import _block_stream
 
 
 @pytest.fixture(scope="module")
@@ -195,6 +198,53 @@ def test_gw_sampling_immortal_chain():
     s = gw_sample_total_progeny(GWConfig(nu_m, nu_f, population_cap=300, replicates=40, seed=3))
     assert s.censored_fraction == 1.0
     assert s.nodes == 301 * 40  # each tree grows one node at a time past the cap
+
+
+def _one_tree(draw_m, draw_f, cap, uniform):
+    """Total and censoring of one tree, expanded breadth-first: the reference
+    for the single loop of ``gw_sample_total_progeny``."""
+    pending_m, pending_f = 1, 1
+    total = 2
+    while pending_m or pending_f:
+        if total > cap:
+            return total, True
+        if pending_m:
+            pending_m -= 1
+            a, b = draw_m(uniform())
+        else:
+            pending_f -= 1
+            a, b = draw_f(uniform())
+        pending_m += a
+        pending_f += b
+        total += a + b
+    return total, False
+
+
+def _inverse_cdf_draw(nu):
+    atoms = [ab for ab, _ in nu.weights]
+    cum = np.cumsum([float(w) for _, w in nu.weights])
+    cum[-1] = 1.0
+    cum = cum.tolist()
+    return lambda u: atoms[bisect.bisect_right(cum, u)]
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_gw_loop_matches_per_tree_reference(pq_laws, seed):
+    # At population cap 8 a few percent of the pq trees are censored.
+    cfg = GWConfig(*pq_laws, population_cap=8, replicates=2000, seed=seed)
+    draw_m, draw_f = _inverse_cdf_draw(cfg.nu_m), _inverse_cdf_draw(cfg.nu_f)
+    uniform = _block_stream(np.random.default_rng(seed).random).__next__
+    counts, censored, nodes = {}, 0, 0
+    for _ in range(cfg.replicates):
+        size, was_censored = _one_tree(draw_m, draw_f, cfg.population_cap, uniform)
+        nodes += size
+        if was_censored:
+            censored += 1
+        else:
+            counts[size] = counts.get(size, 0) + 1
+    assert 0 < censored < cfg.replicates // 10
+    s = gw_sample_total_progeny(cfg)
+    assert (s.counts, s.censored, s.nodes) == (counts, censored, nodes)
 
 
 def test_degeneracy_list():

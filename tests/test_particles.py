@@ -107,6 +107,9 @@ def test_step_examples():
     s.check_consistency()
     assert ev.merged == ParticleType(0, 0, 2)
     assert s.counts == {ParticleType(0, 0, 2): 1}
+    # The male's slot 0 is freed first, the female's slot 1 last, and the
+    # merged species takes the slot freed last.
+    assert s.types == [None, ParticleType(0, 0, 2)]
     assert step(s, rng) is None  # absorbed
 
     s = ParticleSystemState({(1, 1, 1): 2}, n=2)
@@ -135,22 +138,39 @@ def test_event_conservation_laws():
         assert s.n_particles == count - 1
 
 
-@pytest.mark.parametrize("seed, t_end, absorbed", [(3, 1.0, False), (11, 50.0, True)])
-def test_step_replays_run_simulation(seed, t_end, absorbed):
+_REPLAY_STATE = {(3, 0, 1): 30, (0, 3, 1): 30, (1, 1, 1): 20}
+
+
+@pytest.mark.parametrize(
+    "counts, n, seed, t_end, absorbed",
+    [
+        pytest.param(_REPLAY_STATE, 80, 3, 1.0, False, id="3-1.0-False"),
+        pytest.param(_REPLAY_STATE, 80, 11, 50.0, True, id="11-50.0-True"),
+        # A table of two that doubles mid-run, and a run that redraws.
+        pytest.param({(1, 1, 1): 40, (2, 1, 1): 10}, 50, 5, 100.0, True, id="doubling-5-100.0-True"),
+    ],
+)
+def test_step_replays_run_simulation(counts, n, seed, t_end, absorbed):
     """step and run_simulation share one event path: from the same seed,
     stepping to t_end fires the events the run counts and ends in its state."""
-    counts = {(3, 0, 1): 30, (0, 3, 1): 30, (1, 1, 1): 20}
-    run = run_simulation(counts, 80, t_end, checkpoints=[t_end / 2, t_end], seed=seed)
-    state = ParticleSystemState(counts, 80)
+    run = run_simulation(counts, n, t_end, checkpoints=[t_end / 2, t_end], seed=seed)
+    state = ParticleSystemState(counts, n)
+    size = len(state.types)
     rng = np.random.default_rng(seed)
     events, at_t_end = 0, dict(state.counts)
     while (ev := step(state, rng)) is not None and state.time <= t_end:
         events += 1
         at_t_end = dict(state.counts)
+    state.check_consistency()
+    assert len(state.types) > size
     assert (ev is None) == absorbed
     assert events == run.events
     assert at_t_end == run.final_counts
-    assert {p: k / 80 for p, k in at_t_end.items()} == run.states[-1]
+    assert {p: k / n for p, k in at_t_end.items()} == run.states[-1]
+    if absorbed:
+        assert state.rejections == run.rejections > 0
+        assert step(state, rng) is None and step(state, rng) is None
+        state.check_consistency()
 
 
 def test_run_counts_sampler_rejections():
@@ -297,3 +317,21 @@ def test_counts_validation():
         ParticleSystemState({(1, 1, 1): -2}, n=2)
     with pytest.raises(ValueError, match="no possible event"):
         first_event_distribution({(1, 0, 1): 3}, 10)
+
+
+def test_non_integral_counts_are_refused():
+    with pytest.raises(ValueError, match=r"non-integral count 2\.5 for \(1, 1, 1\)"):
+        ParticleSystemState({(1, 1, 1): 2.5}, n=2)
+    with pytest.raises(ValueError, match=r"non-integral count 1/3 for \(2, 1, 1\)"):
+        ParticleSystemState({(1, 1, 1): 2, (2, 1, 1): Fraction(1, 3)}, n=2)
+    for k in (math.inf, math.nan, -0.5):
+        with pytest.raises(ValueError, match=f"non-integral count {k} for"):
+            ParticleSystemState({(1, 1, 1): k}, n=2)
+    exact = ParticleSystemState({(1, 1, 1): 2.0, (2, 1, 1): Fraction(3), (0, 1, 1): np.int64(4)}, n=2)
+    assert exact.counts == {(1, 1, 1): 2, (2, 1, 1): 3, (0, 1, 1): 4}
+
+
+@pytest.mark.parametrize("draws", [0, -5])
+def test_first_event_distribution_needs_a_draw(draws):
+    with pytest.raises(ValueError, match=f"draws must be >= 1, got {draws}"):
+        first_event_distribution({(1, 1, 1): 2}, draws)
