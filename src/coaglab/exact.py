@@ -219,25 +219,28 @@ def concentration(family, t, a: int, b: int, m: int):
     """Closed-form c_t(a, b, m) = K(a, b, m) tau^(m-1) (1+t)^-(a+b) of a family."""
     if a < 0 or b < 0 or m < 1:
         raise ValueError(f"invalid species ({a}, {b}, {m})")
-    if t < 0:
+    # t = p/q; the sign and zero of an exact t are read off p, with no Fraction compared
+    exact_t = _is_exact(t)
+    p, q = t.as_integer_ratio() if exact_t else (t, 1)
+    if p < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
-    if t == 0:
+    if p == 0:
         return family._c0[(a, b, 1)] if m == 1 else 0
     terms = family._terms(a, b, m) if m > 1 else [((), (), (family._c0[(a, b, 1)],))]
-    terms = (term for term in terms if all(term[2]))
-    if _is_exact(t) and family._exact:
+    if exact_t and family._exact:
         # K = num/den, summed unnormalised; the entry is the one Fraction built.
         num, den = 0, 1
-        for term in terms:
-            n, d = _exact_term(*term)
-            num, den = num * d + n * den, den * d
+        for nums, dens, weights in terms:
+            if all(weights):
+                n, d = _exact_term(nums, dens, weights)
+                num, den = num * d + n * den, den * d
         if not num:  # every term is positive, so no term was left
             return 0
-        p, q = t.as_integer_ratio()  # tau = p/(p+q), 1+t = (p+q)/q
+        # tau = p/(p+q), 1+t = (p+q)/q
         return Fraction(num * p ** (m - 1) * q ** (a + b), den * (p + q) ** (m - 1 + a + b))
     # log-sum-exp: single factorial ratios overflow long before the
     # time-weighted sum does.
-    logs = [_log_term(*term) for term in terms]
+    logs = [_log_term(*term) for term in terms if all(term[2])]
     if not logs:
         return 0
     shift = max(logs)

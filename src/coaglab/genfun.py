@@ -62,6 +62,22 @@ def _sqrt_exact_or_float(x):
     return math.sqrt(x)
 
 
+def _float_twin(terms):
+    """``terms`` with float weights.  ``Fraction * float`` computes
+    ``float(w) * float``, so evaluating the twin at floats gives the same bits
+    without converting each weight on each evaluation.  A weight too large
+    for a float is kept, so evaluating it raises ``OverflowError`` as the
+    exact weight does."""
+    twin = []
+    for a, b, m, w in terms:
+        try:
+            w = float(w)
+        except OverflowError:
+            pass
+        twin.append((a, b, m, w))
+    return twin
+
+
 @dataclass(frozen=True)
 class CriticalData:
     """Initial second-moment data and the induced critical time."""
@@ -101,35 +117,42 @@ class InitialGF:
         self._dx = [(a - 1, b, m, a * w) for a, b, m, w in terms if a >= 1]
         self._dy = [(a, b - 1, m, b * w) for a, b, m, w in terms if b >= 1]
         self._dz = [(a, b, m - 1, m * w) for a, b, m, w in terms]
+        # Float twins, read when x, y and z are all floats.
+        self._terms_float, self._dx_float, self._dy_float, self._dz_float = map(
+            _float_twin, (terms, self._dx, self._dy, self._dz)
+        )
+        big_m = self.alpha + _sqrt_exact_or_float(self.beta * self.gamma)
+        t_crit = math.inf if big_m <= 1 else _quotient(1, big_m - 1)
+        self._critical = CriticalData(self.alpha, self.beta, self.gamma, big_m, t_crit)
 
     @staticmethod
-    def _eval(terms, x, y, z):
+    def _eval(terms, twin, x, y, z):
+        if isinstance(x, float) and isinstance(y, float) and isinstance(z, float):
+            terms = twin
         acc = 0
         for a, b, m, w in terms:
             acc = acc + w * (x**a) * (y**b) * (z**m)
         return acc
 
     def value(self, x, y, z):
-        return self._eval(self._terms, x, y, z)
+        return self._eval(self._terms, self._terms_float, x, y, z)
 
     def dx(self, x, y, z):
-        return self._eval(self._dx, x, y, z)
+        return self._eval(self._dx, self._dx_float, x, y, z)
 
     def dy(self, x, y, z):
-        return self._eval(self._dy, x, y, z)
+        return self._eval(self._dy, self._dy_float, x, y, z)
 
     def dz(self, x, y, z):
-        return self._eval(self._dz, x, y, z)
+        return self._eval(self._dz, self._dz_float, x, y, z)
 
     def critical_data(self) -> CriticalData:
-        big_m = self.alpha + _sqrt_exact_or_float(self.beta * self.gamma)
-        t_crit = math.inf if big_m <= 1 else _quotient(1, big_m - 1)
-        return CriticalData(self.alpha, self.beta, self.gamma, big_m, t_crit)
+        return self._critical
 
     def _check_subcritical(self, t):
         if t < 0:
             raise ValueError(f"time must be nonnegative, got {t}")
-        t_crit = self.critical_data().t_crit
+        t_crit = self._critical.t_crit
         if t_crit != math.inf and t > t_crit * (1 - _SUBCRITICAL_MARGIN):
             raise ValueError(
                 f"t = {t} is not strictly below the critical time T_c = {t_crit} "

@@ -39,7 +39,13 @@ import numpy as np
 
 from .core import ConcentrationState
 from .genfun import _FIXED_POINT_MAX_ITER, _FIXED_POINT_TOL, ConvergenceError, InitialGF
-from .measures import _PROBABILITY_TOL, Measure2D, TruncatedSeries, size_biased_laws
+from .measures import (
+    _PROBABILITY_TOL,
+    Measure2D,
+    TruncatedSeries,
+    _over_common_denominator,
+    size_biased_laws,
+)
 from .particles import _block_stream
 
 
@@ -154,8 +160,20 @@ def _online_fixed_point(x_terms, y_terms, order: int):
     or y, and costs one convolution, summed over i ascending as
     ``TruncatedSeries.__mul__`` does; degrees 0 and 1 are 1, x and y
     themselves.  The pass costs O(P n^2) for P such powers.
+
+    Exact weights over a common denominator D run the pass on integers:
+    coefficient k of every series is scaled by D^k, an integer because a
+    term of z-degree k holds at most k weights, so a term with z^m carries
+    its weight's numerator times D^(m-1).  One Fraction is built per
+    coefficient of x and y at the end.
     """
     n = order + 1
+    exact = _over_common_denominator([w for *_, w in x_terms] + [w for *_, w in y_terms])
+    if exact is not None:
+        nums, d, fraction = exact
+        x_nums, y_nums = nums[: len(x_terms)], nums[len(x_terms) :]
+        x_terms = [(a, b, m, c * d ** (m - 1)) for (a, b, m, _), c in zip(x_terms, x_nums)]
+        y_terms = [(a, b, m, c * d ** (m - 1)) for (a, b, m, _), c in zip(y_terms, y_nums)]
     x, y = [0] * n, [0] * n
     powers = {(0, 0): [1] + [0] * order, (1, 0): x, (0, 1): y}
     chain = []  # (power, previous power, x or y), each after its previous power
@@ -175,6 +193,17 @@ def _online_fixed_point(x_terms, y_terms, order: int):
             p[k - 1] = sum(q[i] * s[k - 1 - i] for i in range(k) if q[i] and s[k - 1 - i])
         for out, terms in ((x, x_terms), (y, y_terms)):
             out[k] = sum(w * p[k - m] for p, m, w in terms if m <= k and p[k - m])
+    if exact is not None and fraction:
+        scale = [d**k for k in range(n)]
+
+        def unscale(out, terms):
+            # a coefficient that received a term is a Fraction, even when they cancel
+            return [
+                Fraction(c, scale[k]) if c or any(m <= k and p[k - m] for p, m, _ in terms) else 0
+                for k, c in enumerate(out)
+            ]
+
+        x, y = unscale(x, x_terms), unscale(y, y_terms)
     return TruncatedSeries(tuple(x)), TruncatedSeries(tuple(y))
 
 

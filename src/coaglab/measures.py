@@ -5,7 +5,10 @@ Everything here is finite-support numeric arithmetic: convolution powers of
 laws derived from a 2-D arm measure, and a fixed-order truncated power series
 used by the limiting-state machinery.  Exact :class:`fractions.Fraction`
 arithmetic is used whenever the inputs are exact; float inputs fall back to
-floating point with correctly rounded (``math.fsum``) summation.
+floating point with correctly rounded (``math.fsum``) summation.  The
+convolution kernels write exact inputs as integers over one common
+denominator, multiply and add plain ints, and build one Fraction per output
+cell, so no gcd is taken per product or per sum.
 
 Infinite-support laws (e.g. Poisson) must be supplied pre-truncated by the
 caller; nothing here truncates silently.
@@ -16,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping
 
 Scalar = "float | Fraction | int"
@@ -35,6 +39,23 @@ def _sum(values):
     """Exact inputs are summed exactly; floats with ``math.fsum``, correctly rounded."""
     vals = list(values)
     return sum(vals) if all(_is_exact(v) for v in vals) else math.fsum(vals)
+
+
+def _over_common_denominator(values):
+    """Exact ``values`` as integers over one common denominator.
+
+    Returns ``(numerators, d, fraction)`` with ``values[i] == numerators[i] / d``
+    and ``d`` the least common denominator.  ``fraction`` tells whether the
+    values are all Fractions or all ints (then ``d`` is 1), so that a kernel
+    returns the type its generic loop would.  Returns None for any other mix,
+    floats or ints beside Fractions, which keeps the generic loop.
+    """
+    if all(type(v) is int for v in values):
+        return list(values), 1, False
+    if not all(type(v) is Fraction for v in values):
+        return None
+    d = math.lcm(*[v.denominator for v in values])
+    return [v.numerator * (d // v.denominator) for v in values], d, True
 
 
 @dataclass(frozen=True)
@@ -65,11 +86,13 @@ class Measure1D:
     def as_dict(self) -> dict[int, "Scalar"]:
         return dict(self.weights)
 
+    @cached_property
+    def _index(self) -> dict[int, "Scalar"]:
+        # in the instance dict, not a field: ==, hash and repr do not see it
+        return dict(self.weights)
+
     def __call__(self, j: int):
-        for k, w in self.weights:
-            if k == j:
-                return w
-        return 0
+        return self._index.get(j, 0)
 
     def total(self):
         return _sum(w for _, w in self.weights)
@@ -88,11 +111,23 @@ class Measure1D:
 
 
 def convolve(x: Measure1D, y: Measure1D) -> Measure1D:
-    out: dict[int, list] = {}
-    for j1, w1 in x.weights:
-        for j2, w2 in y.weights:
-            out.setdefault(j1 + j2, []).append(w1 * w2)
-    return Measure1D(tuple(sorted((j, _sum(ws)) for j, ws in out.items())))
+    ex = _over_common_denominator([w for _, w in x.weights])
+    ey = _over_common_denominator([w for _, w in y.weights])
+    if ex is None or ey is None:
+        out: dict[int, list] = {}
+        for j1, w1 in x.weights:
+            for j2, w2 in y.weights:
+                out.setdefault(j1 + j2, []).append(w1 * w2)
+        return Measure1D(tuple(sorted((j, _sum(ws)) for j, ws in out.items())))
+    (nx, dx, fx), (ny, dy, fy) = ex, ey
+    ys = [(j, n) for (j, _), n in zip(y.weights, ny)]
+    acc: dict[int, int] = {}
+    for (j1, _), n1 in zip(x.weights, nx):
+        for j2, n2 in ys:
+            acc[j1 + j2] = acc.get(j1 + j2, 0) + n1 * n2
+    d = dx * dy
+    cells = sorted(acc.items())
+    return Measure1D(tuple((j, Fraction(n, d)) for j, n in cells) if fx or fy else tuple(cells))
 
 
 def _power(nu: Measure1D, k: int) -> Measure1D:
@@ -205,6 +240,19 @@ def size_biased_laws(mu: Measure2D) -> tuple[Measure2D, Measure2D]:
     return Measure2D.from_dict(nu_m), Measure2D.from_dict(nu_f)
 
 
+def _truncated_products(xs, ys, n: int) -> list:
+    """Coefficients through ``z^n`` of the product of the sparse series ``xs``
+    and ``ys`` (lists of ``(power, coefficient)`` sorted by power), each summed
+    over the left power ascending, from int 0."""
+    out = [0] * (n + 1)
+    for i, x in xs:
+        for j, y in ys:
+            if j > n - i:
+                break
+            out[i + j] += x * y
+    return out
+
+
 @dataclass(frozen=True)
 class TruncatedSeries:
     """Univariate power series truncated at a fixed order.
@@ -257,20 +305,27 @@ class TruncatedSeries:
         return self + (-other if isinstance(other, TruncatedSeries) else -other)
 
     def __mul__(self, other):
-        if isinstance(other, TruncatedSeries):
-            self._check(other)
-            n = self.order
-            out = [0] * (n + 1)
-            nonzero = [(j, y) for j, y in enumerate(other.coeffs) if y != 0]
-            for i, x in enumerate(self.coeffs):
-                if x == 0:
-                    continue
-                for j, y in nonzero:
-                    if j > n - i:
-                        break
-                    out[i + j] += x * y
-            return TruncatedSeries(tuple(out))
-        return TruncatedSeries(tuple(other * x for x in self.coeffs))
+        if not isinstance(other, TruncatedSeries):
+            return TruncatedSeries(tuple(other * x for x in self.coeffs))
+        self._check(other)
+        n = self.order
+        xs = [(i, x) for i, x in enumerate(self.coeffs) if x != 0]
+        ys = [(j, y) for j, y in enumerate(other.coeffs) if y != 0]
+        ex = _over_common_denominator([x for _, x in xs])
+        ey = _over_common_denominator([y for _, y in ys])
+        if ex is None or ey is None:
+            return TruncatedSeries(tuple(_truncated_products(xs, ys, n)))
+        (nx, dx, fx), (ny, dy, fy) = ex, ey
+        ix, iy = [i for i, _ in xs], [j for j, _ in ys]
+        out = _truncated_products(list(zip(ix, nx)), list(zip(iy, ny)), n)
+        if fx or fy:
+            # a cell that received a product is a Fraction, even when they cancel
+            d, support = dx * dy, set(iy)
+            out = [
+                Fraction(c, d) if c or any(k - i in support for i in ix if i <= k) else 0
+                for k, c in enumerate(out)
+            ]
+        return TruncatedSeries(tuple(out))
 
     __rmul__ = __mul__
 

@@ -173,6 +173,18 @@ def test_negative_time_rejected(fam_one_female):
         concentration(fam_one_female, -0.5, 1, 1, 1)
 
 
+def test_time_sign_and_zero_for_every_time_type(fam_one_female):
+    # exact times are read through as_integer_ratio, float times as they are
+    for t in (-1, Fraction(-1, 3), -0.5, -1e-300):
+        with pytest.raises(ValueError, match="nonnegative"):
+            concentration(fam_one_female, t, 1, 1, 1)
+    for t in (0, Fraction(0), 0.0, -0.0):
+        assert concentration(fam_one_female, t, 1, 1, 1) == 1
+        assert concentration(fam_one_female, t, 1, 1, 2) == 0
+    assert concentration(fam_one_female, Fraction(1, 3), 1, 1, 2) == Fraction(9, 64)  # K = 1, tau = 1/4, (1+t)^-2 = 9/16
+    assert concentration(fam_one_female, 1e-300, 1, 1, 2) > 0
+
+
 def _tau_recursion(family, max_mass):
     """K(a, b, m) with c_t = K tau^(m-1) (1+t)^-(a+b), from the merge sweep's pairs.
 

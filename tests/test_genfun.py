@@ -1,8 +1,10 @@
+import copy
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from coaglab import ConcentrationState, InitialGF, critical_data
 from coaglab.genfun import ConvergenceError
@@ -160,3 +162,89 @@ def test_contraction_is_geometric(gf_three):
 def test_invert_phi_reports_nonconvergence(gf_three):
     with pytest.raises(ConvergenceError):
         gf_three.invert_phi(0.9, 0.5, 0.5, 0.5, tol=1e-12, max_iter=5)
+
+
+# --- float twins: float arguments read float copies of the weights ---
+
+TWIN_STATES = {
+    "pq": {(1, 0, 1): Fraction(1, 2), (0, 1, 1): Fraction(1, 2), (1, 1, 1): Fraction(1, 2)},
+    "three_arm": {(3, 0, 1): Fraction(1, 3), (0, 3, 1): Fraction(1, 3)},
+    # denominators 3, 7, 9 and 126, masses 1 to 3, an armless species
+    "sevenths": {(1, 0, 1): Fraction(3, 7), (0, 1, 2): Fraction(4, 9), (2, 1, 3): Fraction(2, 7),
+                 (0, 2, 1): Fraction(17, 126), (0, 0, 2): Fraction(1, 3)},
+}
+_GFS = {name: InitialGF(c0) for name, c0 in TWIN_STATES.items()}
+
+
+def _on_weights(gf):
+    """A copy of ``gf`` whose twins are its exact term lists, so that every
+    evaluation multiplies the Fraction weights by its arguments."""
+    ref = copy.copy(gf)
+    ref._terms_float, ref._dx_float, ref._dy_float, ref._dz_float = gf._terms, gf._dx, gf._dy, gf._dz
+    return ref
+
+
+def _bits(values):
+    return [v.hex() for v in values]
+
+
+_unit = st.floats(min_value=0.0, max_value=1.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(TWIN_STATES)), _unit, _unit, _unit, st.sampled_from([0.1, 0.5, 0.9]))
+def test_float_twins_equal_fraction_weights_bit_for_bit(name, x, y, z, frac):
+    gf = _GFS[name]
+    ref = _on_weights(gf)
+    for f in ("value", "dx", "dy", "dz"):
+        got, want = getattr(gf, f)(x, y, z), getattr(ref, f)(x, y, z)
+        assert type(got) is float and got.hex() == want.hex(), f
+    t = frac * min(float(gf.critical_data().t_crit), 10.0)
+    u, v = 0.05 + 0.9 * x, 0.05 + 0.9 * y
+    got_history, want_history = [], []
+    got = gf.invert_phi(t, u, v, z, history=got_history)
+    want = ref.invert_phi(t, u, v, z, history=want_history)
+    assert _bits(got) == _bits(want) and _bits(got_history) == _bits(want_history)
+
+
+@pytest.mark.parametrize("name", sorted(TWIN_STATES))
+def test_exact_arguments_return_fractions(name):
+    gf = _GFS[name]
+    x, y, z = Fraction(1, 3), Fraction(1, 2), Fraction(3, 4)
+    for f, terms in (("value", gf._terms), ("dx", gf._dx), ("dy", gf._dy), ("dz", gf._dz)):
+        got = getattr(gf, f)(x, y, z)
+        assert type(got) is Fraction
+        assert got == sum(w * x**a * y**b * z**m for a, b, m, w in terms)
+
+
+_unit_fraction = st.builds(Fraction, st.integers(min_value=0, max_value=30), st.sampled_from([3, 7, 10, 30]))
+_float_or_fraction = st.one_of(_unit, _unit_fraction.filter(lambda q: q <= 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(TWIN_STATES)), _float_or_fraction, _float_or_fraction, _float_or_fraction)
+def test_mixed_arguments_multiply_the_exact_weights(name, x, y, z):
+    """Any Fraction argument keeps the exact weights: ``w * x**a`` stays exact
+    until a float enters the product."""
+    assume(not (isinstance(x, float) and isinstance(y, float) and isinstance(z, float)))
+    gf, ref = _GFS[name], _on_weights(_GFS[name])
+    for f in ("value", "dx", "dy", "dz"):
+        got, old = getattr(gf, f)(x, y, z), getattr(ref, f)(x, y, z)
+        assert type(got) is type(old)
+        assert got.hex() == old.hex() if isinstance(old, float) else got == old
+
+
+def test_critical_data_is_computed_once():
+    gf = InitialGF(TWIN_STATES["sevenths"])
+    assert gf.critical_data() is gf.critical_data()
+    assert gf.critical_data() == critical_data(TWIN_STATES["sevenths"])
+
+
+def test_weight_beyond_float_range_fails_only_when_evaluated_at_floats():
+    huge = {**TWIN_STATES["pq"], (0, 0, 1): Fraction(10**400)}  # an armless species
+    gf = InitialGF(huge)
+    assert gf.critical_data() == critical_data(TWIN_STATES["pq"])
+    assert gf.dx(0.5, 0.5, 0.5) == _GFS["pq"].dx(0.5, 0.5, 0.5)  # the armless term is not in dx
+    assert gf.value(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)) > 10**399
+    with pytest.raises(OverflowError):
+        gf.value(0.5, 0.5, 0.5)

@@ -21,6 +21,7 @@ from coaglab import (
     limiting_concentrations,
     moment,
 )
+from coaglab.limits import _online_fixed_point
 from coaglab.measures import Measure2D, TruncatedSeries, size_biased_laws
 from coaglab.particles import _block_stream
 
@@ -128,7 +129,10 @@ QUADRATIC = {(2, 0, 1): Fraction(1, 4), (0, 2, 1): Fraction(1, 4),
 MIXED = {(2, 1, 1): Fraction(1, 7), (1, 0, 1): Fraction(5, 7), (0, 1, 1): Fraction(6, 7)}
 
 
-@pytest.mark.parametrize("c0", [QUADRATIC, MIXED], ids=["quadratic", "mixed"])
+PQ = {(1, 0, 1): Fraction(1, 2), (0, 1, 1): Fraction(1, 2), (1, 1, 1): Fraction(1, 2)}
+
+
+@pytest.mark.parametrize("c0", [QUADRATIC, MIXED, PQ], ids=["quadratic", "mixed", "pq"])
 def test_online_fixed_point_equals_sweeps(c0):
     order = 40
     floats = {p: float(w) for p, w in c0.items()}
@@ -146,6 +150,40 @@ def test_online_fixed_point_equals_sweeps(c0):
     ls = limiting_concentrations(c0, order)
     for m in range(2, order + 1):
         assert pmf[m] == (m - 1) * ls.c_inf[m]
+
+
+# M = 5/9, denominators 3 and 9, and a mass-2 species: a term with z^2
+# carries its weight's numerator times D, where pq's carry D^0
+THIRDS = {(1, 0, 1): Fraction(4, 9), (0, 1, 1): Fraction(4, 9), (1, 1, 1): Fraction(1, 3),
+          (2, 0, 2): Fraction(1, 9), (0, 2, 1): Fraction(1, 9), (0, 0, 1): Fraction(1, 3)}
+
+
+@pytest.mark.parametrize("c0", [PQ, MIXED, THIRDS], ids=["pq", "mixed", "thirds"])
+def test_online_fixed_point_on_integers_keeps_values_and_types(c0):
+    order = 44
+    ls = limiting_concentrations(c0, order)
+    h1, h2, g = _swept_limit(c0, order)
+    assert (ls.h1.coeffs, ls.h2.coeffs, ls.g.coeffs) == (h1.coeffs, h2.coeffs, g.coeffs)
+    for series in (ls.h1, ls.h2):
+        # positive weights: a coefficient that received a term is a positive
+        # Fraction, one that received none (as coefficient 0) stays int 0
+        assert series[0] == 0
+        assert all(type(c) is Fraction and c > 0 if c else type(c) is int for c in series.coeffs)
+    # int weights stay on ints
+    x, y = _online_fixed_point([(0, 0, 1, 1), (0, 1, 1, 1)], [(1, 0, 2, 2)], 12)  # x = z(1 + y), y = 2z^2 x
+    assert all(type(c) is int for c in x.coeffs + y.coeffs)
+    assert x.coeffs[:8] == (0, 1, 0, 0, 2, 0, 0, 4) and y.coeffs[:8] == (0, 0, 0, 2, 0, 0, 4, 0)
+    # a Fraction next to an int weight keeps the generic loop, with the same values
+    xm, ym = _online_fixed_point([(0, 0, 1, Fraction(1)), (0, 1, 1, 1)], [(1, 0, 2, 2)], 12)
+    assert (xm.coeffs, ym.coeffs) == (x.coeffs, y.coeffs)
+    assert type(xm[1]) is Fraction and type(ym[3]) is Fraction
+    # x = z^2/3 - z y with y = z/3: x[2] receives two terms that cancel and
+    # stays a Fraction; later coefficients receive none and stay int 0
+    third = Fraction(1, 3)
+    for minus_one in (Fraction(-1), -1):  # on integers, and the generic loop
+        x, _ = _online_fixed_point([(0, 0, 2, third), (0, 1, 1, minus_one)], [(0, 0, 1, third)], 5)
+        assert [type(c) for c in x.coeffs] == [int, int, Fraction, int, int, int]
+        assert x.coeffs == (0,) * 6
 
 
 def test_online_pmf_equals_sweeps_on_quadratic_laws():

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -226,3 +227,139 @@ def test_generating_value_scalar_and_series():
     z = TruncatedSeries.identity(3)
     val = mu.generating_value(z, z)
     assert val.coeffs == (Fraction(1, 2), 0, 0, Fraction(1, 2))
+
+
+# --- the common-denominator kernels against the generic loops they replace ---
+
+
+def _reference_convolve(x, y):
+    """``convolve`` as a generic loop: plain-Fraction products for exact
+    weights, ``math.fsum`` as soon as a float is among them."""
+    out = {}
+    for j1, w1 in x.weights:
+        for j2, w2 in y.weights:
+            out.setdefault(j1 + j2, []).append(w1 * w2)
+    cells = []
+    for j, ws in sorted(out.items()):
+        exact = all(isinstance(w, (int, Fraction)) for w in ws)
+        cells.append((j, sum(ws) if exact else math.fsum(ws)))
+    return tuple(cells)
+
+
+def _reference_series_mul(xs, ys):
+    """``TruncatedSeries.__mul__`` as a generic loop over nonzero coefficients."""
+    n = len(xs) - 1
+    out = [0] * (n + 1)
+    for i, x in enumerate(xs):
+        if x == 0:
+            continue
+        for j, y in enumerate(ys):
+            if y != 0 and i + j <= n:
+                out[i + j] += x * y
+    return tuple(out)
+
+
+def _identical(got, want):
+    """Same cells, each of the same type; floats compared bit for bit.  The
+    cells of a measure are its ``(j, weight)`` pairs."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        if isinstance(w, tuple):
+            assert g[0] == w[0], (got, want)
+            g, w = g[1], w[1]
+        assert type(g) is type(w), (got, want)
+        assert g.hex() == w.hex() if isinstance(w, float) else g == w, (got, want)
+
+
+_ints = st.integers(min_value=-6, max_value=6)
+# denominators 2^i 3^j 5^k 7^l: common denominators that are not powers of 2
+_denominators = st.tuples(*[st.integers(min_value=0, max_value=2)] * 4).map(
+    lambda e: 2 ** e[0] * 3 ** e[1] * 5 ** e[2] * 7 ** e[3]
+)
+_fractions = st.builds(Fraction, st.integers(min_value=-40, max_value=40), _denominators)
+_floats = st.floats(min_value=-4, max_value=4, allow_nan=False)
+# all ints, all Fractions, or ints beside Fractions (the generic loop)
+exact_values = st.one_of(
+    st.lists(_ints, max_size=6),
+    st.lists(_fractions, max_size=6),
+    st.lists(st.one_of(_ints, _fractions), max_size=6),
+)
+float_values = st.lists(st.one_of(_floats, _fractions, _ints), min_size=1, max_size=6).filter(
+    lambda vs: any(isinstance(v, float) for v in vs)
+)
+
+
+def _measures(values):
+    """Measures with the given weights on distinct points; negative weights
+    are allowed here, so that cells can cancel."""
+    return values.flatmap(
+        lambda vs: st.lists(
+            st.integers(min_value=0, max_value=9), min_size=len(vs), max_size=len(vs), unique=True
+        ).map(lambda js: Measure1D(tuple(sorted(zip(js, vs)))))
+    )
+
+
+def _series_pairs(values):
+    """Two coefficient tuples of one length from ``values`` lists, zero-padded
+    with int 0 as an untouched series cell is."""
+    return st.tuples(values, values).map(
+        lambda p: tuple(tuple(v) + (0,) * (max(map(len, p), default=0) + 1 - len(v)) for v in p)
+    )
+
+
+@settings(max_examples=150)
+@given(_measures(exact_values), _measures(exact_values))
+def test_convolve_exact_equals_plain_fraction_loop(x, y):
+    _identical(convolve(x, y).weights, _reference_convolve(x, y))
+
+
+@settings(max_examples=100)
+@given(_measures(float_values), _measures(st.one_of(float_values, exact_values)))
+def test_convolve_float_equals_generic_loop_bit_for_bit(x, y):
+    _identical(convolve(x, y).weights, _reference_convolve(x, y))
+    _identical(convolve(y, x).weights, _reference_convolve(y, x))
+
+
+@settings(max_examples=150)
+@given(_series_pairs(exact_values))
+def test_series_mul_exact_equals_plain_fraction_loop(pair):
+    xs, ys = pair
+    _identical((TruncatedSeries(xs) * TruncatedSeries(ys)).coeffs, _reference_series_mul(xs, ys))
+
+
+@settings(max_examples=100)
+@given(_series_pairs(float_values), st.booleans())
+def test_series_mul_float_equals_generic_loop_bit_for_bit(pair, swap):
+    xs, ys = pair[::-1] if swap else pair
+    _identical((TruncatedSeries(xs) * TruncatedSeries(ys)).coeffs, _reference_series_mul(xs, ys))
+
+
+def test_kernels_keep_cancelled_and_untouched_cells_apart():
+    third = Fraction(1, 3)
+    # x * y cancels at 1 and 2 but not at 0 and 3; cell 4 receives no product
+    x, y = (third, third, 0, 0, 0), (Fraction(1, 5), Fraction(-1, 5), Fraction(1, 5), 0, 0)
+    prod = (TruncatedSeries(x) * TruncatedSeries(y)).coeffs
+    _identical(prod, (Fraction(1, 15), Fraction(0), Fraction(0), Fraction(1, 15), 0))
+    _identical(prod, _reference_series_mul(x, y))
+    nu = Measure1D(((0, third), (1, third)))
+    sigma = Measure1D(((0, Fraction(1, 7)), (1, Fraction(-1, 7))))
+    _identical(convolve(nu, sigma).weights, ((0, Fraction(1, 21)), (1, Fraction(0)), (2, Fraction(-1, 21))))
+    # the empty measure convolves to the empty measure, for every weight type
+    for law in (nu, Measure1D(((0, 2), (3, 1))), Measure1D(((1, 0.5),))):
+        assert convolve(law, Measure1D(())).weights == ()
+        assert convolve(Measure1D(()), law).weights == ()
+    # an int-only product stays int; beside one Fraction it is a Fraction
+    _identical(convolve(Measure1D(((0, 2), (1, 3))), Measure1D(((1, 5),))).weights, ((1, 10), (2, 15)))
+    _identical(
+        convolve(Measure1D(((0, 2),)), Measure1D(((1, Fraction(5, 1)),))).weights, ((1, Fraction(10)),)
+    )
+
+
+def test_measure_lookup_leaves_equality_hash_and_repr():
+    weights = {0: Fraction(1, 3), 2: Fraction(1, 2), 5: Fraction(1, 6)}
+    nu = Measure1D.from_dict(weights)
+    before = (repr(nu), hash(nu))
+    assert [nu(j) for j in range(7)] == [weights.get(j, 0) for j in range(7)]
+    assert (repr(nu), hash(nu)) == before
+    assert nu == Measure1D.from_dict(weights)
+    assert [f.name for f in fields(nu)] == ["weights", "_powers"]
