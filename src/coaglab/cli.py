@@ -37,10 +37,11 @@ Config errors include integer fields that are not integers in range, a
 ``COAG_THREADS`` that is not a positive integer, for
 ``ode`` an initial species outside the truncation caps, for ``simulate`` an
 ``n`` so large that an arm total exceeds 2**63 or, with a float
-concentration, that a count overflows a float, for ``gw`` a
-degenerate initial state, whose trees need not end, a path that cannot be
-read or written, and for ``compare`` a tolerance that is not a finite number
->= 0 or a table cell that is not a finite number.
+concentration, that a count overflows a float, for ``limit`` a result
+past the float range, for ``gw`` a degenerate initial state, whose trees
+need not end, a path that cannot be read or written, and for ``compare`` a
+tolerance that is not a finite number >= 0 or a table cell that is not a
+finite number.
 A subcommand that fails for any reason leaves no new files in its output
 directory; any other exception is then re-raised with its traceback.
 """
@@ -449,19 +450,27 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> None:
     _write_json(out_dir / "meta.json", meta)
 
 
+def _float(value, what: str) -> float:
+    """``float(value)``, or a ConfigError naming ``what`` past the float range."""
+    try:
+        return float(value)
+    except OverflowError as exc:  # an exact value from a weight past the float range
+        raise ConfigError(f"{what} is past the float range: {exc}") from exc
+
+
 def cmd_limit(cfg: RunConfig, out_dir: Path) -> None:
     c0, _ = cfg.state()
     limit = limiting_concentrations(c0, cfg.max_mass)
-    rows = ((m, limit.c_inf[m]) for m in range(1, cfg.max_mass + 1))
+    rows = ((m, _float(limit.c_inf[m], f"c_inf({m})")) for m in range(1, cfg.max_mass + 1))
     write_csv(out_dir / "limit.csv", ["m", "c_inf"], rows)
     reasons = _degeneracy(c0)[1]
     summary = {
         "command": "limit",
         "config": cfg.raw,
         "max_mass": cfg.max_mass,
-        "total_concentration": float(limit.total_concentration),
-        "total_mass": float(limit.total_mass),
-        "initial_concentration": float(moment(c0, lambda p: 1)),
+        "total_concentration": _float(limit.total_concentration, "total_concentration"),
+        "total_mass": _float(limit.total_mass, "total_mass"),
+        "initial_concentration": _float(moment(c0, lambda p: 1), "initial_concentration"),
         "degenerate": bool(reasons),
         "degenerate_reasons": reasons,
     }

@@ -23,6 +23,12 @@ since only that term depends on how pairs are enumerated.  The loss term and
 the three lost fluxes are properties of the equation, computed in ``rhs``
 for every engine.
 
+A species table is three int arrays ``(a, b, m)``, sorted by ``(m, a, b)``;
+no per-species Python object is built to run the solver.  ``integrate``
+keeps each checkpoint as the rows and values of its positive entries, and
+its :class:`Trajectory` builds the ``ParticleType``s, once per run, and the
+checkpoint states only when ``states`` is first read.
+
 Integration is explicit RK4 with a fixed base step and bisection on a
 nonnegativity monitor; the system is smooth and non-stiff before the critical
 time, so no implicit machinery is warranted.
@@ -30,8 +36,9 @@ time, so no implicit machinery is warranted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
-from typing import Iterable, Sequence
+from dataclasses import dataclass, fields
+from functools import cached_property
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,6 +47,7 @@ from .core import ConcentrationState, ParticleType, as_particle_type
 _MIN_DT = 1e-9  # a step bisected below this aborts the run
 _CLAMP_TOL = 1e-12  # negative concentrations within this fraction of the peak are rounding
 _TIME_TOL = 1e-9  # two checkpoint times this close are the same checkpoint
+_GAP_TOL = 1e-9  # a checkpoint gap below this fraction of dt is float jitter, not a step
 _FFT_NOISE_FLOOR = 1e-15  # FFT gain cells within this fraction of max|gain| are rounding
 
 
@@ -91,14 +99,58 @@ class Observables:
     lost_female_arms: float
 
 
-@dataclass
+def _particle_types(a: np.ndarray, b: np.ndarray, m: np.ndarray) -> list[ParticleType]:
+    """One ``ParticleType`` per row of a species table, with int fields."""
+    return list(map(ParticleType, a.tolist(), b.tolist(), m.tolist()))
+
+
+class _Checkpoint(NamedTuple):
+    """The positive entries of one checkpoint: table rows and their values."""
+
+    time: float
+    rows: np.ndarray
+    values: np.ndarray
+
+
 class Trajectory:
-    states: list[ConcentrationState]
-    observables: list[Observables]
+    """Checkpoint states and observables of one run.
+
+    ``integrate`` keeps each checkpoint as a :class:`_Checkpoint` over its
+    species table and builds the :class:`ConcentrationState`s when
+    ``states`` is first read.  They share one list of ``ParticleType``s,
+    built then, so a run whose states are never read builds none.
+    """
+
+    def __init__(self, states: list[ConcentrationState], observables: list[Observables]):
+        self._states = states
+        self._pending = None  # (species table, checkpoints) until states is read
+        self.observables = observables
+
+    @classmethod
+    def _lazy(cls, table, checkpoints: list[_Checkpoint], observables: list[Observables]):
+        traj = cls(None, observables)
+        traj._pending = (table, checkpoints)
+        return traj
+
+    @property
+    def states(self) -> list[ConcentrationState]:
+        if self._states is None:
+            table, checkpoints = self._pending
+            at = _particle_types(*table).__getitem__
+            self._states = [  # the engine's own valid types, with positive weights
+                ConcentrationState._trusted(
+                    dict(zip(map(at, ck.rows.tolist()), ck.values.tolist())), ck.time
+                )
+                for ck in checkpoints
+            ]
+            self._pending = None
+        return self._states
 
     @property
     def times(self) -> list[float]:
-        return [s.time for s in self.states]
+        if self._states is None:
+            return [ck.time for ck in self._pending[1]]
+        return [s.time for s in self._states]
 
     def state_at(self, t: float) -> ConcentrationState:
         for s in self.states:
@@ -128,8 +180,9 @@ def _merge_sweep(seeds: Iterable[ParticleType], policy: TruncationPolicy):
     ``m1 <= mt / 2``, keep pairs of positive rate whose product is within the
     caps (``i <= j`` on a diagonal block, whose rate is halved at ``i == j``).
     Per target the pairs come by ``m1``, then row-major, which fixes the order
-    in which ``np.bincount`` sums the gain.  Returns ``(types, pair_i, pair_j,
-    pair_coeff, pair_tgt)``, with ``types`` sorted by ``(m, a, b)``.
+    in which ``np.bincount`` sums the gain.  Returns ``(table, pair_i, pair_j,
+    pair_coeff, pair_tgt)``, with ``table`` the int arrays ``(a, b, m)`` of
+    the species, sorted by ``(m, a, b)``.
     """
     cap = policy.arm_cap
     width = cap + 1  # the key a * width + b sorts like (a, b)
@@ -139,7 +192,7 @@ def _merge_sweep(seeds: Iterable[ParticleType], policy: TruncationPolicy):
         if not policy.admits(p):
             raise ValueError(f"initial species {tuple(p)} exceeds truncation caps {policy}")
         seed_keys.setdefault(p.m, set()).add(p.a * width + p.b)
-    types: list[ParticleType] = []
+    n = 0  # species so far
     species: dict[int, tuple[int, np.ndarray, np.ndarray]] = {}  # m -> (first index, a, b)
     none = np.empty(0, dtype=np.int64)
     pi, pj, pc, pt = [none], [none], [np.empty(0)], [none]
@@ -163,10 +216,16 @@ def _merge_sweep(seeds: Iterable[ParticleType], policy: TruncationPolicy):
         keys = np.flatnonzero(np.bincount(np.concatenate(products)))  # sorted, unique
         if not len(keys):
             continue
-        pt.extend(len(types) + np.searchsorted(keys, k) for k in products[1:])
-        species[mt] = (len(types), keys // width, keys % width)
-        types.extend(ParticleType(k // width, k % width, mt) for k in keys.tolist())
-    return types, np.concatenate(pi), np.concatenate(pj), np.concatenate(pc), np.concatenate(pt)
+        pt.extend(n + np.searchsorted(keys, k) for k in products[1:])
+        species[mt] = (n, keys // width, keys % width)
+        n += len(keys)
+    blocks = species.values()
+    table = (
+        np.concatenate([none, *(a for _, a, _ in blocks)]),
+        np.concatenate([none, *(b for _, _, b in blocks)]),
+        np.repeat(np.fromiter(species, dtype=np.int64), [len(a) for _, a, _ in blocks]),
+    )
+    return table, np.concatenate(pi), np.concatenate(pj), np.concatenate(pc), np.concatenate(pt)
 
 
 def reachable_types(
@@ -177,29 +236,58 @@ def reachable_types(
     Seeds outside the caps are rejected rather than silently dropped (dropping
     initial mass would corrupt the conservation accounting).
     """
-    return _merge_sweep(seeds, policy)[0]
+    return _particle_types(*_merge_sweep(seeds, policy)[0])
+
+
+def _locate(table, species: Sequence[ParticleType]) -> np.ndarray:
+    """Rows of ``species`` in ``table``, int arrays ``(a, b, m)`` sorted by
+    ``(m, a, b)``: a binary search for ``(a, b)`` in each mass block."""
+    a, b, m = table
+    q = np.array(species, dtype=np.int64).reshape(-1, 3)
+    width = int(max(a.max(initial=0), b.max(initial=0), q[:, :2].max(initial=0))) + 1
+    rows = np.full(len(q), -1)
+    for mass in set(q[:, 2].tolist()):  # not np.unique, which imports numpy.ma
+        sel = np.flatnonzero(q[:, 2] == mass)
+        lo, hi = np.searchsorted(m, [mass, mass + 1]).tolist()
+        keys = a[lo:hi] * width + b[lo:hi]  # sorted, like (a, b)
+        want = q[sel, 0] * width + q[sel, 1]
+        at = np.searchsorted(keys, want)
+        hit = at < len(keys)
+        hit[hit] = keys[at[hit]] == want[hit]
+        rows[sel[hit]] = lo + at[hit]
+    if (rows < 0).any():
+        raise KeyError(f"species {tuple(q[rows < 0][0].tolist())} is not in the table")
+    return rows
 
 
 class _Engine:
     """Species table and right-hand side shared by both engines.
 
-    A subclass builds ``types`` and supplies ``_gain(c)``, the gain term of
-    every species; ``rhs`` adds the loss term and the flux lost past the caps.
+    A subclass builds ``table``, the int arrays ``(a, b, m)`` of its species
+    sorted by ``(m, a, b)``, and supplies ``_gain(c)``, the gain term of
+    every species; ``rhs`` adds the loss term and the flux lost past the
+    caps.  ``types`` and ``index`` are views built on first read.
     """
 
-    def __init__(self, policy: TruncationPolicy, types: list[ParticleType]):
+    def __init__(self, policy: TruncationPolicy, table: tuple[np.ndarray, np.ndarray, np.ndarray]):
         self.policy = policy
-        self.types = types
-        self.index = {p: i for i, p in enumerate(types)}
-        self.a = np.array([p.a for p in types], dtype=np.float64)
-        self.b = np.array([p.b for p in types], dtype=np.float64)
-        self.m = np.array([p.m for p in types], dtype=np.float64)
-        self.size = len(types)
+        self.table = table
+        self.a, self.b, self.m = (x.astype(np.float64) for x in table)
+        self.size = len(table[0])
+
+    @cached_property
+    def types(self) -> list[ParticleType]:
+        return _particle_types(*self.table)
+
+    @cached_property
+    def index(self) -> dict[ParticleType, int]:
+        return {p: i for i, p in enumerate(self.types)}
 
     def concentration_vector(self, c: ConcentrationState) -> np.ndarray:
         v = np.zeros(self.size)
-        for p, w in c.items():
-            v[self.index[p]] = float(w)
+        if len(c):
+            species, weights = zip(*c.items())
+            v[_locate(self.table, species)] = [float(w) for w in weights]
         return v
 
     def rhs(self, c: np.ndarray, t: float, reduced: bool) -> np.ndarray:
@@ -234,8 +322,8 @@ class TruncatedSystem(_Engine):
     """
 
     def __init__(self, seeds: Iterable[ParticleType], policy: TruncationPolicy):
-        types, self.pair_i, self.pair_j, self.pair_coeff, self.pair_tgt = _merge_sweep(seeds, policy)
-        super().__init__(policy, types)
+        table, self.pair_i, self.pair_j, self.pair_coeff, self.pair_tgt = _merge_sweep(seeds, policy)
+        super().__init__(policy, table)
         self._pair_work = np.empty((2, len(self.pair_i)))
 
     def _gain(self, c: np.ndarray) -> np.ndarray:
@@ -325,14 +413,13 @@ class UniformArmSystem(_Engine):
         rows = np.arange(int(count.sum())) + np.repeat(low - first, count)
         cols = np.repeat(masses, count)
         female = np.repeat(total, count) - rows
-        types = list(map(ParticleType, rows.tolist(), female.tolist(), cols.tolist()))
         for p in seeds:
             p = as_particle_type(p)
             if p.m != 1 or p.a + p.b != s:
                 raise ValueError(f"seed {tuple(p)} is not monodisperse with {s} arms")
             if not policy.admits(p):
                 raise ValueError(f"initial species {tuple(p)} exceeds truncation caps {policy}")
-        super().__init__(policy, types)
+        super().__init__(policy, (rows, female, cols))
         n_rows = int(rows.max(initial=0)) + 2  # gain is read at row a + 1
         n_cols = mass_eff + 1
         self._fshape = (
@@ -465,18 +552,15 @@ def _observe(system: _Engine, y: np.ndarray, t: float) -> Observables:
     )
 
 
-def _snapshot(system: _Engine, y: np.ndarray, t: float):
+def _snapshot(system: _Engine, y: np.ndarray, t: float) -> _Checkpoint:
     c = y[:-3]
-    types = system.types
     bad = np.flatnonzero(c < -_CLAMP_TOL * max(1.0, float(c.max(initial=0.0))))
     if len(bad):
         i = int(bad[0])
-        raise IntegrationError(
-            f"negative concentration {c[i]:.3e} for {tuple(types[i])} at t = {t}"
-        )
+        species = tuple(int(x[i]) for x in system.table)
+        raise IntegrationError(f"negative concentration {c[i]:.3e} for {species} at t = {t}")
     keep = np.flatnonzero(c > 0.0)
-    entries = dict(zip(map(types.__getitem__, keep.tolist()), c[keep].tolist()))
-    return ConcentrationState._trusted(entries, t)  # the engine's own valid types
+    return _Checkpoint(t, keep, c[keep])
 
 
 def checkpoint_times(t_end: float, checkpoints: "Sequence[float] | None") -> list[float]:
@@ -500,22 +584,24 @@ def integrate(
 
     ``checkpoints`` defaults to ``[t_end]``; time 0 is always recorded.
     Checkpoint states are clamped to zero within the tolerance; a negative
-    value beyond it aborts the run.
+    value beyond it aborts the run.  An interval ends once the time left is
+    below ``_GAP_TOL * dt``, so float jitter on the grid takes no step.
+    The trajectory builds its states when they are first read.
     """
     cks = sorted(set(checkpoint_times(t_end, checkpoints)) | {0.0})
     system = make_system(c0.support(), policy)
     stepper = _Integrator(system, solver)
     y = np.concatenate([system.concentration_vector(c0), [0.0, 0.0, 0.0]])
-    t, states, obs = 0.0, [], []
+    t, snaps, obs = 0.0, [], []
     for target in cks:  # the first is 0.0, recorded before any step
-        while t < target - 1e-15:
+        while target - t > _GAP_TOL * solver.dt:
             h = min(solver.dt, target - t)
             y = stepper.advance(y, t, h)
             t += h
         t = target  # suppress accumulated float jitter on the grid
-        states.append(_snapshot(system, y, t))
+        snaps.append(_snapshot(system, y, t))
         obs.append(_observe(system, y, t))
-    return Trajectory(states=states, observables=obs)
+    return Trajectory._lazy(system.table, snaps, obs)
 
 
 _OBS_FIELDS = (

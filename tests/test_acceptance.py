@@ -188,6 +188,54 @@ def test_criterion_04_closed_form_diverges(three_arm_state):
     _ok(4, f"closed-form second moment exceeds 1e3 near the critical time ({float(val):.0f})")
 
 
+def three_arm_second_moment_by_mass(t: float, first: int, last: int) -> np.ndarray:
+    """Sum of ``a(a-1) c_t(a, b, m)`` over each mass ``m`` in ``first..last``,
+    from the closed form of the three-arm state.
+
+    That state is ``TwoGender`` with ``mu1 = mu2 = {3: 1/3}``, whose
+    size-biased laws are delta_2.  So K(a, b, m) has one term, the k with
+    ``a = 2m - 3k + 1`` and ``b = 3k - m + 1``, and
+    ``c_t = (2k)! (2m - 2k)! / (k! (m - k)! a! b!) tau^(m-1) (1+t)^-(m+2)``.
+    Log-factorials come from one cumulative sum; masses go in blocks.
+    """
+    logfact = np.concatenate([[0.0], np.cumsum(np.log(np.arange(1, 2 * last + 2)))])
+    log_tau, log_1t = math.log(t / (1 + t)), math.log1p(t)
+    out = []
+    for lo_m in range(first, last + 1, 256):
+        m = np.arange(lo_m, min(lo_m + 256, last + 1))
+        k_lo = (m + 1) // 3  # b >= 0
+        n = (2 * m + 1) // 3 - k_lo + 1  # a >= 0
+        starts = np.cumsum(n) - n
+        mm = np.repeat(m, n)
+        k = np.arange(n.sum()) - np.repeat(starts - k_lo, n)
+        a, b = 2 * mm - 3 * k + 1, 3 * k - mm + 1
+        log_c = logfact[2 * k] + logfact[2 * (mm - k)] - logfact[k] - logfact[mm - k]
+        log_c += (mm - 1) * log_tau - (mm + 2) * log_1t - logfact[a] - logfact[b]
+        out.append(np.add.reduceat(a * (a - 1) * np.exp(log_c), starts))
+    return np.concatenate(out)
+
+
+def test_criterion_04_needs_mass_cap_3315(three_arm_state):
+    """The part of <a^2 - a> at t = 0.9 above a mass cap, summed from the
+    closed form: the ODE can meet 1e-4 there only from mass cap 3315 on."""
+    t = 0.9
+    mu = Measure1D.from_dict({3: Fraction(1, 3)})
+    fam = TwoGender(mu, mu)
+    assert dict(initial_state(fam).items()) == dict(three_arm_state.items())
+    head = three_arm_second_moment_by_mass(t, 1, 3314)
+    for m in range(1, 9):  # the helper's terms against the exact evaluator
+        exact = sum(a * (a - 1) * concentration(fam, t, a, b, m) for a, b in live_types(fam, m))
+        assert head[m - 1] == pytest.approx(exact, rel=1e-12)
+    tail = three_arm_second_moment_by_mass(t, 3315, 8000)  # what lies past 8000 is 1.5e-10
+    above_3314, above_3315 = tail.sum(), tail[1:].sum()
+    closed = 2 / ((1 - t) * (1 + 3 * t))
+    assert abs(head.sum() + above_3314 - closed) <= 2e-10
+    assert above_3314 == pytest.approx(1.00017e-4, rel=1e-5)
+    assert above_3315 == pytest.approx(9.9726e-5, rel=1e-5)
+    assert above_3314 > 1e-4 > above_3315
+    _ok(4, f"the closed form leaves {above_3315:.4e} of <a^2-a> above mass 3315 at t = {t}")
+
+
 def test_criterion_05_characteristics_round_trip(family_runs, three_arm_state, pq_state):
     states = [
         ConcentrationState({(1, 1, 1): 1.0}),

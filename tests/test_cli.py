@@ -305,6 +305,26 @@ def test_simulate_float_conc_with_n_past_float_range_exit_2(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "armless, quantity",
+    [
+        ({1: "1" + "0" * 400}, "c_inf(1)"),
+        # each c_inf fits a float, their sum does not
+        ({1: "15" + "0" * 307, 2: "15" + "0" * 307}, "total_concentration"),
+    ],
+    ids=["c_inf", "total"],
+)
+def test_limit_past_float_range_exit_2(tmp_path, capsys, armless, quantity):
+    """An exact result too large for a float is refused, not a traceback."""
+    initial = [{"a": a, "b": b, "m": 1, "conc": "1/2"} for a, b in ((1, 0), (0, 1), (1, 1))]
+    initial += [{"a": 0, "b": 0, "m": m, "conc": w} for m, w in armless.items()]  # never merge
+    cfg = {"initial": initial, "max_mass": 6}
+    out = tmp_path / "out"
+    assert main(["limit", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+    assert f"{quantity} is past the float range" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_simulate_counts_are_exact_past_float_precision(tmp_path):
     # conc 1 at n = 2**60 + 1 is 2**60 + 1 particles; through a float it was 2**60.
     n = 2**60 + 1

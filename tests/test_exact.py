@@ -193,14 +193,15 @@ def _tau_recursion(family, max_mass):
     ``K = c_0`` at mass 1.  The arm cap is too large to bind below ``max_mass``.
     """
     c0 = initial_state(family)
-    types, pair_i, pair_j, pair_coeff, pair_tgt = _merge_sweep(
+    table, pair_i, pair_j, pair_coeff, pair_tgt = _merge_sweep(
         c0.support(), TruncationPolicy(max_mass, 3 * max_mass)
     )
+    types = list(zip(*(x.tolist() for x in table)))  # (a, b, m) rows
     k = [Fraction(c0[p]) for p in types]  # c0 is 0 above mass 1
     pairs = zip(pair_i.tolist(), pair_j.tolist(), pair_coeff.tolist(), pair_tgt.tolist())
     for i, j, coeff, tgt in pairs:  # grouped by increasing target mass
-        k[tgt] += Fraction(coeff) * k[i] * k[j] / (types[tgt].m - 1)
-    return {tuple(p): kp for p, kp in zip(types, k)}
+        k[tgt] += Fraction(coeff) * k[i] * k[j] / (types[tgt][2] - 1)
+    return dict(zip(types, k))
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coaglab import core
+from coaglab import core, kinetics
 from coaglab import (
     ConcentrationState,
     ParticleType,
@@ -128,6 +128,9 @@ def test_engines_agree(three_arm_state):
     mf = dict(zip(fast.types, df))
     assert max(abs(mg.get(p, 0.0) - mf.get(p, 0.0)) for p in set(mg) | set(mf)) < 1e-9
     assert fluxg == pytest.approx(fluxf, rel=1e-12, abs=1e-12)
+    for outside in ((4, 0, 1), (3, 3, 2), (0, 0, 17)):  # off the manifold, or past the mass cap
+        with pytest.raises(KeyError, match=re.escape(f"species {outside} is not in the table")):
+            fast.concentration_vector(ConcentrationState({(1, 2, 1): 0.5, outside: 0.5}))
 
 
 def test_pair_rhs_buffers_match_direct_gather(pq_state):
@@ -277,11 +280,11 @@ def test_fft_trajectory_takes_the_pair_engine_steps(three_arm_state):
             y = stepper.advance(y, 0.05 * k, 0.05)
         counts = (stepper.accepted, stepper.rejected)
         runs.append((system, counts, _observe(system, y, 0.75), _snapshot(system, y, 0.75)))
-    (pair, pair_counts, pair_obs, _), (_, fft_counts, fft_obs, fft_state) = runs
+    (pair, pair_counts, pair_obs, _), (fft, fft_counts, fft_obs, fft_ck) = runs
     assert fft_counts == pair_counts
     for f in fields(Observables):
         assert abs(getattr(fft_obs, f.name) - getattr(pair_obs, f.name)) <= 1e-10, f.name
-    assert set(fft_state.support()) <= set(pair.types)
+    assert {fft.types[i] for i in fft_ck.rows.tolist()} <= set(pair.types)
 
 
 _TRACED_ENGINES = textwrap.dedent(
@@ -330,8 +333,118 @@ def test_snapshot_names_first_negative_species(pq_state):
         _snapshot(system, y, 0.5)
     y[3] = -1e-13  # within the floor: clamped away
     y[5] = 0.0
-    state = _snapshot(system, y, 0.5)
-    assert state.support() == [p for i, p in enumerate(system.types) if i not in (3, 5)]
+    ck = _snapshot(system, y, 0.5)
+    assert ck.time == 0.5
+    assert ck.rows.tolist() == [i for i in range(system.size) if i not in (3, 5)]
+    assert ck.values.tolist() == [0.5] * (system.size - 2)
+
+
+# One run per engine: the three-arm state runs the uniform-arm engine, pq the pair engine.
+_ENGINE_RUNS = {
+    "fft": ("three_arm_state", TruncationPolicy(mass_cap=40, arm_cap=42), UniformArmSystem),
+    "pair": ("pq_state", TruncationPolicy(mass_cap=10, arm_cap=4), TruncatedSystem),
+}
+
+
+@pytest.mark.parametrize("engine", sorted(_ENGINE_RUNS))
+def test_trajectory_states_equal_states_built_from_the_types(request, monkeypatch, engine):
+    """A state read from a trajectory is the state ``zip(system.types, c)``
+    gives at its checkpoint: the same keys, in the same order, and the same
+    bits."""
+    fixture, pol, cls = _ENGINE_RUNS[engine]
+    c0 = request.getfixturevalue(fixture)
+    seen = []
+    snapshot = kinetics._snapshot
+
+    def recording(system, y, t):
+        seen.append((system, y[:-3].copy(), t))
+        return snapshot(system, y, t)
+
+    monkeypatch.setattr(kinetics, "_snapshot", recording)
+    traj = integrate(c0, 0.6, pol, SolverSettings(dt=0.05), [0.25, 0.6])
+    assert traj.times == [t for _, _, t in seen] == [0.0, 0.25, 0.6]
+    assert len(traj.states) == len(seen)
+    for state, (system, c, t) in zip(traj.states, seen):
+        assert type(system) is cls
+        expected = [(p, v) for p, v in zip(system.types, c.tolist()) if v > 0.0]
+        assert state.time == t
+        assert [(p, v.hex()) for p, v in state.items()] == [(p, v.hex()) for p, v in expected]
+        assert all(type(p) is ParticleType for p in state.entries)
+    assert len(traj.states[1]) > len(c0)
+
+
+def test_integrate_builds_particle_types_only_when_states_are_read(
+    monkeypatch, three_arm_state, pq_state
+):
+    built = []
+
+    def counting(*fields):
+        built.append(fields)
+        return ParticleType(*fields)
+
+    monkeypatch.setattr(kinetics, "ParticleType", counting)
+    for c0, pol in ((three_arm_state, _ENGINE_RUNS["fft"][1]), (pq_state, _ENGINE_RUNS["pair"][1])):
+        system = make_system(c0.support(), pol)
+        system.rhs(system.concentration_vector(c0), 0.0, False)
+        traj = integrate(c0, 0.6, pol, SolverSettings(dt=0.05), [0.25, 0.6])
+        assert (traj.times, len(traj.observables)) == ([0.0, 0.25, 0.6], 3)
+        assert built == []
+        states = traj.states
+        assert len(built) == system.size  # one list for the whole table, built once
+        assert traj.states is states and len(built) == system.size
+        # every state keys its entries by the objects of that one list
+        first = {p: p for s in states for p in s.entries}
+        assert all(first[p] is p for s in states for p in s.entries)
+        built.clear()
+
+
+@pytest.mark.parametrize("engine", sorted(_ENGINE_RUNS))
+def test_integrate_refuses_a_negative_checkpoint(request, monkeypatch, engine):
+    """A checkpoint entry below the clamp floor aborts ``integrate`` at that
+    checkpoint, naming the species, before any state is read."""
+    fixture, pol, _ = _ENGINE_RUNS[engine]
+    c0 = request.getfixturevalue(fixture)
+    row = 5
+    species = make_system(c0.support(), pol).types[row]
+    advance = kinetics._Integrator.advance
+
+    def spoiled(self, y, t, h, depth=0, k1=None):
+        y = advance(self, y, t, h, depth, k1)
+        if depth == 0:  # a whole step, after any bisection
+            y[row] = -1e-6
+        return y
+
+    monkeypatch.setattr(kinetics._Integrator, "advance", spoiled)
+    message = f"negative concentration -1.000e-06 for {tuple(species)} at t = 0.25"
+    with pytest.raises(IntegrationError, match=re.escape(message)):
+        integrate(c0, 0.5, pol, SolverSettings(dt=0.25), [0.25, 0.5])
+
+
+def test_checkpoint_interval_takes_no_step_on_float_jitter(monkeypatch):
+    """On the ``mixed_pairs`` grid, 200 steps of 0.0025 from 0.5 stop short of
+    1 by float jitter; that gap is not a step."""
+    t = 0.5
+    for _ in range(200):
+        t += 0.0025
+    assert 0 < 1.0 - t < 1e-13
+    steppers = []
+    init = kinetics._Integrator.__init__
+
+    def recording(self, *args):
+        init(self, *args)
+        steppers.append(self)
+
+    monkeypatch.setattr(kinetics._Integrator, "__init__", recording)
+    traj = integrate(
+        ConcentrationState({(1, 1, 1): 1.0}),
+        1.0,
+        TruncationPolicy(mass_cap=8, arm_cap=4),
+        SolverSettings(dt=0.0025),
+        [0.25, 0.5, 1.0],
+    )
+    (stepper,) = steppers
+    assert (stepper.accepted, stepper.rejected) == (400, 0)
+    assert traj.times == [0.0, 0.25, 0.5, 1.0]
 
 
 def test_integrate_one_female_family():
