@@ -11,11 +11,12 @@ term by ``(a + b) / (1 + t) * c(p)`` (the two agree while the arm identity
 The solver evolves the finite set of species reachable from the initial
 support under merging, intersected with a mass cap and an arm cap; one sweep
 over target masses, ``_merge_sweep``, yields both that set and the pairs that
-feed each species' gain term.  Gain flux whose merge product falls outside
-the caps is dropped from the evolved state but its mass and arm content is
-accumulated into running "lost" totals, so ``retained mass + lost mass`` is a
-linear invariant of the augmented system and is preserved to rounding error
-by the Runge-Kutta steps.
+feed each species' gain term, ordered by target, so that each species' gain
+is the sum of one contiguous run of the pair table.  Gain flux whose merge
+product falls outside the caps is dropped from the evolved state but its mass
+and arm content is accumulated into running "lost" totals, so ``retained mass
++ lost mass`` is a linear invariant of the augmented system and is preserved
+to rounding error by the Runge-Kutta steps.
 
 Both engines share one right-hand side, ``_Engine.rhs``.  An engine builds
 its species table and supplies only ``_gain(c)``, the bilinear gain term,
@@ -179,10 +180,13 @@ def _merge_sweep(seeds: Iterable[ParticleType], policy: TruncationPolicy):
     ``mt`` in increasing order is complete.  The blocks ``(m1, mt - m1)``,
     ``m1 <= mt / 2``, keep pairs of positive rate whose product is within the
     caps (``i <= j`` on a diagonal block, whose rate is halved at ``i == j``).
-    Per target the pairs come by ``m1``, then row-major, which fixes the order
-    in which ``np.bincount`` sums the gain.  Returns ``(table, pair_i, pair_j,
-    pair_coeff, pair_tgt)``, with ``table`` the int arrays ``(a, b, m)`` of
-    the species, sorted by ``(m, a, b)``.
+    The pairs of one target mass are then stably sorted by target, so
+    ``pair_tgt`` is nondecreasing and each species' pairs are one contiguous
+    run, in which they come by ``m1``, then row-major.  Sorting one target
+    mass at a time, not the finished table, keeps the sort's temporaries to
+    the size of one block.  Returns ``(table, pair_i, pair_j, pair_coeff,
+    pair_tgt)``, with ``table`` the int arrays ``(a, b, m)`` of the species,
+    sorted by ``(m, a, b)``.
     """
     cap = policy.arm_cap
     width = cap + 1  # the key a * width + b sorts like (a, b)
@@ -198,6 +202,7 @@ def _merge_sweep(seeds: Iterable[ParticleType], policy: TruncationPolicy):
     pi, pj, pc, pt = [none], [none], [np.empty(0)], [none]
     for mt in range(1, policy.mass_cap + 1):
         products = [np.fromiter(seed_keys.get(mt, ()), dtype=np.int64)]
+        bi, bj, bc = [none], [none], [np.empty(0)]  # this target mass's pairs, by m1
         for m1 in range(1, mt // 2 + 1):
             if m1 not in species or mt - m1 not in species:
                 continue
@@ -209,14 +214,19 @@ def _merge_sweep(seeds: Iterable[ParticleType], policy: TruncationPolicy):
             diagonal = 2 * m1 == mt
             i, j = np.nonzero(np.triu(ok) if diagonal else ok)  # row-major
             coeff = rate[i, j] * np.where(diagonal & (i == j), 0.5, 1.0)
-            pi.append(s1 + i)
-            pj.append(s2 + j)
-            pc.append(coeff)
+            bi.append(s1 + i)
+            bj.append(s2 + j)
+            bc.append(coeff)
             products.append(na[i, j] * width + nb[i, j])
         keys = np.flatnonzero(np.bincount(np.concatenate(products)))  # sorted, unique
         if not len(keys):
             continue
-        pt.extend(n + np.searchsorted(keys, k) for k in products[1:])
+        tgt = np.searchsorted(keys, np.concatenate([none, *products[1:]]))
+        order = np.argsort(tgt, kind="stable")  # by target, then as enumerated
+        pi.append(np.concatenate(bi)[order])
+        pj.append(np.concatenate(bj)[order])
+        pc.append(np.concatenate(bc)[order])
+        pt.append(n + tgt[order])
         species[mt] = (n, keys // width, keys % width)
         n += len(keys)
     blocks = species.values()
@@ -316,15 +326,25 @@ class TruncatedSystem(_Engine):
     """Gain term over a fixed truncated index set, by pair enumeration.
 
     Interaction pairs (unordered, positive rate, in-cap merge product) are
-    enumerated once; each gain evaluation is one gather-multiply-scatter over
-    those pairs.  ``_gain`` works in buffers owned by the system, so one
-    system must not be evaluated from two threads at once.
+    enumerated once, ordered by target (see ``_merge_sweep``).  Each gain
+    evaluation gathers and multiplies over the pairs, then sums each fed
+    species' run of the table with one ``np.add.reduceat`` over the run
+    starts; a species that no pair feeds (a mass-1 species, or a heavier
+    seed that no merge reaches) keeps a gain of 0.  ``reduceat`` sums a run
+    pairwise.  ``_gain`` works in buffers owned by the system, and returns
+    one of them, so one system must not be evaluated from two threads at
+    once.
     """
 
     def __init__(self, seeds: Iterable[ParticleType], policy: TruncationPolicy):
         table, self.pair_i, self.pair_j, self.pair_coeff, self.pair_tgt = _merge_sweep(seeds, policy)
         super().__init__(policy, table)
+        counts = np.bincount(self.pair_tgt, minlength=self.size)
+        self._fed = np.flatnonzero(counts)  # species that some pair feeds
+        self._starts = (np.cumsum(counts) - counts)[self._fed]  # first pair of each
         self._pair_work = np.empty((2, len(self.pair_i)))
+        self._sums = np.empty(len(self._fed))
+        self._gain_out = np.zeros(self.size)  # entries no pair feeds stay 0
 
     def _gain(self, c: np.ndarray) -> np.ndarray:
         # Pair-sized products go to preallocated buffers: with a fresh
@@ -335,7 +355,10 @@ class TruncatedSystem(_Engine):
         np.multiply(self.pair_coeff, w, out=w)
         np.take(c, self.pair_j, out=cj, mode="clip")
         np.multiply(w, cj, out=w)
-        return np.bincount(self.pair_tgt, weights=w, minlength=self.size)
+        # The pairs of each species are one contiguous run of the table.
+        np.add.reduceat(w, self._starts, out=self._sums)
+        self._gain_out[self._fed] = self._sums
+        return self._gain_out
 
 
 def _next_fast_len(n: int) -> int:

@@ -212,13 +212,6 @@ class Measure2D:
     def is_exact(self) -> bool:
         return all(_is_exact(w) for _, w in self.weights)
 
-    def generating_value(self, x, y):
-        """Evaluate ``sum w(a,b) x^a y^b``; works for scalars and truncated series."""
-        acc = 0
-        for (a, b), w in self.weights:
-            acc = acc + w * (x**a) * (y**b)
-        return acc
-
 
 def size_biased_laws(mu: Measure2D) -> tuple[Measure2D, Measure2D]:
     """Reproduction laws derived from an arm measure with unit arm means.
@@ -348,11 +341,3 @@ class TruncatedSeries:
         for k in range(self.order):
             out.append(_quotient(self.coeffs[k], k + 1))
         return TruncatedSeries(tuple(out))
-
-    def evaluate(self, z):
-        acc = 0
-        zp = 1
-        for c in self.coeffs:
-            acc += c * zp
-            zp *= z
-        return acc

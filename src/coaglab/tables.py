@@ -18,4 +18,11 @@ def write_csv(path, header, rows) -> None:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
         for row in rows:
-            w.writerow([f"{float(v):.17g}" if isinstance(v, (float, Fraction)) else v for v in row])
+            # float first, and no Fraction test for an int label: that test
+            # is an ABC instance check, several times slower
+            w.writerow([
+                f"{float(v):.17g}"
+                if isinstance(v, float) or (not isinstance(v, int) and isinstance(v, Fraction))
+                else v
+                for v in row
+            ])

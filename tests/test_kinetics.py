@@ -102,6 +102,10 @@ def test_pair_table_matches_brute_force_double_loop():
     table = zip(system.pair_i.tolist(), system.pair_j.tolist(),
                 system.pair_coeff.tolist(), system.pair_tgt.tolist())
     assert sorted(table) == sorted(expected)
+    assert (np.diff(system.pair_tgt) >= 0).all()  # each target's pairs are one run
+    # ... and keep the sweep's order within it: by m1, then row-major
+    order = np.lexsort((system.pair_j, system.pair_i, system.pair_tgt))
+    assert np.array_equal(order, np.arange(len(order)))
     assert arm_capped > 0 and any(system.pair_i == system.pair_j)
     assert reachable_types(seeds, pol) == system.types
 
@@ -134,19 +138,57 @@ def test_engines_agree(three_arm_state):
 
 
 def test_pair_rhs_buffers_match_direct_gather(pq_state):
-    """The buffered gather-multiply-scatter gives the bits of the plain one."""
+    """The buffered gather-multiply-reduce gives the bits of a plain
+    ``np.add.reduceat`` over each target's run of the pair table."""
     system = TruncatedSystem(pq_state.support(), TruncationPolicy(mass_cap=12, arm_cap=6))
+    fed, starts = np.unique(system.pair_tgt, return_index=True)
     rng = np.random.default_rng(7)
     for _ in range(2):  # the second call reuses the buffers of the first
         c = rng.random(system.size)
-        gain = np.bincount(
-            system.pair_tgt,
-            weights=system.pair_coeff * c[system.pair_i] * c[system.pair_j],
-            minlength=system.size,
+        gain = np.zeros(system.size)
+        gain[fed] = np.add.reduceat(
+            system.pair_coeff * c[system.pair_i] * c[system.pair_j], starts
         )
         loss = c * (system.a * float(system.b @ c) + system.b * float(system.a @ c))
         d = system.rhs(c, 0.3, False)[:-3]
         assert np.array_equal(d, gain - loss)
+
+
+# The ``mixed_pairs`` benchmark state: mixed arm counts, equal weights.
+MIXED_SEEDS = [(2, 1, 1), (1, 2, 1), (1, 0, 1), (0, 1, 1)]
+
+
+@pytest.mark.parametrize(
+    "seeds, mass_cap, arm_cap, heavy_unfed",
+    [
+        ([(1, 0, 1), (0, 1, 1), (1, 1, 1)], 12, 6, []),
+        ([(1, 1, 1), (3, 0, 3), (0, 3, 2), (0, 0, 4)], 14, 5, [(0, 3, 2), (3, 0, 3), (0, 0, 4)]),
+        (MIXED_SEEDS, 20, 10, []),
+        ([(0, 0, 1), (0, 0, 2)], 6, 2, [(0, 0, 2)]),  # no arms, so no pair
+    ],
+    ids=["pq", "heavy_seeds", "mixed", "armless"],
+)
+def test_pair_gain_within_rounding_of_exact_sum(seeds, mass_cap, arm_cap, heavy_unfed):
+    """Each species' gain is within ``4 k 2^-53 sum|term|`` of the exact sum
+    of its k pair terms, so a species that no pair feeds has gain 0."""
+    system = TruncatedSystem(seeds, TruncationPolicy(mass_cap=mass_cap, arm_cap=arm_cap))
+    c = np.random.default_rng(3).uniform(-1.0, 1.0, system.size)  # signs as in RK4 stages
+    cf = [Fraction(x) for x in c.tolist()]
+    exact = [Fraction(0)] * system.size
+    magnitude = [Fraction(0)] * system.size
+    count = [0] * system.size
+    pairs = zip(system.pair_i.tolist(), system.pair_j.tolist(),
+                system.pair_coeff.tolist(), system.pair_tgt.tolist())
+    for i, j, coeff, tgt in pairs:
+        term = Fraction(coeff) * cf[i] * cf[j]
+        exact[tgt] += term
+        magnitude[tgt] += abs(term)
+        count[tgt] += 1
+    gain = system._gain(c).tolist()
+    for g, s, mag, k in zip(gain, exact, magnitude, count):
+        assert abs(Fraction(g) - s) <= 4 * k * mag / 2**53
+    unfed = [p for p, k in zip(system.types, count) if k == 0]
+    assert [p for p in unfed if p.m > 1] == heavy_unfed  # seeds that no merge reaches
 
 
 def _gain_and_fluxes(system, c):

@@ -97,6 +97,14 @@ def test_gw_pmf_matches_limit_concentrations(pq_state, pq_laws):
         assert pmf[m] == (m - 1) * ls.c_inf[m]
 
 
+def _generating_value(mu, x, y):
+    """``sum w(a,b) x^a y^b`` of a ``Measure2D``, for truncated series x, y."""
+    acc = 0
+    for (a, b), w in mu.weights:
+        acc = acc + w * (x**a) * (y**b)
+    return acc
+
+
 def _series_sweeps(update, order):
     """The fixed point by ``order + 1`` full sweeps from zero: each sweep makes
     one more coefficient exact.  A slow reference for the online helper."""
@@ -116,7 +124,7 @@ def _swept_limit(c0, order):
 def _swept_pmf(nu_m, nu_f, order):
     r = TruncatedSeries.identity(order)
     gm, gf_ = _series_sweeps(
-        lambda gm, gf_: (r * nu_m.generating_value(gm, gf_), r * nu_f.generating_value(gm, gf_)),
+        lambda gm, gf_: (r * _generating_value(nu_m, gm, gf_), r * _generating_value(nu_f, gm, gf_)),
         order,
     )
     return list((gm * gf_).coeffs)
