@@ -34,10 +34,11 @@ processes used for replicate fan-out, which never exceeds the usable CPUs.
 
 Exit codes: 0 success, 2 config/usage error, 3 numerical/convergence failure.
 Config errors include integer fields that are not integers in range, a
-``COAG_THREADS`` that is not a positive integer, for
-``ode`` an initial species outside the truncation caps, for ``simulate`` an
-``n`` so large that an arm total exceeds 2**63 or, with a float
-concentration, that a count overflows a float, for ``limit`` a result
+``solver.dt`` or ``t_grid`` time past the float range, ``t_grid`` times
+that are not strictly increasing, a ``COAG_THREADS`` that is not a positive
+integer, for ``ode`` an initial species outside the truncation caps, for
+``simulate`` an ``n`` so large that an arm total exceeds 2**63 or, with a
+float concentration, that a count overflows a float, for ``limit`` a result
 past the float range, for ``gw`` a degenerate initial state, whose trees
 need not end, a path that cannot be read or written, and for ``compare`` a
 tolerance that is not a finite number >= 0 or a table cell that is not a
@@ -249,9 +250,8 @@ def parse_config(obj: dict) -> RunConfig:
 
     sol = _section(obj, "solver", {"rhs", "dt"})
     try:
-        solver = SolverSettings(
-            rhs=sol.get("rhs", "full"), dt=float(_number(sol.get("dt", 1e-3), "solver.dt"))
-        )
+        dt = _float(_number(sol.get("dt", 1e-3), "solver.dt"), "solver.dt")
+        solver = SolverSettings(rhs=sol.get("rhs", "full"), dt=dt)
     except ValueError as exc:
         raise ConfigError(f"solver: {exc}") from exc
 
@@ -259,7 +259,8 @@ def parse_config(obj: dict) -> RunConfig:
     if not isinstance(t_grid, list) or not t_grid:
         raise ConfigError("t_grid must be a nonempty list of times")
     t_grid = [_number(t, "t_grid") for t in t_grid]
-    if any(float(t) < 0 for t in t_grid) or sorted(map(float, t_grid)) != list(map(float, t_grid)):
+    times = [_float(t, "t_grid") for t in t_grid]
+    if times[0] < 0 or any(s >= t for s, t in zip(times, times[1:])):
         raise ConfigError("t_grid must be nonnegative and increasing")
 
     gw = _section(obj, "gw", {"replicates", "population_cap"})

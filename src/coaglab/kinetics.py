@@ -25,10 +25,11 @@ the three lost fluxes are properties of the equation, computed in ``rhs``
 for every engine.
 
 A species table is three int arrays ``(a, b, m)``, sorted by ``(m, a, b)``;
-no per-species Python object is built to run the solver.  ``integrate``
-keeps each checkpoint as the rows and values of its positive entries, and
-its :class:`Trajectory` builds the ``ParticleType``s, once per run, and the
-checkpoint states only when ``states`` is first read.
+no per-species Python object is built to run the solver or to write its
+tables.  ``integrate`` returns a :class:`Trajectory` of that table and each
+checkpoint's rows and values of its positive entries.  Its CSV rows come
+straight from those arrays; it builds the ``ParticleType``s, once per run,
+and the checkpoint states only when ``states`` is first read.
 
 Integration is explicit RK4 with a fixed base step and bisection on a
 nonnegativity monitor; the system is smooth and non-stiff before the critical
@@ -113,45 +114,35 @@ class _Checkpoint(NamedTuple):
     values: np.ndarray
 
 
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Checkpoint states and observables of one run.
+    """Checkpoints and observables of one run, over its species table.
 
-    ``integrate`` keeps each checkpoint as a :class:`_Checkpoint` over its
-    species table and builds the :class:`ConcentrationState`s when
-    ``states`` is first read.  They share one list of ``ParticleType``s,
-    built then, so a run whose states are never read builds none.
+    ``table`` is the engine's int arrays ``(a, b, m)``, sorted by
+    ``(m, a, b)``; each :class:`_Checkpoint` holds the rows and values of its
+    positive entries.  The tables come straight from those arrays.  The
+    :class:`ConcentrationState`s are built when ``states`` is first read,
+    over one list of ``ParticleType``s built then, so a run whose states are
+    never read builds none.
     """
 
-    def __init__(self, states: list[ConcentrationState], observables: list[Observables]):
-        self._states = states
-        self._pending = None  # (species table, checkpoints) until states is read
-        self.observables = observables
+    table: tuple[np.ndarray, np.ndarray, np.ndarray]
+    checkpoints: list[_Checkpoint]
+    observables: list[Observables]
 
-    @classmethod
-    def _lazy(cls, table, checkpoints: list[_Checkpoint], observables: list[Observables]):
-        traj = cls(None, observables)
-        traj._pending = (table, checkpoints)
-        return traj
-
-    @property
+    @cached_property
     def states(self) -> list[ConcentrationState]:
-        if self._states is None:
-            table, checkpoints = self._pending
-            at = _particle_types(*table).__getitem__
-            self._states = [  # the engine's own valid types, with positive weights
-                ConcentrationState._trusted(
-                    dict(zip(map(at, ck.rows.tolist()), ck.values.tolist())), ck.time
-                )
-                for ck in checkpoints
-            ]
-            self._pending = None
-        return self._states
+        at = _particle_types(*self.table).__getitem__
+        return [  # the engine's own valid types, with positive weights
+            ConcentrationState._trusted(
+                dict(zip(map(at, ck.rows.tolist()), ck.values.tolist())), ck.time
+            )
+            for ck in self.checkpoints
+        ]
 
     @property
     def times(self) -> list[float]:
-        if self._states is None:
-            return [ck.time for ck in self._pending[1]]
-        return [s.time for s in self._states]
+        return [ck.time for ck in self.checkpoints]
 
     def state_at(self, t: float) -> ConcentrationState:
         for s in self.states:
@@ -160,11 +151,12 @@ class Trajectory:
         raise KeyError(f"no checkpoint at t = {t}")
 
     def concentration_rows(self):
-        """(header, rows) of the per-checkpoint concentration table."""
+        """(header, rows) of the per-checkpoint concentration table, each
+        checkpoint's rows in table order, which is ``(m, a, b)``."""
         rows = []
-        for s in self.states:
-            for p in s.support():
-                rows.append((s.time, p.a, p.b, p.m, float(s.entries[p])))
+        for ck in self.checkpoints:
+            a, b, m = (x[ck.rows].tolist() for x in self.table)
+            rows += zip([ck.time] * len(a), a, b, m, ck.values.tolist())
         return ["t", "a", "b", "m", "concentration"], rows
 
     def observable_rows(self):
@@ -276,7 +268,7 @@ class _Engine:
     A subclass builds ``table``, the int arrays ``(a, b, m)`` of its species
     sorted by ``(m, a, b)``, and supplies ``_gain(c)``, the gain term of
     every species; ``rhs`` adds the loss term and the flux lost past the
-    caps.  ``types`` and ``index`` are views built on first read.
+    caps.  ``types`` is a view built on first read.
     """
 
     def __init__(self, policy: TruncationPolicy, table: tuple[np.ndarray, np.ndarray, np.ndarray]):
@@ -288,10 +280,6 @@ class _Engine:
     @cached_property
     def types(self) -> list[ParticleType]:
         return _particle_types(*self.table)
-
-    @cached_property
-    def index(self) -> dict[ParticleType, int]:
-        return {p: i for i, p in enumerate(self.types)}
 
     def concentration_vector(self, c: ConcentrationState) -> np.ndarray:
         v = np.zeros(self.size)
@@ -384,6 +372,8 @@ class UniformArmSystem(_Engine):
     read at (a + 1, m), evaluated here with FFTs.  This makes mass caps of
     several hundred affordable, which the generic pair-enumeration engine
     cannot reach (its pair count grows like the fourth power of the cap).
+    ``s`` is read from the seeds, which must all have mass 1 and one arm
+    count.
 
     Semantics are identical to :class:`TruncatedSystem` under the same
     truncation policy; only the evaluation strategy differs.
@@ -420,8 +410,14 @@ class UniformArmSystem(_Engine):
     max|gain|.
     """
 
-    def __init__(self, seeds, policy: TruncationPolicy, arms_per_particle: int):
-        s = arms_per_particle
+    def __init__(self, seeds, policy: TruncationPolicy):
+        seeds = [as_particle_type(p) for p in seeds]
+        s = _uniform_arms(seeds)
+        if s is None:
+            raise ValueError(f"seeds {[tuple(p) for p in seeds]} are not mass 1 with one arm count")
+        for p in seeds:
+            if not policy.admits(p):
+                raise ValueError(f"initial species {tuple(p)} exceeds truncation caps {policy}")
         mass_eff = policy.mass_cap
         if s < 2:
             # arms(m) = (s - 2) m + 2 reaches 0; heavier clusters cannot form.
@@ -436,12 +432,6 @@ class UniformArmSystem(_Engine):
         rows = np.arange(int(count.sum())) + np.repeat(low - first, count)
         cols = np.repeat(masses, count)
         female = np.repeat(total, count) - rows
-        for p in seeds:
-            p = as_particle_type(p)
-            if p.m != 1 or p.a + p.b != s:
-                raise ValueError(f"seed {tuple(p)} is not monodisperse with {s} arms")
-            if not policy.admits(p):
-                raise ValueError(f"initial species {tuple(p)} exceeds truncation caps {policy}")
         super().__init__(policy, (rows, female, cols))
         n_rows = int(rows.max(initial=0)) + 2  # gain is read at row a + 1
         n_cols = mass_eff + 1
@@ -485,13 +475,19 @@ class UniformArmSystem(_Engine):
         return gain
 
 
+def _uniform_arms(seeds: list[ParticleType]) -> "int | None":
+    """The one arm count of seeds that all have mass 1 and that count, else None."""
+    arm_counts = {p.a + p.b for p in seeds}
+    if len(arm_counts) == 1 and all(p.m == 1 for p in seeds):
+        return arm_counts.pop()
+    return None
+
+
 def make_system(seeds, policy: TruncationPolicy):
     """Pick the fastest exact engine for the given initial support."""
     supp = [as_particle_type(p) for p in seeds]
-    if supp and all(p.m == 1 for p in supp):
-        arm_counts = {p.a + p.b for p in supp}
-        if len(arm_counts) == 1:
-            return UniformArmSystem(supp, policy, arm_counts.pop())
+    if _uniform_arms(supp) is not None:
+        return UniformArmSystem(supp, policy)
     return TruncatedSystem(supp, policy)
 
 
@@ -624,17 +620,11 @@ def integrate(
         t = target  # suppress accumulated float jitter on the grid
         snaps.append(_snapshot(system, y, t))
         obs.append(_observe(system, y, t))
-    return Trajectory._lazy(system.table, snaps, obs)
+    return Trajectory(system.table, snaps, obs)
 
 
-_OBS_FIELDS = (
-    "total_conc",
-    "mean_a",
-    "mean_b",
-    "mass",
-    "second_a",
-    "second_b",
-    "cross_ab",
+_OBS_FIELDS = tuple(  # the moment observables
+    f.name for f in fields(Observables) if f.name != "time" and not f.name.startswith("lost_")
 )
 
 
@@ -657,8 +647,13 @@ def truncation_error_estimate(
 
     With ``return_runs`` the three trajectories (quarter, half, full cap) are
     returned alongside the estimates so callers can reuse the full-cap run.
+    The quarter and half caps are at least the heaviest seed mass, so every
+    run admits the seeds that the full cap admits; a seed past the full cap
+    is refused by the first run, under the full cap.
     """
-    caps = [max(2, policy.mass_cap // 4), max(2, policy.mass_cap // 2), policy.mass_cap]
+    heaviest = max((p.m for p in c0.support()), default=1)
+    least = max(2, min(heaviest, policy.mass_cap))
+    caps = [max(least, policy.mass_cap // 4), max(least, policy.mass_cap // 2), policy.mass_cap]
     runs = []
     for cap in caps:
         pol = TruncationPolicy(mass_cap=cap, arm_cap=policy.arm_cap)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from coaglab import cli
+from coaglab import cli, kinetics
 from coaglab.cli import ConfigError, cmd_analyze, load_config, main, parse_config
 from coaglab.kinetics import TruncatedSystem, TruncationPolicy
 
@@ -72,6 +72,10 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
         lambda c: c.update(t_grid=[2.0, 1.0]),
         lambda c: c.update(truncation={"mass_cap": 0}),
         lambda c: c.update(solver={"rhs": "magic"}),
+        lambda c: c.update(t_grid=[0.5, 0.5]),
+        lambda c: c.update(t_grid=[0.5, "1/2"]),
+        lambda c: c.update(t_grid=["1e400"]),
+        lambda c: c.update(solver={"dt": "1e400"}),
     ],
 )
 def test_config_validation_failures(tmp_path, mutate):
@@ -114,6 +118,8 @@ def _set(key, value):
         pytest.param(_set("solver", {"dt": "abc"}), "solver.dt", id="dt-string"),
         pytest.param(_set("solver", {"dt": [0.1]}), "solver.dt", id="dt-list"),
         pytest.param(_set("solver", {"dt": float("nan")}), "solver.dt", id="dt-nan"),
+        pytest.param(_set("solver", {"dt": "1e400"}), "solver.dt", id="dt-past-float-range"),
+        pytest.param(_set("t_grid", ["1e400"]), "t_grid", id="t_grid-past-float-range"),
     ],
 )
 def test_config_bad_values_exit_2(tmp_path, capsys, mutate, where):
@@ -222,6 +228,33 @@ def test_ode_fft_engine_writes_only_reachable_species(tmp_path):
     with open(tmp_path / "ode" / "concentrations.csv", newline="", encoding="utf-8") as fh:
         written = {(int(r["a"]), int(r["b"]), int(r["m"])) for r in csv.DictReader(fh)}
     assert written and written <= reachable
+
+
+@pytest.mark.parametrize(
+    "initial, truncation",
+    [
+        pytest.param(THREE_ARM["initial"], {"mass_cap": 40, "arm_cap": 42}, id="fft"),
+        pytest.param(
+            [{"a": 2, "b": 0, "m": 1, "conc": 0.25}, {"a": 0, "b": 2, "m": 1, "conc": 0.25},
+             {"a": 1, "b": 1, "m": 1, "conc": 0.5}, {"a": 1, "b": 1, "m": 2, "conc": 0.25}],
+            {"mass_cap": 10, "arm_cap": 4},
+            id="pair",
+        ),
+    ],
+)
+def test_ode_builds_no_particle_types(tmp_path, monkeypatch, initial, truncation):
+    """``ode`` writes its tables straight from the engine's int arrays."""
+    built, particle_type = [], kinetics.ParticleType
+
+    def counting(*fields):
+        built.append(fields)
+        return particle_type(*fields)
+
+    monkeypatch.setattr(kinetics, "ParticleType", counting)
+    cfg = {"initial": initial, "t_grid": [0.25, 0.5], "truncation": truncation, "solver": {"dt": 0.05}}
+    assert main(["ode", write_config(tmp_path, cfg), "--out", str(tmp_path / "ode")]) == 0
+    rows = (tmp_path / "ode" / "concentrations.csv").read_text().splitlines()
+    assert len(rows) > 3 and built == []
 
 
 def test_compare_identical_and_mismatch(tmp_path, capsys):

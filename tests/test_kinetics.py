@@ -88,6 +88,7 @@ def test_pair_table_matches_brute_force_double_loop():
     pol = TruncationPolicy(mass_cap=14, arm_cap=5)
     seeds = [(1, 1, 1), (3, 0, 3), (0, 3, 2), (0, 0, 4)]
     system = TruncatedSystem(seeds, pol)
+    index = {p: i for i, p in enumerate(system.types)}
     expected, arm_capped = [], 0
     for i, p in enumerate(system.types):
         for j, q in enumerate(system.types[i:], start=i):
@@ -96,7 +97,7 @@ def test_pair_table_matches_brute_force_double_loop():
             r = core.merge(p, q)
             if pol.admits(r):
                 coeff = core.coagulation_rate(p, q) * (0.5 if i == j else 1.0)
-                expected.append((i, j, coeff, system.index[r]))
+                expected.append((i, j, coeff, index[r]))
             elif r.m <= pol.mass_cap:
                 arm_capped += 1
     table = zip(system.pair_i.tolist(), system.pair_j.tolist(),
@@ -116,10 +117,23 @@ def test_engine_dispatch(three_arm_state, pq_state):
     assert isinstance(make_system(pq_state.support(), pol), TruncatedSystem)
 
 
+@pytest.mark.parametrize(
+    "seeds",
+    [
+        pytest.param([(3, 0, 1), (1, 1, 1)], id="mixed-arm-counts"),
+        pytest.param([(1, 1, 2)], id="mass-2"),
+        pytest.param([(1, 1, 1), (2, 0, 2)], id="mass-1-and-2"),
+    ],
+)
+def test_uniform_arm_system_refuses_seeds_without_one_arm_count_at_mass_1(seeds):
+    with pytest.raises(ValueError, match="not mass 1 with one arm count"):
+        UniformArmSystem(seeds, TruncationPolicy(mass_cap=8, arm_cap=10))
+
+
 def test_engines_agree(three_arm_state):
     pol = TruncationPolicy(mass_cap=16, arm_cap=12)
     generic = TruncatedSystem(three_arm_state.support(), pol)
-    fast = UniformArmSystem(three_arm_state.support(), pol, 3)
+    fast = UniformArmSystem(three_arm_state.support(), pol)
     rng = np.random.default_rng(5)
     state = ConcentrationState(
         {p: float(w) for p, w in zip(generic.types, rng.random(len(generic.types)))}
@@ -211,7 +225,7 @@ def _gain_and_fluxes(system, c):
 def test_fft_engine_matches_pair_engine_on_short_arm_axis(seeds, s, mass_cap, arm_cap):
     pol = TruncationPolicy(mass_cap=mass_cap, arm_cap=arm_cap)
     generic = TruncatedSystem(seeds, pol)
-    fast = UniformArmSystem(seeds, pol, s)
+    fast = UniformArmSystem(seeds, pol)
     n_rows = max(p.a for p in fast.types) + 2
     assert fast._fshape[0] < 2 * n_rows - 1  # products wrap on the arm axis
     # 2 * mass_cap is 5-smooth in every case, so the product at that mass
@@ -233,7 +247,7 @@ def test_fft_gain_transforms_only_the_pruned_lines(three_arm_state, monkeypatch)
     """Points transformed (lines times length) by one gain call: the padded
     mass axis is transformed only over the half-spectrum rows, and the arm
     axis only over the mass columns that hold data or are read."""
-    fast = UniformArmSystem(three_arm_state.support(), TruncationPolicy(mass_cap=160, arm_cap=162), 3)
+    fast = UniformArmSystem(three_arm_state.support(), TruncationPolicy(mass_cap=160, arm_cap=162))
     f0, f1 = fast._fshape
     n_cols, h0 = 160 + 1, f0 // 2 + 1
     points = []
@@ -261,7 +275,7 @@ def test_fft_gain_transforms_only_the_pruned_lines(three_arm_state, monkeypatch)
 @pytest.mark.parametrize("arm_cap", [30, 4])  # arms(12) <= 26; 4 binds for s >= 3
 def test_uniform_arm_table_matches_brute_force(s, seeds, arm_cap):
     mass_cap = 12
-    fast = UniformArmSystem(seeds, TruncationPolicy(mass_cap=mass_cap, arm_cap=arm_cap), s)
+    fast = UniformArmSystem(seeds, TruncationPolicy(mass_cap=mass_cap, arm_cap=arm_cap))
     expected = [
         ParticleType(a, (s - 2) * m + 2 - a, m)
         for m in range(1, mass_cap + 1)
@@ -314,7 +328,7 @@ def test_fft_trajectory_takes_the_pair_engine_steps(three_arm_state):
     runs = []
     for system in (
         TruncatedSystem(three_arm_state.support(), pol),
-        UniformArmSystem(three_arm_state.support(), pol, 3),
+        UniformArmSystem(three_arm_state.support(), pol),
     ):
         stepper = _Integrator(system, SolverSettings(dt=0.05))
         y = np.concatenate([system.concentration_vector(three_arm_state), [0.0, 0.0, 0.0]])
@@ -340,7 +354,7 @@ _TRACED_ENGINES = textwrap.dedent(
     tracer = tracing.install()
     tracer.recording = True
     seeds, policy = [(3, 0, 1), (0, 3, 1)], TruncationPolicy(mass_cap=8, arm_cap=10)
-    for engine in (TruncatedSystem(seeds, policy), UniformArmSystem(seeds, policy, 3)):
+    for engine in (TruncatedSystem(seeds, policy), UniformArmSystem(seeds, policy)):
         engine.rhs(np.full(engine.size, 0.1), 0.0, False)
     tracer.recording = False
     print(json.dumps({name: agg[0] for name, agg in tracer.totals().items()}))
@@ -415,6 +429,23 @@ def test_trajectory_states_equal_states_built_from_the_types(request, monkeypatc
     assert len(traj.states[1]) > len(c0)
 
 
+@pytest.mark.parametrize("engine", sorted(_ENGINE_RUNS))
+def test_concentration_rows_equal_rows_built_from_states(request, engine):
+    """The rows written straight from the table arrays are the rows the
+    states give through ``support()``: the same values, types and order."""
+    fixture, pol, _ = _ENGINE_RUNS[engine]
+    c0 = request.getfixturevalue(fixture)
+    traj = integrate(c0, 0.6, pol, SolverSettings(dt=0.05), [0.25, 0.6])
+    header, rows = traj.concentration_rows()
+    expected = [(s.time, p.a, p.b, p.m, float(s.entries[p])) for s in traj.states for p in s.support()]
+
+    def exact(rows):
+        return [[(type(v), v.hex() if isinstance(v, float) else v) for v in row] for row in rows]
+
+    assert header == ["t", "a", "b", "m", "concentration"]
+    assert len(rows) > len(traj.times) and exact(rows) == exact(expected)
+
+
 def test_integrate_builds_particle_types_only_when_states_are_read(
     monkeypatch, three_arm_state, pq_state
 ):
@@ -430,6 +461,8 @@ def test_integrate_builds_particle_types_only_when_states_are_read(
         system.rhs(system.concentration_vector(c0), 0.0, False)
         traj = integrate(c0, 0.6, pol, SolverSettings(dt=0.05), [0.25, 0.6])
         assert (traj.times, len(traj.observables)) == ([0.0, 0.25, 0.6], 3)
+        traj.concentration_rows()
+        traj.observable_rows()
         assert built == []
         states = traj.states
         assert len(built) == system.size  # one list for the whole table, built once
@@ -553,6 +586,19 @@ def test_truncation_error_estimate_bounds_real_error(three_arm_state):
     true_err = abs(traj.observables[-1].second_a - 2 / ((1 - t) * (1 + 3 * t)))
     assert eps["second_a"][-1] >= true_err
     assert eps["second_a"][-1] <= 1e-3  # and it is not a uselessly loose bound
+
+
+def test_truncation_error_estimate_caps_admit_the_heaviest_seed():
+    """At mass cap 8 the quarter cap would be 2, below the mass-3 seed."""
+    c0 = ConcentrationState({(1, 1, 1): 0.5, (1, 1, 3): 0.5})
+    pol = TruncationPolicy(mass_cap=8, arm_cap=6)
+    eps, runs = truncation_error_estimate(c0, 0.5, pol, SolverSettings(dt=0.05), [0.5], return_runs=True)
+    assert [int(run.table[2].max()) for run in runs] == [3, 4, 8]
+    moments = ["total_conc", "mean_a", "mean_b", "mass", "second_a", "second_b", "cross_ab"]
+    assert list(eps) == moments
+    assert all(len(v) == 2 and all(map(math.isfinite, v)) for v in eps.values())
+    with pytest.raises(ValueError, match=r"\(1, 1, 9\) exceeds truncation caps .*mass_cap=8"):
+        truncation_error_estimate(ConcentrationState({(1, 1, 9): 1.0}), 0.5, pol)
 
 
 def test_csv_exports(tmp_path):

@@ -308,7 +308,7 @@ def test_empirical_error_against_trajectory():
         c0, 1.0, TruncationPolicy(mass_cap=32, arm_cap=4), SolverSettings(dt=1e-3), [0.25, 0.5, 0.75, 1.0]
     )
     assert finer.times == [0.0, 0.25, 0.5, 0.75, 1.0]
-    on_run_grid = Trajectory(finer.states[::2], finer.observables[::2])
+    on_run_grid = Trajectory(finer.table, finer.checkpoints[::2], finer.observables[::2])
     assert empirical_error(run, finer, tracked) == empirical_error(run, on_run_grid, tracked)
 
 
