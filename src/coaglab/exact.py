@@ -199,11 +199,27 @@ def _two_to_one_minus(k: int) -> Fraction:
     return Fraction(2, 2**k)
 
 
+_FACTORIAL_TABLE_SIZE = 1024  # n! is kept for n below this, about 0.5 MB of digits when full
+_FACTORIALS = [1]  # n! at index n, grown on demand up to the bound
+
+
+def _factorial(n: int) -> int:
+    """``n!``, from the table below ``_FACTORIAL_TABLE_SIZE``, else computed
+    (``math.factorial`` refuses a negative ``n``)."""
+    if not 0 <= n < _FACTORIAL_TABLE_SIZE:
+        return math.factorial(n)
+    table = _FACTORIALS
+    while len(table) <= n:
+        table.append(table[-1] * len(table))
+    return table[n]
+
+
 def _exact_term(nums, dens, weights) -> tuple[int, int]:
     """One term as an unnormalised integer ratio ``(num, den)``."""
-    num, den = math.prod(map(math.factorial, nums)), math.prod(map(math.factorial, dens))
+    num, den = math.prod(map(_factorial, nums)), math.prod(map(_factorial, dens))
     for w in weights:
-        num, den = num * w.numerator, den * w.denominator
+        n, d = w.as_integer_ratio()
+        num, den = num * n, den * d
     return num, den
 
 

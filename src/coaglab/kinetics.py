@@ -48,7 +48,7 @@ from .core import ConcentrationState, ParticleType, as_particle_type
 
 _MIN_DT = 1e-9  # a step bisected below this aborts the run
 _CLAMP_TOL = 1e-12  # negative concentrations within this fraction of the peak are rounding
-_TIME_TOL = 1e-9  # two checkpoint times this close are the same checkpoint
+_TIME_TOL = 1e-9  # state_at finds no checkpoint farther than this from the time asked for
 _GAP_TOL = 1e-9  # a checkpoint gap below this fraction of dt is float jitter, not a step
 _FFT_NOISE_FLOOR = 1e-15  # FFT gain cells within this fraction of max|gain| are rounding
 
@@ -145,10 +145,11 @@ class Trajectory:
         return [ck.time for ck in self.checkpoints]
 
     def state_at(self, t: float) -> ConcentrationState:
-        for s in self.states:
-            if abs(s.time - t) <= _TIME_TOL:
-                return s
-        raise KeyError(f"no checkpoint at t = {t}")
+        """The state of the checkpoint nearest to ``t``, if within ``_TIME_TOL``."""
+        gaps = [abs(time - t) for time in self.times]
+        if not gaps or min(gaps) > _TIME_TOL:
+            raise KeyError(f"no checkpoint at t = {t}")
+        return self.states[gaps.index(min(gaps))]
 
     def concentration_rows(self):
         """(header, rows) of the per-checkpoint concentration table, each
@@ -269,6 +270,12 @@ class _Engine:
     sorted by ``(m, a, b)``, and supplies ``_gain(c)``, the gain term of
     every species; ``rhs`` adds the loss term and the flux lost past the
     caps.  ``types`` is a view built on first read.
+
+    ``rhs`` builds the loss term in two length-N buffers the engine owns,
+    ``_rate`` and ``_loss``; what it returns is a fresh array on every call,
+    since the integrator keeps each stage's derivative.  A subclass's
+    ``_gain`` has buffers of its own, so one engine must not be evaluated
+    from two threads at once.
     """
 
     def __init__(self, policy: TruncationPolicy, table: tuple[np.ndarray, np.ndarray, np.ndarray]):
@@ -276,6 +283,8 @@ class _Engine:
         self.table = table
         self.a, self.b, self.m = (x.astype(np.float64) for x in table)
         self.size = len(table[0])
+        self._rate = np.empty(self.size)  # loss rate per unit concentration
+        self._loss = np.empty(self.size)
 
     @cached_property
     def types(self) -> list[ParticleType]:
@@ -295,12 +304,17 @@ class _Engine:
         the loss-side flux minus the retained gain flux, which costs O(N).
         """
         gain = self._gain(c)
+        rate, loss = self._rate, self._loss
         if reduced:
-            loss = c * ((self.a + self.b) / (1.0 + t))
+            np.add(self.a, self.b, out=rate)
+            np.divide(rate, 1.0 + t, out=rate)
         else:
             am = float(self.a @ c)
             bm = float(self.b @ c)
-            loss = c * (self.a * bm + self.b * am)
+            np.multiply(self.a, bm, out=rate)
+            np.multiply(self.b, am, out=loss)
+            np.add(rate, loss, out=rate)
+        np.multiply(c, rate, out=loss)
         events = 0.5 * float(loss.sum())
         out = np.empty(self.size + 3)
         out[-3] = float(self.m @ loss) - float(self.m @ gain)
@@ -394,8 +408,20 @@ class UniformArmSystem(_Engine):
     columns that hold data; the complex one then runs along the padded mass
     axis, over only the half-spectrum rows.  The inverse runs the other way
     round, and its last, real transform covers only the mass columns that
-    are read.  The transforms write into buffers owned by the system, so one
-    system must not be evaluated from two threads at once.
+    are read.
+
+    The padding is written once, in the buffers the system owns, and no
+    transform pads a copy of its input.  The input grids ``_u`` and ``_v``
+    have ``f0`` rows, the arm axis's full length; rows past the ``n_rows``
+    that hold data are never written, so they stay 0.  Each forward real
+    transform writes into the first ``n_cols`` columns of its spectrum,
+    ``_spec_u`` or ``_spec_v`` (``f0 // 2 + 1`` rows by ``f1``), one per
+    mass column that holds data; the columns past them, the mass axis's
+    padding, are zeroed, and the complex transform then runs in place.  The
+    product and the inverse transforms reuse the spectra, and the last one
+    writes ``_conv``, the ``f0`` by ``n_cols`` output grid.  These buffers
+    serve every call, so one system must not be evaluated from two threads
+    at once.
 
     The transforms leave rounding noise on every cell, unreachable ones
     included.  RK4 amplifies it on the high-mass modes until the
@@ -441,9 +467,9 @@ class UniformArmSystem(_Engine):
         )
         f0, f1 = self._fshape
         half = f0 // 2 + 1
-        self._u = np.zeros((n_rows, n_cols))
-        self._v = np.zeros((n_rows, n_cols))
-        self._half = np.empty((half, n_cols), dtype=np.complex128)  # arm axis done
+        # Rows past n_rows are never written, so they hold the arm axis's padding.
+        self._u = np.zeros((f0, n_cols))
+        self._v = np.zeros((f0, n_cols))
         self._spec_u = np.empty((half, f1), dtype=np.complex128)
         self._spec_v = np.empty((half, f1), dtype=np.complex128)
         self._conv = np.empty((f0, n_cols))  # only the mass columns that are read
@@ -451,19 +477,22 @@ class UniformArmSystem(_Engine):
         self._gain_at = (rows + 1) * n_cols + cols  # flat index of (a + 1, m)
 
     def _gain(self, c: np.ndarray) -> np.ndarray:
-        f0, f1 = self._fshape
+        f0 = self._fshape[0]
+        n_cols = self._conv.shape[1]
         # rfft2 / irfft2 split by axis in the pruned order of the class
-        # docstring, writing into buffers reused across calls.
+        # docstring.  A spectrum's columns past n_cols, the mass axis's
+        # padding, still hold the last call's spectrum, so they are zeroed.
         for grid, weight, spec in (
             (self._u, self.a, self._spec_u),
             (self._v, self.b, self._spec_v),
         ):
             grid.reshape(-1)[self._grid_at] = weight * c
-            np.fft.rfft(grid, f0, axis=0, out=self._half)
-            np.fft.fft(self._half, f1, axis=1, out=spec)
+            np.fft.rfft(grid, axis=0, out=spec[:, :n_cols])
+            spec[:, n_cols:] = 0.0
+            np.fft.fft(spec, axis=1, out=spec)
         spec = np.multiply(self._spec_u, self._spec_v, out=self._spec_u)
         np.fft.ifft(spec, axis=1, out=spec)
-        np.fft.irfft(spec[:, : self._conv.shape[1]], f0, axis=0, out=self._conv)
+        np.fft.irfft(spec[:, :n_cols], f0, axis=0, out=self._conv)
         # Zero every cell with |gain| <= _FFT_NOISE_FLOOR * max|gain| (see
         # the class docstring).  The cut is symmetric in sign, so it biases
         # no moment, unlike a rectification; `rhs` takes the lost fluxes

@@ -5,6 +5,7 @@ import pytest
 
 from coaglab import (
     ConcentrationState,
+    exact,
     OneFemaleArm,
     RandomGender,
     TwoGender,
@@ -236,3 +237,15 @@ def test_closed_forms_equal_tau_recursion(family, request):
                 assert concentration(family, t, a, b, m) == expected, (t, a, b, m)
         if isinstance(family, TwoGender) and m >= 2:
             assert k.get((0, 0, m), 0) == limiting_mass_concentration(family, m)
+
+
+def test_factorial_table_equals_math_factorial_on_both_sides_of_its_bound():
+    """``n!`` is kept below the bound and computed above it, so the table
+    never grows past the bound, and a negative n is refused."""
+    bound = exact._FACTORIAL_TABLE_SIZE
+    ns = [0, 1, 2, 20, bound - 2, bound - 1, bound, bound + 1, 3 * bound]
+    assert [exact._factorial(n) for n in ns] == [math.factorial(n) for n in ns]
+    assert len(exact._FACTORIALS) == bound
+    assert exact._FACTORIALS == [math.factorial(n) for n in range(bound)]
+    with pytest.raises(ValueError):
+        exact._factorial(-1)

@@ -268,6 +268,49 @@ def test_fft_gain_transforms_only_the_pruned_lines(three_arm_state, monkeypatch)
     assert sum(points) == 2 * (n_cols * f0 + h0 * f1) + h0 * f1 + n_cols * f0
 
 
+def _padded_copy_gain(fast, c):
+    """The FFT gain by transforms that pad copies of their inputs: fresh
+    ``n_rows``-row grids, ``rfft(grid, f0, axis=0)``, ``fft(half, f1,
+    axis=1)``, the product, ``ifft``, ``irfft`` and the noise floor."""
+    f0, f1 = fast._fshape
+    rows, _, cols = fast.table
+    n_rows, n_cols = int(rows.max()) + 2, fast.policy.mass_cap + 1  # s >= 2
+    spectra = []
+    for weight in (fast.a, fast.b):
+        grid = np.zeros((n_rows, n_cols))
+        grid[rows, cols] = weight * c
+        half = np.fft.rfft(grid, f0, axis=0)
+        spectra.append(np.fft.fft(half, f1, axis=1))
+    spec = np.fft.ifft(spectra[0] * spectra[1], axis=1)
+    conv = np.fft.irfft(spec[:, :n_cols], f0, axis=0)
+    gain = conv[rows + 1, cols]
+    mag = np.abs(gain)
+    gain[mag <= kinetics._FFT_NOISE_FLOOR * mag.max(initial=0.0)] = 0.0
+    return gain
+
+
+@pytest.mark.parametrize(
+    "seeds, mass_cap, arm_cap",
+    [
+        ([(3, 0, 1), (0, 3, 1)], 40, 42),
+        ([(3, 0, 1), (0, 3, 1)], 160, 162),
+        ([(3, 1, 1), (1, 3, 1), (2, 2, 1)], 10, 16),  # a short arm axis
+    ],
+)
+def test_fft_gain_equals_transforms_of_padded_copies(seeds, mass_cap, arm_cap):
+    """Padding written once in the engine's buffers gives the bits of
+    transforms that pad copies, on every call: a second state in between
+    leaves no stale spectrum in the padding columns."""
+    fast = UniformArmSystem(seeds, TruncationPolicy(mass_cap=mass_cap, arm_cap=arm_cap))
+    rng = np.random.default_rng(mass_cap)
+    c1, c2 = rng.random(fast.size), rng.uniform(-1.0, 1.0, fast.size)
+    expected = [_padded_copy_gain(fast, c) for c in (c1, c2)]
+    for c, want in ((c1, expected[0]), (c2, expected[1]), (c1, expected[0])):
+        assert fast._gain(c).tobytes() == want.tobytes()
+    assert fast._u.shape[0] == fast._fshape[0] > int(fast.table[0].max()) + 2
+    assert not hasattr(fast, "_half")
+
+
 @pytest.mark.parametrize(
     "s, seeds",
     [(1, [(1, 0, 1), (0, 1, 1)]), (2, [(1, 1, 1)]), (3, [(3, 0, 1), (0, 3, 1)]), (4, [(2, 2, 1)])],
@@ -446,6 +489,35 @@ def test_concentration_rows_equal_rows_built_from_states(request, engine):
     assert len(rows) > len(traj.times) and exact(rows) == exact(expected)
 
 
+@pytest.mark.parametrize("engine", sorted(_ENGINE_RUNS))
+def test_rhs_equals_the_unbuffered_expression(request, engine):
+    """``rhs`` builds its loss term in buffers with the bits of the plain
+    expression, full and reduced, and returns a fresh array each call."""
+    fixture, pol, cls = _ENGINE_RUNS[engine]
+    system = cls(request.getfixturevalue(fixture).support(), pol)
+    rng = np.random.default_rng(13)
+    a, b, m = system.a, system.b, system.m
+    outs = []
+    for reduced, t in ((False, 0.3), (True, 0.3), (False, 0.7), (True, 1.9)):
+        c = rng.random(system.size)
+        gain = system._gain(c).copy()
+        if reduced:
+            loss = c * ((a + b) / (1.0 + t))
+        else:
+            am = float(a @ c)
+            bm = float(b @ c)
+            loss = c * (a * bm + b * am)
+        events = 0.5 * float(loss.sum())
+        fluxes = [
+            float(m @ loss) - float(m @ gain),
+            float(a @ loss) - events - float(a @ gain),
+            float(b @ loss) - events - float(b @ gain),
+        ]
+        out = system.rhs(c, t, reduced)
+        assert out.tobytes() == np.concatenate([gain - loss, fluxes]).tobytes()
+        outs.append(out)
+    assert not any(np.shares_memory(x, y) for i, x in enumerate(outs) for y in outs[i + 1 :])
+
 def test_integrate_builds_particle_types_only_when_states_are_read(
     monkeypatch, three_arm_state, pq_state
 ):
@@ -537,6 +609,26 @@ def test_integrate_pair_annihilation():
     traj = integrate(c0, 3.0, TruncationPolicy(mass_cap=4, arm_cap=2), SolverSettings(dt=1e-3))
     assert abs(traj.state_at(3.0)[(0, 0, 2)] - 0.75) <= 1e-10
 
+
+
+def test_state_at_returns_the_nearest_checkpoint():
+    """Grid times closer than ``_TIME_TOL`` are distinct checkpoints, and
+    each is found at its own time."""
+    t1, t2 = 0.5, 0.5000000001
+    traj = integrate(
+        ConcentrationState({(1, 1, 1): 1.0}),
+        t2,
+        TruncationPolicy(mass_cap=8, arm_cap=4),
+        SolverSettings(dt=1e-3),
+        [t1, t2],
+    )
+    assert traj.times == [0.0, t1, t2]
+    assert traj.states[1][(1, 1, 1)] != traj.states[2][(1, 1, 1)]
+    assert traj.state_at(t1) is traj.states[1]
+    assert traj.state_at(t2) is traj.states[2]
+    assert traj.state_at(t2 + 0.9 * kinetics._TIME_TOL) is traj.states[2]
+    with pytest.raises(KeyError, match="no checkpoint at t"):
+        traj.state_at(t2 + 1.1 * kinetics._TIME_TOL)
 
 def test_integrate_t_end_zero():
     c0 = ConcentrationState({(1, 1, 1): 1.0})
