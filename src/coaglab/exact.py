@@ -38,9 +38,13 @@ convolution-power weights, with ``nu(j) = (j+1) mu(j+1)`` the size-biased law:
   :mod:`coaglab.measures`.  As t -> infinity, tau -> 1, so all concentrations
   with arms vanish and c(0, 0, m) -> (nu1 <> nu2)(m) / (m - 1).
 
-Rational inputs (Fraction weights and times) are evaluated exactly; float
-inputs sum the terms in log space (log-gamma factorials, log-sum-exp), so
-large masses neither overflow nor lose the leading digits.
+Rational inputs (Fraction weights and times) are evaluated exactly, on plain
+ints: each term's weights are read once as integer ratios, a term with a zero
+weight is dropped before its factorials are read, the factorials are read by
+index from a table, and the terms are summed as one unnormalised integer
+ratio, so each entry builds one Fraction.  Float inputs sum the terms in log
+space (log-gamma factorials, log-sum-exp), so large masses neither overflow
+nor lose the leading digits.
 """
 
 from __future__ import annotations
@@ -58,8 +62,9 @@ def _support(nu: Measure1D, k: int) -> list[int]:
     return [j for j, _ in convolution_power(nu, k).weights]
 
 
-# A family's ``_terms(a, b, m)``, m >= 2, yields the terms of K(a, b, m), each
-# as ``(nums, dens, weights)``: the term is prod(n!) / prod(d!) * prod(weights).
+# A family's ``_terms(a, b, m)``, m >= 2, gives the terms of K(a, b, m), as a
+# tuple or a generator, each as ``(nums, dens, weights)``: the term is
+# prod(n!) / prod(d!) * prod(weights).
 # Terms with a zero weight are skipped unevaluated, so their factorial
 # arguments may be negative.  ``_live(m)``, m >= 2, is the set of (a, b) with
 # nonzero K, read off the supports of the convolution powers.
@@ -91,8 +96,9 @@ class OneFemaleArm(_Family):
             raise ValueError(f"mu1 must have unit mean, got {self.mu1.mean()}")
 
     def _terms(self, a, b, m):
-        if b == 1:
-            yield (m + a - 1,), (m, a), (convolution_power(self.mu1, m)(m + a - 1),)
+        if b != 1:
+            return ()
+        return (((m + a - 1,), (m, a), (convolution_power(self.mu1, m)(m + a - 1),)),)
 
     def _live(self, m):
         return {(s - m + 1, 1) for s in _support(self.mu1, m) if s >= m - 1}
@@ -117,7 +123,7 @@ class RandomGender(_Family):
     def _terms(self, a, b, m):
         k = a + b
         conv = convolution_power(self._nu_half, m)(m + k - 2)
-        yield (m + k - 2,), (m, a, b), (_two_to_one_minus(k), conv)
+        return (((m + k - 2,), (m, a, b), (_two_to_one_minus(k), conv)),)
 
     def _live(self, m):
         ks = (s - m + 2 for s in _support(self._nu_half, m))
@@ -214,15 +220,6 @@ def _factorial(n: int) -> int:
     return table[n]
 
 
-def _exact_term(nums, dens, weights) -> tuple[int, int]:
-    """One term as an unnormalised integer ratio ``(num, den)``."""
-    num, den = math.prod(map(_factorial, nums)), math.prod(map(_factorial, dens))
-    for w in weights:
-        n, d = w.as_integer_ratio()
-        num, den = num * n, den * d
-    return num, den
-
-
 def _log_term(nums, dens, weights) -> float:
     return math.fsum(
         [math.lgamma(n + 1) for n in nums]
@@ -244,11 +241,24 @@ def concentration(family, t, a: int, b: int, m: int):
         return family._c0[(a, b, 1)] if m == 1 else 0
     terms = family._terms(a, b, m) if m > 1 else [((), (), (family._c0[(a, b, 1)],))]
     if exact_t and family._exact:
-        # K = num/den, summed unnormalised; the entry is the one Fraction built.
+        # K = num/den, summed unnormalised over plain ints; the entry is the one
+        # Fraction built.  Weights come first: a zero-weight term's factorial
+        # arguments may be negative, and facts[-1] would read the largest one.
         num, den = 0, 1
+        facts = _FACTORIALS
         for nums, dens, weights in terms:
-            if all(weights):
-                n, d = _exact_term(nums, dens, weights)
+            n = d = 1
+            for w in weights:
+                wn, wd = w.as_integer_ratio()
+                if not wn:
+                    break
+                n, d = n * wn, d * wd
+            else:
+                size = len(facts)
+                for x in nums:
+                    n *= facts[x] if 0 <= x < size else _factorial(x)
+                for x in dens:
+                    d *= facts[x] if 0 <= x < size else _factorial(x)
                 num, den = num * d + n * den, den * d
         if not num:  # every term is positive, so no term was left
             return 0

@@ -51,6 +51,7 @@ _CLAMP_TOL = 1e-12  # negative concentrations within this fraction of the peak a
 _TIME_TOL = 1e-9  # state_at finds no checkpoint farther than this from the time asked for
 _GAP_TOL = 1e-9  # a checkpoint gap below this fraction of dt is float jitter, not a step
 _FFT_NOISE_FLOOR = 1e-15  # FFT gain cells within this fraction of max|gain| are rounding
+_DOT_BLOCK = 8192  # most entries per BLAS dot; OpenBLAS threads a ddot past 10 000
 
 
 class IntegrationError(RuntimeError):
@@ -263,6 +264,20 @@ def _locate(table, species: Sequence[ParticleType]) -> np.ndarray:
     return rows
 
 
+def _dot(x: np.ndarray, y: np.ndarray) -> float:
+    """``x @ y``, one BLAS call per block of at most ``_DOT_BLOCK`` entries,
+    the block results summed in order, so its bits do not depend on how many
+    threads BLAS runs.  ``ndarray.dot`` makes the same ``ddot`` call as ``@``,
+    with less dispatch."""
+    if len(x) <= _DOT_BLOCK:
+        return float(x.dot(y))
+    total = 0.0
+    for lo in range(0, len(x), _DOT_BLOCK):
+        hi = lo + _DOT_BLOCK
+        total += float(x[lo:hi].dot(y[lo:hi]))
+    return total
+
+
 class _Engine:
     """Species table and right-hand side shared by both engines.
 
@@ -309,17 +324,17 @@ class _Engine:
             np.add(self.a, self.b, out=rate)
             np.divide(rate, 1.0 + t, out=rate)
         else:
-            am = float(self.a @ c)
-            bm = float(self.b @ c)
+            am = _dot(self.a, c)
+            bm = _dot(self.b, c)
             np.multiply(self.a, bm, out=rate)
             np.multiply(self.b, am, out=loss)
             np.add(rate, loss, out=rate)
         np.multiply(c, rate, out=loss)
         events = 0.5 * float(loss.sum())
         out = np.empty(self.size + 3)
-        out[-3] = float(self.m @ loss) - float(self.m @ gain)
-        out[-2] = float(self.a @ loss) - events - float(self.a @ gain)
-        out[-1] = float(self.b @ loss) - events - float(self.b @ gain)
+        out[-3] = _dot(self.m, loss) - _dot(self.m, gain)
+        out[-2] = _dot(self.a, loss) - events - _dot(self.a, gain)
+        out[-1] = _dot(self.b, loss) - events - _dot(self.b, gain)
         np.subtract(gain, loss, out=out[:-3])
         return out
 
@@ -588,12 +603,12 @@ def _observe(system: _Engine, y: np.ndarray, t: float) -> Observables:
     return Observables(
         time=t,
         total_conc=float(c.sum()),
-        mean_a=float(a @ c),
-        mean_b=float(b @ c),
-        mass=float(m @ c),
-        second_a=float((a * (a - 1.0)) @ c),
-        second_b=float((b * (b - 1.0)) @ c),
-        cross_ab=float((a * b) @ c),
+        mean_a=_dot(a, c),
+        mean_b=_dot(b, c),
+        mass=_dot(m, c),
+        second_a=_dot(a * (a - 1.0), c),
+        second_b=_dot(b * (b - 1.0), c),
+        cross_ab=_dot(a * b, c),
         lost_mass=float(y[-3]),
         lost_male_arms=float(y[-2]),
         lost_female_arms=float(y[-1]),

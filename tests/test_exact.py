@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coaglab import (
     ConcentrationState,
@@ -249,3 +250,112 @@ def test_factorial_table_equals_math_factorial_on_both_sides_of_its_bound():
     assert exact._FACTORIALS == [math.factorial(n) for n in range(bound)]
     with pytest.raises(ValueError):
         exact._factorial(-1)
+
+
+def _reference_term(nums, dens, weights) -> tuple[int, int]:
+    """One term as an unnormalised integer ratio, helper call by helper call."""
+    num, den = math.prod(map(math.factorial, nums)), math.prod(map(math.factorial, dens))
+    for w in weights:
+        n, d = w.as_integer_ratio()
+        num, den = num * n, den * d
+    return num, den
+
+
+def _reference_concentration(family, t, a, b, m):
+    """The exact branch of ``concentration`` as it was first written: a term is
+    kept when ``all(weights)`` holds, then evaluated by ``_reference_term``."""
+    p, q = t.as_integer_ratio()
+    if p == 0:
+        return family._c0[(a, b, 1)] if m == 1 else 0
+    terms = family._terms(a, b, m) if m > 1 else [((), (), (family._c0[(a, b, 1)],))]
+    num, den = 0, 1
+    for nums, dens, weights in terms:
+        if all(weights):
+            n, d = _reference_term(nums, dens, weights)
+            num, den = num * d + n * den, den * d
+    if not num:
+        return 0
+    return Fraction(num * p ** (m - 1) * q ** (a + b), den * (p + q) ** (m - 1 + a + b))
+
+
+_weight = st.builds(Fraction, st.integers(1, 9), st.integers(1, 9))
+
+
+@st.composite
+def _law_of_mean(draw, mean):
+    """A probability law on {0, ..., top} of the given mean, with rational
+    weights: a random law, mixed with a point mass at 0 or at ``top`` to move
+    its mean onto ``mean``."""
+    top = draw(st.integers(mean + 1, mean + 3))
+    law = {j: draw(_weight) for j in draw(st.sets(st.integers(0, top), min_size=1))}
+    total = sum(law.values())
+    law = {j: w / total for j, w in law.items()}
+    mu = sum(j * w for j, w in law.items())
+    end = 0 if mu > mean else top
+    lam = (end - mean) / (end - mu) if mu != mean else Fraction(1)
+    mixed = {j: lam * w for j, w in law.items()}
+    mixed[end] = mixed.get(end, 0) + 1 - lam
+    return Measure1D.from_dict(mixed)
+
+
+@st.composite
+def _unit_mean_measure(draw, at_zero):
+    """A measure of mean 1 on {0, ..., 4}, with weight ``at_zero`` at 0."""
+    arms = {j: draw(_weight) for j in draw(st.sets(st.integers(1, 4), min_size=1))}
+    mean = sum(j * w for j, w in arms.items())
+    return Measure1D.from_dict({0: at_zero, **{j: w / mean for j, w in arms.items()}})
+
+
+@st.composite
+def _exact_family(draw):
+    kind = draw(st.sampled_from(["one_female", "random_gender", "two_gender"]))
+    if kind == "one_female":
+        return OneFemaleArm(draw(_law_of_mean(1)))
+    if kind == "random_gender":
+        return RandomGender(draw(_law_of_mean(2)))
+    at_zero = draw(st.one_of(st.just(Fraction(0)), _weight))
+    return TwoGender(draw(_unit_mean_measure(at_zero)), draw(_unit_mean_measure(at_zero)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    _exact_family(),
+    st.builds(Fraction, st.integers(1, 20), st.integers(1, 20)),
+    st.integers(1, 12),
+)
+def test_exact_entries_equal_the_per_term_helper_evaluation(family, t_random, m):
+    """Every exact entry, on ``live_types`` and off it, equals the evaluation
+    by one helper call per term, in value and in type."""
+    live = live_types(family, m)
+    top = max((a + b for a, b in live), default=0)
+    off = [(a, b) for a in range(3) for b in range(3)] + [(top + 1, 0), (0, top + 1)]
+    for t in (Fraction(0), Fraction(1, 3), Fraction(2), t_random):
+        for a, b in sorted(set(live) | set(off)):
+            got = concentration(family, t, a, b, m)
+            expected = _reference_concentration(family, t, a, b, m)
+            assert got == expected, (family, t, a, b, m)
+            assert type(got) is type(expected), (family, t, a, b, m)
+
+
+class _ZeroTermBesideNonzero:
+    """A family of one nonzero term and one zero-weight term whose factorial
+    argument is -1; only ``concentration`` reads it."""
+
+    _exact = True
+    _c0 = ConcentrationState({(1, 1, 1): Fraction(1)})
+
+    def _terms(self, a, b, m):
+        yield (-1,), (0,), (Fraction(0), Fraction(1, 2))
+        yield (m + 1,), (m, a), (Fraction(1, 3),)
+
+
+def test_zero_weight_term_reads_no_factorial():
+    """A zero-weight term is dropped before its factorials are read: read at
+    index -1, the table would give its largest entry, and ``math.factorial``
+    refuses -1."""
+    t, a, b, m = Fraction(1, 2), 2, 1, 5
+    tau = t / (1 + t)
+    alone = Fraction(math.factorial(m + 1), math.factorial(m) * math.factorial(a)) / 3
+    got = concentration(_ZeroTermBesideNonzero(), t, a, b, m)
+    assert got == alone * tau ** (m - 1) / (1 + t) ** (a + b)
+    assert type(got) is Fraction

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -420,6 +421,44 @@ def test_benchmark_tracer_wraps_each_engine_once():
     spans = json.loads(proc.stdout)
     assert (spans["kinetics.pair_rhs"], spans["kinetics.fft_rhs"]) == (1, 1)
     assert spans["kinetics.build"] == 2
+
+
+_THREE_ARM_TWO_STEPS = textwrap.dedent(
+    """
+    import sys
+    sys.path[:0] = sys.argv[1:]
+    from dataclasses import astuple
+    from fractions import Fraction
+    from coaglab import ConcentrationState, SolverSettings, TruncationPolicy, integrate
+
+    c0 = ConcentrationState({(3, 0, 1): Fraction(1, 3), (0, 3, 1): Fraction(1, 3)})
+    run = integrate(c0, 0.75, TruncationPolicy(mass_cap=160, arm_cap=162), SolverSettings(dt=0.375))
+    for obs in run.observables:
+        print([float.hex(float(v)) for v in astuple(obs)])
+    for ck in run.checkpoints:
+        print(ck.time, ck.rows.tolist(), [float.hex(v) for v in ck.values.tolist()])
+    """
+)
+
+
+def test_trajectory_bits_do_not_depend_on_the_blas_thread_count():
+    """At cap 160 the three-arm table has 13 360 species, past the length at
+    which OpenBLAS runs one dot product on several threads; every species dot
+    product is summed in fixed blocks, so one and two threads give one result."""
+    root = Path(__file__).resolve().parents[1]
+    outputs = []
+    for threads in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _THREE_ARM_TWO_STEPS, str(root / "src")],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0].count("\n") == 4  # observables and checkpoint at t = 0 and 0.75
+    assert outputs[0] == outputs[1]
 
 
 def test_snapshot_names_first_negative_species(pq_state):
