@@ -41,8 +41,11 @@ integer, for ``ode`` an initial species outside the truncation caps, for
 float concentration, that a count overflows a float, for ``limit`` a result
 past the float range, for ``gw`` a degenerate initial state, whose trees
 need not end, a path that cannot be read or written, and for ``compare`` a
-tolerance that is not a finite number >= 0 or a table cell that is not a
-finite number.
+tolerance that is not a finite number >= 0, a value cell that is not a
+finite number, or two tables whose key columns or value column counts
+differ.  ``compare`` keys each row on its leading columns named ``t``,
+``a``, ``b`` or ``m`` and compares every later cell with the same cell of
+the other table.
 A subcommand that fails for any reason leaves no new files in its output
 directory; any other exception is then re-raised with its traceback.
 """
@@ -339,12 +342,25 @@ def cmd_analyze(cfg: RunConfig, out: "Path | None") -> dict:
     return report
 
 
+def _note_past_gelation(command: str, c0: ConcentrationState, grid: list[float]) -> None:
+    """One line on stderr when ``grid`` runs past the critical time of ``c0``."""
+    t_crit = InitialGF(c0).critical_data().t_crit
+    if grid[-1] > t_crit:
+        print(
+            f"{command}: t_grid runs to {grid[-1]}, past the critical time T_c = {float(t_crit)}; "
+            "the model's uniqueness and the chain's convergence are proved only before T_c",
+            file=sys.stderr,
+        )
+
+
 def cmd_ode(cfg: RunConfig, out_dir: Path) -> None:
     c0, _ = cfg.state()
-    for p in c0.support():
-        if not cfg.truncation.admits(p):
-            raise ConfigError(f"initial species {tuple(p)} exceeds truncation caps {cfg.truncation}")
+    try:
+        cfg.truncation.admitted(c0.support())
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     grid = [float(t) for t in cfg.t_grid]
+    _note_past_gelation("ode", c0, grid)
     traj = integrate(c0, grid[-1], cfg.truncation, cfg.solver, checkpoints=grid)
     write_csv(out_dir / "concentrations.csv", *traj.concentration_rows())
     write_csv(out_dir / "observables.csv", *traj.observable_rows())
@@ -405,6 +421,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> None:
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     grid = [float(t) for t in cfg.t_grid]
+    _note_past_gelation("simulate", c0, grid)
     jobs = [
         (counts, cfg.n, grid[-1], grid, (cfg.seed, r) if cfg.replicates > 1 else cfg.seed)
         for r in range(cfg.replicates)
@@ -513,41 +530,57 @@ def cmd_gw(cfg: RunConfig, out_dir: Path) -> None:
     _write_json(out_dir / "gw_summary.json", summary)
 
 
+_KEY_COLUMNS = {"t", "a", "b", "m"}  # leading columns of these names key a row
+
+
 def cmd_compare(path_a: str, path_b: str, tolerance: float) -> int:
     if not (math.isfinite(tolerance) and tolerance >= 0):
         raise ConfigError(f"--tolerance must be a finite number >= 0, got {tolerance}")
 
     def read(path):
+        """Key column names, value column count and {key cells: values}."""
         with open(path, "r", encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
         if not rows:
             raise ConfigError(f"{path} is empty")
         header, body = rows[0], rows[1:]
-        if len(header) < 2:
-            raise ConfigError(f"{path} needs key columns and a value column")
+        n_keys = 0
+        while n_keys < len(header) and header[n_keys] in _KEY_COLUMNS:
+            n_keys += 1
+        if not 0 < n_keys < len(header):
+            raise ConfigError(
+                f"{path} needs leading key columns named {sorted(_KEY_COLUMNS)}, then value columns"
+            )
         table = {}
         for line, row in enumerate(body, start=2):
             try:
-                value = float(row[-1]) if len(row) == len(header) else math.nan
+                values = [float(x) for x in row[n_keys:]] if len(row) == len(header) else [math.nan]
             except ValueError:
-                value = math.nan
-            if not math.isfinite(value):
+                values = [math.nan]
+            if not all(map(math.isfinite, values)):
                 raise ConfigError(
-                    f"{path}, line {line}: expected {len(header)} cells ending in a finite number"
+                    f"{path}, line {line}: expected {len(header)} cells, "
+                    f"the last {len(header) - n_keys} finite numbers"
                 )
-            table[tuple(row[:-1])] = value
-        return header[:-1], table
+            table[tuple(row[:n_keys])] = values
+        return header[:n_keys], len(header) - n_keys, table
 
-    keys_a, table_a = read(path_a)
-    keys_b, table_b = read(path_b)
+    keys_a, width_a, table_a = read(path_a)
+    keys_b, width_b, table_b = read(path_b)
     if keys_a != keys_b:
         raise ConfigError(f"key columns differ: {keys_a} vs {keys_b}")
+    if width_a != width_b:
+        raise ConfigError(f"value column counts differ: {width_a} vs {width_b}")
     shared = sorted(set(table_a) & set(table_b))
-    diffs = [abs(table_a[k] - table_b[k]) for k in shared]
-    # Keys present in only one file are compared against 0 (absent species
-    # have zero concentration in every table this tool emits).
-    for k in set(table_a) ^ set(table_b):
-        diffs.append(abs(table_a.get(k, 0.0) - table_b.get(k, 0.0)))
+    # Each value cell is compared with the same cell of the other file.  Keys
+    # present in only one file are compared against 0 (absent species have
+    # zero concentration in every table this tool emits).
+    zeros = [0.0] * width_a
+    diffs = [
+        abs(x - y)
+        for k in shared + sorted(set(table_a) ^ set(table_b))
+        for x, y in zip(table_a.get(k, zeros), table_b.get(k, zeros))
+    ]
     max_diff = max(diffs) if diffs else 0.0
     mean_diff = sum(diffs) / len(diffs) if diffs else 0.0
     report = {

@@ -4,9 +4,13 @@ The infinite kinetic system is
 
     d/dt c(p) = 1/2 sum_{q + r = p} rate(q, r) c(q) c(r)  -  c(p) (a B + b A)
 
-with ``A = <a, c>``, ``B = <b, c>``; the reduced variant replaces the loss
-term by ``(a + b) / (1 + t) * c(p)`` (the two agree while the arm identity
-``A = B = 1/(1+t)`` holds, i.e. strictly before gelation).
+with A and B the male and female arm densities that species p mates with.
+That loss term is written once, in ``_Engine.rhs``; the ``solver.rhs`` form
+only chooses the two densities, from ``_ARM_DENSITIES``: ``full`` measures
+them, ``A = <a, c>`` and ``B = <b, c>``, and ``reduced`` sets both to
+``1/(1+t)``.  The two agree while the arm identity ``A = B = 1/(1+t)``
+holds, i.e. strictly before gelation; past it they are two different
+models (see the README).
 
 The solver evolves the finite set of species reachable from the initial
 support under merging, intersected with a mass cap and an arm cap; one sweep
@@ -39,7 +43,7 @@ time, so no implicit machinery is warranted.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -72,15 +76,33 @@ class TruncationPolicy:
     def admits(self, p: ParticleType) -> bool:
         return p.m <= self.mass_cap and p.a <= self.arm_cap and p.b <= self.arm_cap
 
+    def admitted(self, seeds: Iterable[ParticleType]) -> list[ParticleType]:
+        """``seeds`` as ``ParticleType``s; a ValueError names the first one
+        outside the caps.  Seeds are refused rather than dropped: dropping
+        initial mass would corrupt the conservation accounting."""
+        seeds = [as_particle_type(p) for p in seeds]
+        for p in seeds:
+            if not self.admits(p):
+                raise ValueError(f"initial species {tuple(p)} exceeds truncation caps {self}")
+        return seeds
+
+
+# solver.rhs form -> (A, B), the male and female arm densities of the loss
+# term a B + b A, given the engine, its concentrations c and the time t.
+_ARM_DENSITIES = {
+    "full": lambda engine, c, t: (_dot(engine.a, c), _dot(engine.b, c)),
+    "reduced": lambda engine, c, t: (1.0 / (1.0 + t),) * 2,
+}
+
 
 @dataclass(frozen=True)
 class SolverSettings:
-    rhs: str = "full"  # "full" or "reduced"
+    rhs: str = "full"  # a form of _ARM_DENSITIES
     dt: float = 1e-3
 
     def __post_init__(self):
-        if self.rhs not in ("full", "reduced"):
-            raise ValueError(f"rhs must be 'full' or 'reduced', got {self.rhs!r}")
+        if self.rhs not in _ARM_DENSITIES:
+            raise ValueError(f"rhs must be one of {sorted(_ARM_DENSITIES)}, got {self.rhs!r}")
         if self.dt <= 0:
             raise ValueError("step sizes must be positive")
 
@@ -185,10 +207,7 @@ def _merge_sweep(seeds: Iterable[ParticleType], policy: TruncationPolicy):
     cap = policy.arm_cap
     width = cap + 1  # the key a * width + b sorts like (a, b)
     seed_keys: dict[int, set[int]] = {}
-    for p in seeds:
-        p = as_particle_type(p)
-        if not policy.admits(p):
-            raise ValueError(f"initial species {tuple(p)} exceeds truncation caps {policy}")
+    for p in policy.admitted(seeds):
         seed_keys.setdefault(p.m, set()).add(p.a * width + p.b)
     n = 0  # species so far
     species: dict[int, tuple[int, np.ndarray, np.ndarray]] = {}  # m -> (first index, a, b)
@@ -235,11 +254,8 @@ def _merge_sweep(seeds: Iterable[ParticleType], policy: TruncationPolicy):
 def reachable_types(
     seeds: Iterable[ParticleType], policy: TruncationPolicy
 ) -> list[ParticleType]:
-    """Closure of ``seeds`` under merging, intersected with the caps.
-
-    Seeds outside the caps are rejected rather than silently dropped (dropping
-    initial mass would corrupt the conservation accounting).
-    """
+    """Closure of ``seeds`` under merging, intersected with the caps; a seed
+    outside the caps is refused (see ``TruncationPolicy.admitted``)."""
     return _particle_types(*_merge_sweep(seeds, policy)[0])
 
 
@@ -312,23 +328,19 @@ class _Engine:
             v[_locate(self.table, species)] = [float(w) for w in weights]
         return v
 
-    def rhs(self, c: np.ndarray, t: float, reduced: bool) -> np.ndarray:
-        """Signed rates, then the lost mass, male-arm and female-arm fluxes.
+    def rhs(self, c: np.ndarray, t: float, form: str) -> np.ndarray:
+        """Signed rates, then the lost mass, male-arm and female-arm fluxes,
+        of the ``solver.rhs`` form ``form``.
 
         Flux into dropped (out-of-cap) products is never enumerated: it is
         the loss-side flux minus the retained gain flux, which costs O(N).
         """
         gain = self._gain(c)
         rate, loss = self._rate, self._loss
-        if reduced:
-            np.add(self.a, self.b, out=rate)
-            np.divide(rate, 1.0 + t, out=rate)
-        else:
-            am = _dot(self.a, c)
-            bm = _dot(self.b, c)
-            np.multiply(self.a, bm, out=rate)
-            np.multiply(self.b, am, out=loss)
-            np.add(rate, loss, out=rate)
+        arms_a, arms_b = _ARM_DENSITIES[form](self, c, t)
+        np.multiply(self.a, arms_b, out=rate)
+        np.multiply(self.b, arms_a, out=loss)
+        np.add(rate, loss, out=rate)
         np.multiply(c, rate, out=loss)
         events = 0.5 * float(loss.sum())
         out = np.empty(self.size + 3)
@@ -452,13 +464,10 @@ class UniformArmSystem(_Engine):
     """
 
     def __init__(self, seeds, policy: TruncationPolicy):
-        seeds = [as_particle_type(p) for p in seeds]
+        seeds = policy.admitted(seeds)
         s = _uniform_arms(seeds)
         if s is None:
             raise ValueError(f"seeds {[tuple(p) for p in seeds]} are not mass 1 with one arm count")
-        for p in seeds:
-            if not policy.admits(p):
-                raise ValueError(f"initial species {tuple(p)} exceeds truncation caps {policy}")
         mass_eff = policy.mass_cap
         if s < 2:
             # arms(m) = (s - 2) m + 2 reaches 0; heavier clusters cannot form.
@@ -535,23 +544,23 @@ def make_system(seeds, policy: TruncationPolicy):
     return TruncatedSystem(supp, policy)
 
 
-def _rate_map(system: _Engine, c: ConcentrationState, t: float, reduced: bool):
-    dc = system.rhs(system.concentration_vector(c), t, reduced)[:-3]
+def _rate_map(system: _Engine, c: ConcentrationState, t: float, form: str):
+    dc = system.rhs(system.concentration_vector(c), t, form)[:-3]
     return dict(zip(system.types, dc.tolist()))
 
 
 def rhs_full(c: ConcentrationState, policy: TruncationPolicy = TruncationPolicy()):
     """Signed rate map of the full system over the reachable truncated set."""
-    return _rate_map(TruncatedSystem(c.support(), policy), c, c.time, reduced=False)
+    return _rate_map(TruncatedSystem(c.support(), policy), c, c.time, "full")
 
 
 def rhs_reduced(
     c: ConcentrationState, t: float, policy: TruncationPolicy = TruncationPolicy()
 ):
-    """Signed rate map with the loss term replaced by (a + b)/(1 + t) c(p)."""
+    """Signed rate map with both arm densities of the loss term set to 1/(1 + t)."""
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
-    return _rate_map(TruncatedSystem(c.support(), policy), c, t, reduced=True)
+    return _rate_map(TruncatedSystem(c.support(), policy), c, t, "reduced")
 
 
 class _Integrator:
@@ -559,28 +568,27 @@ class _Integrator:
 
     ``accepted`` and ``rejected`` count the steps tried; a rejected step
     hands its ``k1`` to its first half-step, so a run costs
-    ``4 * accepted + 3 * rejected`` RHS evaluations.
+    ``4 * accepted + 3 * rejected`` RHS evaluations.  ``rhs`` is the
+    system's, with the ``solver.rhs`` form bound once.
     """
 
     def __init__(self, system: _Engine, solver: SolverSettings):
-        self.system = system
-        self.solver = solver
-        self.reduced = solver.rhs == "reduced"
+        self.rhs = partial(system.rhs, form=solver.rhs)
         self.accepted = 0
         self.rejected = 0
 
     def _rk4(self, y: np.ndarray, t: float, h: float, k1: np.ndarray) -> np.ndarray:
-        f, reduced = self.system.rhs, self.reduced
-        k2 = f((y + 0.5 * h * k1)[:-3], t + 0.5 * h, reduced)
-        k3 = f((y + 0.5 * h * k2)[:-3], t + 0.5 * h, reduced)
-        k4 = f((y + h * k3)[:-3], t + h, reduced)
+        f = self.rhs
+        k2 = f((y + 0.5 * h * k1)[:-3], t + 0.5 * h)
+        k3 = f((y + 0.5 * h * k2)[:-3], t + 0.5 * h)
+        k4 = f((y + h * k3)[:-3], t + h)
         return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     def advance(
         self, y: np.ndarray, t: float, h: float, depth: int = 0, k1: "np.ndarray | None" = None
     ) -> np.ndarray:
         if k1 is None:
-            k1 = self.system.rhs(y[:-3], t, self.reduced)
+            k1 = self.rhs(y[:-3], t)
         ynew = self._rk4(y, t, h, k1)
         conc = ynew[:-3]
         floor = -_CLAMP_TOL * max(1.0, float(y[:-3].max(initial=0.0)))

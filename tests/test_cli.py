@@ -269,6 +269,80 @@ def test_compare_identical_and_mismatch(tmp_path, capsys):
     assert main(["compare", str(a), str(c), "--tolerance", "0"]) == 2
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _moved_copy(src: Path, dest: Path, row: int, col: int, delta: float) -> float:
+    """Copy the CSV ``src`` to ``dest`` with cell (row, col) moved by about
+    ``delta``; returns the change as ``compare`` reads it back."""
+    with open(src, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    old = float(rows[row][col])
+    rows[row][col] = repr(old + delta)
+    with open(dest, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    return abs(float(rows[row][col]) - old)
+
+
+def test_compare_keys_observables_on_time_alone(tmp_path, capsys):
+    """Every column after ``t`` is a value, compared cell by cell, so one
+    moved cell is the whole difference, however the other cells read."""
+    src = GOLDEN / "ode_reduced" / "observables.csv"
+    moved = tmp_path / "observables.csv"
+    gap = _moved_copy(src, moved, row=2, col=5, delta=1e-12)  # second_a at t = 0.5
+    assert main(["compare", str(src), str(moved), "--tolerance", "1e-11"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["max_abs_diff"] == gap
+    assert report["mean_abs_diff"] == pytest.approx(gap / 30)  # 3 rows of 10 values
+    assert (report["shared_rows"], report["only_in_a"], report["only_in_b"]) == (3, 0, 0)
+
+
+def test_compare_keys_gw_on_mass_alone(tmp_path, capsys):
+    """``gw.csv`` has four value columns after ``m``; a table with another
+    count of value columns is refused."""
+    src = GOLDEN / "gw" / "gw.csv"
+    moved = tmp_path / "gw.csv"
+    gap = _moved_copy(src, moved, row=3, col=3, delta=1e-3)  # pmf_sampled at m = 3
+    assert main(["compare", str(moved), str(src), "--tolerance", "0"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["max_abs_diff"] == gap
+    assert (report["shared_rows"], report["only_in_a"], report["only_in_b"]) == (8, 0, 0)
+    limit = GOLDEN / "limit" / "limit.csv"
+    assert main(["compare", str(src), str(limit), "--tolerance", "1"]) == 2
+    assert "value column counts differ: 4 vs 1" in capsys.readouterr().err
+
+
+PQ = [
+    {"a": 1, "b": 0, "m": 1, "conc": "1/2"},
+    {"a": 0, "b": 1, "m": 1, "conc": "1/2"},
+    {"a": 1, "b": 1, "m": 1, "conc": "1/2"},
+]
+MIXED = [{"a": a, "b": b, "m": 1, "conc": 1} for a, b in ((2, 1), (1, 2), (1, 0), (0, 1))]
+
+
+@pytest.mark.parametrize("command", ["ode", "simulate"])
+@pytest.mark.parametrize(
+    "initial, t_end, notices",
+    [
+        pytest.param(THREE_ARM["initial"], 2.0, 1, id="three_arm-past"),  # T_c = 1
+        pytest.param(PQ, 2.0, 0, id="pq"),  # T_c infinite
+        pytest.param(MIXED, 1.0, 0, id="mixed-before"),  # T_c = 2
+    ],
+)
+def test_run_past_the_critical_time_says_so(tmp_path, capsys, command, initial, t_end, notices):
+    cfg = {
+        "initial": initial,
+        "t_grid": [0.5, t_end],
+        "truncation": {"mass_cap": 12, "arm_cap": 14},
+        "solver": {"dt": 0.01},
+        "n": 300,
+    }
+    assert main([command, write_config(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 0
+    lines = [line for line in capsys.readouterr().err.splitlines() if "T_c" in line]
+    assert len(lines) == notices
+    assert all(line.startswith(f"{command}: ") and "T_c = 1.0" in line for line in lines)
+
+
 def test_simulate_determinism_across_workers(tmp_path, monkeypatch):
     cfg = {
         "initial": [{"a": 1, "b": 1, "m": 1, "conc": 1.0}],

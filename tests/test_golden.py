@@ -81,6 +81,20 @@ CASES = {
             "t_grid": [0.5, 1.0],
         },
     ),
+    "ode_reduced": (
+        "ode",
+        {  # the reduced loss term on the pair engine, with a + b = 3
+            "initial": [
+                {"a": 2, "b": 1, "m": 1, "conc": "1/4"},
+                {"a": 1, "b": 2, "m": 1, "conc": "1/4"},
+                {"a": 1, "b": 0, "m": 1, "conc": "1/4"},
+                {"a": 0, "b": 1, "m": 1, "conc": "1/4"},
+            ],
+            "truncation": {"mass_cap": 8, "arm_cap": 4},
+            "solver": {"rhs": "reduced", "dt": 0.01},
+            "t_grid": [0.5, 1.0],
+        },
+    ),
 }
 
 

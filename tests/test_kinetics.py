@@ -139,8 +139,8 @@ def test_engines_agree(three_arm_state):
     state = ConcentrationState(
         {p: float(w) for p, w in zip(generic.types, rng.random(len(generic.types)))}
     )
-    outg = generic.rhs(generic.concentration_vector(state), 0.4, False)
-    outf = fast.rhs(fast.concentration_vector(state), 0.4, False)
+    outg = generic.rhs(generic.concentration_vector(state), 0.4, "full")
+    outf = fast.rhs(fast.concentration_vector(state), 0.4, "full")
     dg, fluxg = outg[:-3], list(outg[-3:])
     df, fluxf = outf[:-3], list(outf[-3:])
     mg = dict(zip(generic.types, dg))
@@ -165,7 +165,7 @@ def test_pair_rhs_buffers_match_direct_gather(pq_state):
             system.pair_coeff * c[system.pair_i] * c[system.pair_j], starts
         )
         loss = c * (system.a * float(system.b @ c) + system.b * float(system.a @ c))
-        d = system.rhs(c, 0.3, False)[:-3]
+        d = system.rhs(c, 0.3, "full")[:-3]
         assert np.array_equal(d, gain - loss)
 
 
@@ -208,7 +208,7 @@ def test_pair_gain_within_rounding_of_exact_sum(seeds, mass_cap, arm_cap, heavy_
 
 def _gain_and_fluxes(system, c):
     """Gain term (the RHS with the loss added back) and the three lost fluxes."""
-    out = system.rhs(c, 0.4, False)
+    out = system.rhs(c, 0.4, "full")
     d, fluxes = out[:-3], list(out[-3:])
     loss = c * (system.a * float(system.b @ c) + system.b * float(system.a @ c))
     return dict(zip(system.types, d + loss)), fluxes
@@ -353,9 +353,9 @@ def test_integrator_counts_rhs_calls_of_bisected_steps(three_arm_state):
         calls = []
         rhs = system.rhs
 
-        def counted(c, t, reduced):
+        def counted(c, t, form):
             calls.append(t)
-            return rhs(c, t, reduced)
+            return rhs(c, t, form)
 
         system.rhs = counted
         stepper = _Integrator(system, SolverSettings(dt=0.2))
@@ -399,7 +399,7 @@ _TRACED_ENGINES = textwrap.dedent(
     tracer.recording = True
     seeds, policy = [(3, 0, 1), (0, 3, 1)], TruncationPolicy(mass_cap=8, arm_cap=10)
     for engine in (TruncatedSystem(seeds, policy), UniformArmSystem(seeds, policy)):
-        engine.rhs(np.full(engine.size, 0.1), 0.0, False)
+        engine.rhs(np.full(engine.size, 0.1), 0.0, "full")
     tracer.recording = False
     print(json.dumps({name: agg[0] for name, agg in tracer.totals().items()}))
     """
@@ -537,11 +537,12 @@ def test_rhs_equals_the_unbuffered_expression(request, engine):
     rng = np.random.default_rng(13)
     a, b, m = system.a, system.b, system.m
     outs = []
-    for reduced, t in ((False, 0.3), (True, 0.3), (False, 0.7), (True, 1.9)):
+    for form, t in (("full", 0.3), ("reduced", 0.3), ("full", 0.7), ("reduced", 1.9)):
         c = rng.random(system.size)
         gain = system._gain(c).copy()
-        if reduced:
-            loss = c * ((a + b) / (1.0 + t))
+        if form == "reduced":
+            x = 1.0 / (1.0 + t)
+            loss = c * (a * x + b * x)
         else:
             am = float(a @ c)
             bm = float(b @ c)
@@ -552,7 +553,7 @@ def test_rhs_equals_the_unbuffered_expression(request, engine):
             float(a @ loss) - events - float(a @ gain),
             float(b @ loss) - events - float(b @ gain),
         ]
-        out = system.rhs(c, t, reduced)
+        out = system.rhs(c, t, form)
         assert out.tobytes() == np.concatenate([gain - loss, fluxes]).tobytes()
         outs.append(out)
     assert not any(np.shares_memory(x, y) for i, x in enumerate(outs) for y in outs[i + 1 :])
@@ -569,7 +570,7 @@ def test_integrate_builds_particle_types_only_when_states_are_read(
     monkeypatch.setattr(kinetics, "ParticleType", counting)
     for c0, pol in ((three_arm_state, _ENGINE_RUNS["fft"][1]), (pq_state, _ENGINE_RUNS["pair"][1])):
         system = make_system(c0.support(), pol)
-        system.rhs(system.concentration_vector(c0), 0.0, False)
+        system.rhs(system.concentration_vector(c0), 0.0, "full")
         traj = integrate(c0, 0.6, pol, SolverSettings(dt=0.05), [0.25, 0.6])
         assert (traj.times, len(traj.observables)) == ([0.0, 0.25, 0.6], 3)
         traj.concentration_rows()
@@ -705,6 +706,22 @@ def test_full_vs_reduced_trajectories():
     for sf, sr in zip(full.states, red.states):
         tracked = {ParticleType(1, 1, m) for m in range(1, 13)}
         assert max(abs(sf[p] - sr[p]) for p in tracked) <= 1e-9
+
+
+def test_reduced_form_past_the_critical_time(three_arm_state):
+    """``reduced`` sets both arm densities to 1/(1+t) at every time, so the
+    mass-1 species, which no merge feeds, decay as (1/3)(1+t)^-3 before and
+    after T_c = 1; only the RK4 step error is left.  At dt 0.01 that error
+    was at most 4.0e-10, at t = 0.5, so 1e-9 leaves a factor 2.5.  The
+    ``full`` form, whose measured densities leave 1/(1+t) past T_c, is
+    3.7e-3 off at t = 1.5."""
+    pol = TruncationPolicy(mass_cap=40, arm_cap=42)
+    cks = [0.5, 1.5, 2.0]
+    traj = integrate(three_arm_state, 2.0, pol, SolverSettings(rhs="reduced", dt=0.01), cks)
+    for t in cks:
+        state = traj.state_at(t)
+        for p in ((3, 0, 1), (0, 3, 1)):
+            assert abs(state[p] - (1 + t) ** -3 / 3) <= 1e-9, (p, t)
 
 
 def test_truncation_error_estimate_bounds_real_error(three_arm_state):
