@@ -118,6 +118,12 @@ class ConcentrationState:
     def __getitem__(self, p: TypeLike):
         return self.entries.get(as_particle_type(p), 0)
 
+    def __contains__(self, p: TypeLike) -> bool:
+        return as_particle_type(p) in self.entries
+
+    def __iter__(self):
+        return iter(self.entries)
+
     def __len__(self) -> int:
         return len(self.entries)
 

@@ -419,19 +419,25 @@ class UniformArmSystem(_Engine):
     Semantics are identical to :class:`TruncatedSystem` under the same
     truncation policy; only the evaluation strategy differs.
 
-    Both axes are shorter than a full linear convolution, because products
-    that wrap land only on cells that are never read.  A cluster of mass m has
-    at most ``(s - 2) m + 2`` male arms, so a product that lands at a read
-    mass ``m <= mass_cap`` has ``a1 + a2 <= (s - 2) mass_cap + 4``.  An arm
-    axis of ``min(2 n_rows - 1, (s - 2) mass_cap + 5)`` cells therefore holds
-    every read product unwrapped; arm wrap-around lands only at masses above
-    the cap.  Product masses run up to ``2 mass_cap``, so a mass axis of
-    ``2 mass_cap`` cells wraps only that top mass, onto column 0.  No species
-    has mass 0, so column 0 is never read.
+    Each call transforms a window set by ``top``, the heaviest mass with a
+    nonzero input (the table is sorted by mass).  Products reach masses up
+    to ``2 top``, so only masses up to ``w = min(mass_cap, 2 top)`` gain;
+    species above ``w`` get exactly 0.  Both axes are shorter than a full
+    linear convolution, because products that wrap land only on cells that
+    are never read.  A cluster of mass m has at most ``(s - 2) m + 2`` male
+    arms, so a product that lands at a read mass ``m <= w`` has ``a1 + a2 <=
+    (s - 2) w + 4``, and ``a1 + a2 <= 2 n_rows - 4``, with ``n_rows`` the
+    heaviest row at masses <= top, plus 2.  An arm axis of ``min(2 n_rows -
+    1, (s - 2) w + 5)`` cells therefore holds every read product unwrapped.
+    A mass axis of ``max(2 top, w + 1)`` cells wraps only mass ``2 top``,
+    onto column 0; no species has mass 0, so column 0 is never read.  At
+    ``top = mass_cap`` this is the full shape ``_fshape``.  The windows are
+    computed at build; each fits inside the full shape, and a call runs on
+    the top-left corner of the buffers below.
 
     The transforms are ordered so that the zero padding is transformed only
     where it holds data or is read (a pruned 2-D FFT).  The forward real
-    transform runs along the short arm axis, over the ``mass_cap + 1`` mass
+    transform runs along the short arm axis, over the ``top + 1`` mass
     columns that hold data; the complex one then runs along the padded mass
     axis, over only the half-spectrum rows.  The inverse runs the other way
     round, and its last, real transform covers only the mass columns that
@@ -441,14 +447,13 @@ class UniformArmSystem(_Engine):
     transform pads a copy of its input.  The input grids ``_u`` and ``_v``
     have ``f0`` rows, the arm axis's full length; rows past the ``n_rows``
     that hold data are never written, so they stay 0.  Each forward real
-    transform writes into the first ``n_cols`` columns of its spectrum,
-    ``_spec_u`` or ``_spec_v`` (``f0 // 2 + 1`` rows by ``f1``), one per
-    mass column that holds data; the columns past them, the mass axis's
-    padding, are zeroed, and the complex transform then runs in place.  The
-    product and the inverse transforms reuse the spectra, and the last one
-    writes ``_conv``, the ``f0`` by ``n_cols`` output grid.  These buffers
-    serve every call, so one system must not be evaluated from two threads
-    at once.
+    transform writes into the first ``top + 1`` columns of its spectrum,
+    ``_spec_u`` or ``_spec_v``; the window's columns past them, the mass
+    axis's padding, are zeroed, and the complex transform then runs in
+    place.  The product and the inverse transforms reuse the spectra, and
+    the last one writes ``_conv``, the output grid.  These buffers serve
+    every call, so one system must not be evaluated from two threads at
+    once.
 
     The transforms leave rounding noise on every cell, unreachable ones
     included.  RK4 amplifies it on the high-mass modes until the
@@ -483,13 +488,23 @@ class UniformArmSystem(_Engine):
         cols = np.repeat(masses, count)
         female = np.repeat(total, count) - rows
         super().__init__(policy, (rows, female, cols))
-        n_rows = int(rows.max(initial=0)) + 2  # gain is read at row a + 1
-        n_cols = mass_eff + 1
-        self._fshape = (
-            _next_fast_len(min(2 * n_rows - 1, (s - 2) * mass_eff + 5)),
-            _next_fast_len(2 * mass_eff),
-        )
+        # The transform window of each heaviest input mass top = 1..mass_eff
+        # (see the class docstring): the arm and mass axes' lengths, the
+        # heaviest mass read, and the species counts at masses <= top and <= w.
+        w = np.minimum(mass_eff, 2 * masses)
+        heaviest = np.where(count > 0, np.minimum(total, policy.arm_cap), 0)
+        n_rows = np.maximum.accumulate(heaviest) + 2  # gain is read at row a + 1
+        ends = np.cumsum(count)
+        self._windows = np.column_stack([
+            [_next_fast_len(n) for n in np.minimum(2 * n_rows - 1, (s - 2) * w + 5).tolist()],
+            [_next_fast_len(n) for n in np.maximum(2 * masses, w + 1).tolist()],
+            w,
+            ends,
+            ends[w - 1],
+        ])
+        self._fshape = tuple(self._windows[-1, :2].tolist())  # the full call's window
         f0, f1 = self._fshape
+        n_cols = mass_eff + 1
         half = f0 // 2 + 1
         # Rows past n_rows are never written, so they hold the arm axis's padding.
         self._u = np.zeros((f0, n_cols))
@@ -501,30 +516,36 @@ class UniformArmSystem(_Engine):
         self._gain_at = (rows + 1) * n_cols + cols  # flat index of (a + 1, m)
 
     def _gain(self, c: np.ndarray) -> np.ndarray:
-        f0 = self._fshape[0]
-        n_cols = self._conv.shape[1]
+        # The window of the heaviest mass with a nonzero input; RK4 stage
+        # inputs carry tiny negatives, so the test is != 0, not > 0.
+        # (Comparing in memory order and reading backwards is faster than
+        # comparing a reversed view.)
+        live = (c != 0)[::-1]
+        last = int(live.argmax())  # counted from the end
+        top = int(self.table[2][-1 - last]) if live[last] else 1
+        f0, f1, w, n_in, n_out = self._windows[top - 1].tolist()
+        specs = self._spec_u[: f0 // 2 + 1, :f1], self._spec_v[: f0 // 2 + 1, :f1]
         # rfft2 / irfft2 split by axis in the pruned order of the class
-        # docstring.  A spectrum's columns past n_cols, the mass axis's
-        # padding, still hold the last call's spectrum, so they are zeroed.
-        for grid, weight, spec in (
-            (self._u, self.a, self._spec_u),
-            (self._v, self.b, self._spec_v),
-        ):
-            grid.reshape(-1)[self._grid_at] = weight * c
-            np.fft.rfft(grid, axis=0, out=spec[:, :n_cols])
-            spec[:, n_cols:] = 0.0
+        # docstring.  A spectrum's columns past top, the mass axis's padding,
+        # still hold an earlier call's spectrum, so they are zeroed.
+        for grid, weight, spec in zip((self._u, self._v), (self.a, self.b), specs):
+            grid.reshape(-1)[self._grid_at[:n_in]] = weight[:n_in] * c[:n_in]
+            np.fft.rfft(grid[:f0, : top + 1], axis=0, out=spec[:, : top + 1])
+            spec[:, top + 1 :] = 0.0
             np.fft.fft(spec, axis=1, out=spec)
-        spec = np.multiply(self._spec_u, self._spec_v, out=self._spec_u)
+        spec = np.multiply(*specs, out=specs[0])
         np.fft.ifft(spec, axis=1, out=spec)
-        np.fft.irfft(spec[:, :n_cols], f0, axis=0, out=self._conv)
-        # Zero every cell with |gain| <= _FFT_NOISE_FLOOR * max|gain| (see
-        # the class docstring).  The cut is symmetric in sign, so it biases
-        # no moment, unlike a rectification; `rhs` takes the lost fluxes
-        # from this floored gain, so retained + lost mass stays a linear
-        # invariant.
-        gain = self._conv.take(self._gain_at)
-        mag = np.abs(gain)
-        gain[mag <= _FFT_NOISE_FLOOR * mag.max(initial=0.0)] = 0.0
+        np.fft.irfft(spec[:, : w + 1], f0, axis=0, out=self._conv[:f0, : w + 1])
+        # Species above mass w get no product.  Zero every cell with |gain| <=
+        # _FFT_NOISE_FLOOR * max|gain| (see the class docstring).  The cut is
+        # symmetric in sign, so it biases no moment, unlike a rectification;
+        # `rhs` takes the lost fluxes from this floored gain, so retained +
+        # lost mass stays a linear invariant.
+        gain = np.zeros(self.size)
+        read = gain[:n_out]
+        self._conv.take(self._gain_at[:n_out], out=read, mode="clip")  # "raise" would buffer `out`
+        mag = np.abs(read)
+        read[mag <= _FFT_NOISE_FLOOR * mag.max(initial=0.0)] = 0.0
         return gain
 
 

@@ -126,3 +126,14 @@ def test_state_validation():
     c = ConcentrationState({(1, 1, 1): 0.0, (2, 2, 2): 1.0})
     assert len(c) == 1
     assert c[(1, 1, 1)] == 0
+
+
+def test_state_membership_and_iteration():
+    c = ConcentrationState({(3, 0, 1): Fraction(1, 3), (1, 1, 2): 0.0, (0, 3, 1): Fraction(1, 3)})
+    assert (3, 0, 1) in c and ParticleType(0, 3, 1) in c
+    assert (1, 1, 2) not in c  # exact zeros are dropped
+    assert (1, 1, 1) not in c
+    assert list(c) == [ParticleType(3, 0, 1), ParticleType(0, 3, 1)]
+    assert all(type(p) is ParticleType for p in c)
+    with pytest.raises(ValueError, match="mass"):
+        (1, 1, 0) in c

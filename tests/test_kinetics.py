@@ -269,35 +269,54 @@ def test_fft_gain_transforms_only_the_pruned_lines(three_arm_state, monkeypatch)
     assert sum(points) == 2 * (n_cols * f0 + h0 * f1) + h0 * f1 + n_cols * f0
 
 
-def _padded_copy_gain(fast, c):
+def _window(fast, top):
+    """``(f0, f1, w)`` of the class docstring's window rule for an input
+    supported at masses <= ``top``: the arm and mass axes' lengths and the
+    heaviest mass read (s >= 2)."""
+    rows, female, cols = fast.table
+    s = int(rows[0] + female[0])  # the arm count of mass 1
+    w = min(fast.policy.mass_cap, 2 * top)
+    n_rows = int(rows[cols <= top].max()) + 2
+    return (
+        _next_fast_len(min(2 * n_rows - 1, (s - 2) * w + 5)),
+        _next_fast_len(max(2 * top, w + 1)),
+        w,
+    )
+
+
+def _padded_copy_gain(fast, c, top=None):
     """The FFT gain by transforms that pad copies of their inputs: fresh
-    ``n_rows``-row grids, ``rfft(grid, f0, axis=0)``, ``fft(half, f1,
-    axis=1)``, the product, ``ifft``, ``irfft`` and the noise floor."""
-    f0, f1 = fast._fshape
+    ``n_rows``-row grids of the masses up to ``top`` (default the cap),
+    ``rfft(grid, f0, axis=0)``, ``fft(half, f1, axis=1)``, the product,
+    ``ifft``, ``irfft`` over the masses up to ``w`` and the noise floor, at
+    the shape of ``_window(fast, top)``; species above ``w`` get 0."""
+    top = fast.policy.mass_cap if top is None else top
+    f0, f1, w = _window(fast, top)
     rows, _, cols = fast.table
-    n_rows, n_cols = int(rows.max()) + 2, fast.policy.mass_cap + 1  # s >= 2
+    held, read = cols <= top, cols <= w
     spectra = []
     for weight in (fast.a, fast.b):
-        grid = np.zeros((n_rows, n_cols))
-        grid[rows, cols] = weight * c
+        grid = np.zeros((int(rows[held].max()) + 2, top + 1))
+        grid[rows[held], cols[held]] = (weight * c)[held]
         half = np.fft.rfft(grid, f0, axis=0)
         spectra.append(np.fft.fft(half, f1, axis=1))
     spec = np.fft.ifft(spectra[0] * spectra[1], axis=1)
-    conv = np.fft.irfft(spec[:, :n_cols], f0, axis=0)
-    gain = conv[rows + 1, cols]
+    conv = np.fft.irfft(spec[:, : w + 1], f0, axis=0)
+    gain = np.zeros(fast.size)
+    gain[read] = conv[rows[read] + 1, cols[read]]
     mag = np.abs(gain)
     gain[mag <= kinetics._FFT_NOISE_FLOOR * mag.max(initial=0.0)] = 0.0
     return gain
 
 
-@pytest.mark.parametrize(
-    "seeds, mass_cap, arm_cap",
-    [
-        ([(3, 0, 1), (0, 3, 1)], 40, 42),
-        ([(3, 0, 1), (0, 3, 1)], 160, 162),
-        ([(3, 1, 1), (1, 3, 1), (2, 2, 1)], 10, 16),  # a short arm axis
-    ],
-)
+_FFT_GRIDS = [
+    ([(3, 0, 1), (0, 3, 1)], 40, 42),
+    ([(3, 0, 1), (0, 3, 1)], 160, 162),
+    ([(3, 1, 1), (1, 3, 1), (2, 2, 1)], 10, 16),  # a short arm axis
+]
+
+
+@pytest.mark.parametrize("seeds, mass_cap, arm_cap", _FFT_GRIDS)
 def test_fft_gain_equals_transforms_of_padded_copies(seeds, mass_cap, arm_cap):
     """Padding written once in the engine's buffers gives the bits of
     transforms that pad copies, on every call: a second state in between
@@ -310,6 +329,60 @@ def test_fft_gain_equals_transforms_of_padded_copies(seeds, mass_cap, arm_cap):
         assert fast._gain(c).tobytes() == want.tobytes()
     assert fast._u.shape[0] == fast._fshape[0] > int(fast.table[0].max()) + 2
     assert not hasattr(fast, "_half")
+
+
+def _window_tops(mass_cap):
+    # At caps 40 and 10, 2 top - 1 is 5-smooth for top = mass_cap - 2, so a
+    # mass axis one cell short would wrap mass 2 top onto the read mass 1.
+    return (1, mass_cap // 2 - 1, mass_cap // 2, mass_cap - 2, mass_cap - 1)
+
+
+@pytest.mark.parametrize("seeds, mass_cap, arm_cap", _FFT_GRIDS)
+def test_fft_gain_on_a_window_equals_transforms_of_padded_copies(seeds, mass_cap, arm_cap):
+    """A state supported at masses <= top is transformed on top's window,
+    with the bits of padded copies at the window's shape.  A full call in
+    between leaves no stale cell in the window, and the full call is the
+    last window."""
+    fast = UniformArmSystem(seeds, TruncationPolicy(mass_cap=mass_cap, arm_cap=arm_cap))
+    assert _window(fast, mass_cap) == (*fast._fshape, mass_cap)
+    rng = np.random.default_rng(mass_cap)
+    full = rng.uniform(-1.0, 1.0, fast.size)
+    want_full = _padded_copy_gain(fast, full)
+    for top in _window_tops(mass_cap):
+        c = rng.uniform(-1.0, 1.0, fast.size) * (fast.table[2] <= top)
+        want = _padded_copy_gain(fast, c, top)
+        assert all(n <= m for n, m in zip(_window(fast, top), fast._fshape))  # fits the buffers
+        for x, expected in ((c, want), (full, want_full), (c, want)):
+            assert fast._gain(x).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("seeds, mass_cap, arm_cap", _FFT_GRIDS)
+def test_fft_gain_on_a_window_matches_the_full_transform_and_the_pair_engine(
+    seeds, mass_cap, arm_cap
+):
+    """The window's gain is the full transform's, and the pair engine's on
+    the species it reaches, within 1e-13 max|gain|; above mass
+    ``min(mass_cap, 2 top)`` it is exactly 0.  At cap 160 the pair table
+    would hold tens of millions of pairs, so there the full transform is
+    the one reference."""
+    pol = TruncationPolicy(mass_cap=mass_cap, arm_cap=arm_cap)
+    fast = UniformArmSystem(seeds, pol)
+    reach = np.ones(fast.size, dtype=bool)
+    if mass_cap <= 40:
+        generic = TruncatedSystem(seeds, pol)
+        at = kinetics._locate(fast.table, generic.types)
+        reach[:] = False
+        reach[at] = True
+    rng = np.random.default_rng(mass_cap + 1)
+    for top in _window_tops(mass_cap):
+        c = rng.random(fast.size) * ((fast.table[2] <= top) & reach)
+        gain = fast._gain(c)
+        full = _padded_copy_gain(fast, c)
+        scale = np.abs(full).max()
+        assert np.abs(gain - full).max() <= 1e-13 * scale
+        if mass_cap <= 40:
+            assert np.abs(gain[at] - generic._gain(c[at])).max() <= 1e-13 * scale
+        assert not gain[fast.table[2] > min(mass_cap, 2 * top)].any()
 
 
 @pytest.mark.parametrize(
@@ -385,6 +458,29 @@ def test_fft_trajectory_takes_the_pair_engine_steps(three_arm_state):
     for f in fields(Observables):
         assert abs(getattr(fft_obs, f.name) - getattr(pair_obs, f.name)) <= 1e-10, f.name
     assert {fft.types[i] for i in fft_ck.rows.tolist()} <= set(pair.types)
+
+
+def test_gelling_fft_runs_take_pinned_steps(three_arm_state, monkeypatch):
+    """The three runs of a cap-160 truncation estimate of the three-arm
+    state (caps 40/80/160, arm cap 162, dt 0.05, to t = 0.75) take 15 / 0,
+    15 / 0 and 16 / 1 accepted / rejected steps: 187 RHS calls.  A
+    transform window that wrapped products onto read cells, or added noise,
+    would add bisections."""
+    steppers = []
+
+    class Counted(_Integrator):
+        def __init__(self, *args):
+            super().__init__(*args)
+            steppers.append(self)
+
+    monkeypatch.setattr(kinetics, "_Integrator", Counted)
+    truncation_error_estimate(
+        three_arm_state, 0.75, TruncationPolicy(mass_cap=160, arm_cap=162),
+        SolverSettings(dt=0.05), [0.25, 0.5, 0.75],
+    )
+    counts = [(st.accepted, st.rejected) for st in steppers]
+    assert counts == [(15, 0), (15, 0), (16, 1)]
+    assert sum(4 * a + 3 * r for a, r in counts) == 187
 
 
 _TRACED_ENGINES = textwrap.dedent(
