@@ -59,7 +59,6 @@ import math
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -429,6 +428,9 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path) -> None:
     t0 = time.perf_counter()
     workers = _worker_count(len(jobs))
     if workers > 1:
+        # imported here: the pool's modules cost every other command memory and start-up
+        from concurrent.futures import ProcessPoolExecutor
+
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 runs = list(pool.map(_replicate_job, jobs))

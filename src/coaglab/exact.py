@@ -38,6 +38,10 @@ convolution-power weights, with ``nu(j) = (j+1) mu(j+1)`` the size-biased law:
   :mod:`coaglab.measures`.  As t -> infinity, tau -> 1, so all concentrations
   with arms vanish and c(0, 0, m) -> (nu1 <> nu2)(m) / (m - 1).
 
+Each family finds the weights of a convolution power once per (law, power),
+so once per mass, not once per entry: its lookup holds the power's own
+weight dict, and entries and ``live_types`` read it by key.
+
 Rational inputs (Fraction weights and times) are evaluated exactly, on plain
 ints: each term's weights are read once as integer ratios, a term with a zero
 weight is dropped before its factorials are read, the factorials are read by
@@ -58,16 +62,13 @@ from .core import ConcentrationState
 from .measures import _PROBABILITY_TOL, Measure1D, _is_exact, _quotient, convolution_power, diamond
 
 
-def _support(nu: Measure1D, k: int) -> list[int]:
-    return [j for j, _ in convolution_power(nu, k).weights]
-
-
 # A family's ``_terms(a, b, m)``, m >= 2, gives the terms of K(a, b, m), as a
 # tuple or a generator, each as ``(nums, dens, weights)``: the term is
 # prod(n!) / prod(d!) * prod(weights).
 # Terms with a zero weight are skipped unevaluated, so their factorial
-# arguments may be negative.  ``_live(m)``, m >= 2, is the set of (a, b) with
-# nonzero K, read off the supports of the convolution powers.
+# arguments may be negative.  ``_live(m)``, m >= 2, is the list of (a, b) with
+# nonzero K, in sorted order, read off the supports of the convolution powers.
+# Both read the powers of ``_laws[i]`` through ``_power_weights(i, k)``.
 
 
 class _Family:
@@ -82,6 +83,21 @@ class _Family:
         # every field of a family is an arm law
         return all(getattr(self, f.name).is_exact() for f in fields(self))
 
+    @cached_property
+    def _power_index(self) -> dict:
+        # (i, k) -> convolution_power(self._laws[i], k)._index, filled on first read
+        return {}
+
+    def _power_weights(self, i: int, k: int) -> dict:
+        """The weights of ``convolution_power(self._laws[i], k)``, keyed by
+        arm count in increasing order.  This is the power's own ``_index``
+        dict, not a copy, found once per (i, k) and then read by key."""
+        try:
+            return self._power_index[i, k]
+        except KeyError:
+            weights = self._power_index[i, k] = convolution_power(self._laws[i], k)._index
+            return weights
+
 
 @dataclass(frozen=True)
 class OneFemaleArm(_Family):
@@ -95,13 +111,17 @@ class OneFemaleArm(_Family):
         if abs(self.mu1.mean() - 1) > _PROBABILITY_TOL:
             raise ValueError(f"mu1 must have unit mean, got {self.mu1.mean()}")
 
+    @cached_property
+    def _laws(self) -> tuple[Measure1D]:
+        return (self.mu1,)
+
     def _terms(self, a, b, m):
         if b != 1:
             return ()
-        return (((m + a - 1,), (m, a), (convolution_power(self.mu1, m)(m + a - 1),)),)
+        return (((m + a - 1,), (m, a), (self._power_weights(0, m).get(m + a - 1, 0),)),)
 
     def _live(self, m):
-        return {(s - m + 1, 1) for s in _support(self.mu1, m) if s >= m - 1}
+        return [(s - m + 1, 1) for s in self._power_weights(0, m) if s >= m - 1]
 
 
 @dataclass(frozen=True)
@@ -117,17 +137,19 @@ class RandomGender(_Family):
             raise ValueError(f"mu1 must have mean 2, got {self.mu1.mean()}")
 
     @cached_property
-    def _nu_half(self) -> Measure1D:
-        return size_biased(self.mu1).scaled(Fraction(1, 2))
+    def _laws(self) -> tuple[Measure1D]:
+        return (size_biased(self.mu1).scaled(Fraction(1, 2)),)
 
     def _terms(self, a, b, m):
         k = a + b
-        conv = convolution_power(self._nu_half, m)(m + k - 2)
+        conv = self._power_weights(0, m).get(m + k - 2, 0)
         return (((m + k - 2,), (m, a, b), (_two_to_one_minus(k), conv)),)
 
     def _live(self, m):
-        ks = (s - m + 2 for s in _support(self._nu_half, m))
-        return {(k - b, b) for k in ks if k >= 0 for b in range(k + 1)}
+        # every (a, b) with a + b = k, for each arm total k of the support;
+        # a pair fixes its k, so listing by a, then k, is sorted and distinct
+        ks = [s - m + 2 for s in self._power_weights(0, m) if s >= m - 2]
+        return [(a, k - a) for a in range(max(ks, default=-1) + 1) for k in ks if k >= a]
 
 
 @dataclass(frozen=True)
@@ -147,27 +169,28 @@ class TwoGender(_Family):
             )
 
     @cached_property
-    def _nus(self) -> tuple[Measure1D, Measure1D]:
+    def _laws(self) -> tuple[Measure1D, Measure1D]:
         return size_biased(self.mu1), size_biased(self.mu2)
 
     def _terms(self, a, b, m):
-        nu1, nu2 = self._nus
+        power = self._power_weights
         for k in range(m + 1):
-            v1 = convolution_power(nu1, m - k)(k + a - 1)
+            v1 = power(0, m - k).get(k + a - 1, 0)
             if v1:  # skips the second convolution power of a zero term
-                v2 = convolution_power(nu2, k)(m - k - 1 + b)
+                v2 = power(1, k).get(m - k - 1 + b, 0)
                 yield (m - k + b - 1, k + a - 1), (m - k, k, a, b), (v1, v2)
 
     def _live(self, m):
-        nu1, nu2 = self._nus
-        return {
+        # several k can give one (a, b), so the pairs are deduplicated
+        power = self._power_weights
+        return sorted({
             (j1 - k + 1, j2 - m + k + 1)
             for k in range(m + 1)
-            for j1 in _support(nu1, m - k)
+            for j1 in power(0, m - k)
             if j1 >= k - 1
-            for j2 in _support(nu2, k)
+            for j2 in power(1, k)
             if j2 >= m - k - 1
-        }
+        })
 
 
 def size_biased(mu: Measure1D) -> Measure1D:
@@ -283,7 +306,7 @@ def limiting_mass_concentration(family: TwoGender, m: int):
     """t -> infinity limit of c_t(0, 0, m) for the one-gender family (m >= 2)."""
     if m < 2:
         raise ValueError(f"needs m >= 2, got {m}")
-    dia = diamond(*family._nus, m)
+    dia = diamond(*family._laws, m)
     if dia == 0:
         return 0
     return _quotient(dia, m - 1)
@@ -294,8 +317,11 @@ def live_types(family, m: int) -> list[tuple[int, int]]:
 
     At mass 1 this is the initial support; above it, it is derived from the
     supports of the convolution powers in the family's coefficient, so the
-    list is exact (types outside it have concentration identically 0).
+    list is exact (types outside it have concentration identically 0).  The
+    list is sorted; a mass below 1 is refused.
     """
+    if m < 1:
+        raise ValueError(f"mass must be at least 1, got {m}")
     if m == 1:
         return [(p.a, p.b) for p in family._c0.support()]
-    return sorted(family._live(m))
+    return family._live(m)

@@ -128,7 +128,19 @@ class InitialGF:
     @staticmethod
     def _eval(terms, twin, x, y, z):
         if isinstance(x, float) and isinstance(y, float) and isinstance(z, float):
-            terms = twin
+            # The loop below with the unit factors left out: a float times
+            # x**0 == 1.0 is itself, and x**1 == x, so multiplying the other
+            # factors in the same order gives the same bits.
+            acc = 0
+            for a, b, m, w in twin:
+                if a:
+                    w = w * (x if a == 1 else x**a)
+                if b:
+                    w = w * (y if b == 1 else y**b)
+                if m:
+                    w = w * (z if m == 1 else z**m)
+                acc = acc + w
+            return acc
         acc = 0
         for a, b, m, w in terms:
             acc = acc + w * (x**a) * (y**b) * (z**m)

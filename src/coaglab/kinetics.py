@@ -402,6 +402,20 @@ def _next_fast_len(n: int) -> int:
         n += 1
 
 
+def _fast_lens(ns: Iterable[int]) -> list[int]:
+    """``_next_fast_len`` of each of ``ns``.  Once ``prev <= n <= last``, with
+    ``last`` the fast length of ``prev``, ``last`` is the fast length of
+    ``n`` too, so a nondecreasing run calls ``_next_fast_len`` only where
+    ``n`` passes the last length."""
+    out, prev, last = [], 0, 0
+    for n in ns:
+        if not prev <= n <= last:
+            last = _next_fast_len(n)
+        prev = n
+        out.append(last)
+    return out
+
+
 class UniformArmSystem(_Engine):
     """Fast gain term for monodisperse data with a uniform arm count.
 
@@ -496,8 +510,8 @@ class UniformArmSystem(_Engine):
         n_rows = np.maximum.accumulate(heaviest) + 2  # gain is read at row a + 1
         ends = np.cumsum(count)
         self._windows = np.column_stack([
-            [_next_fast_len(n) for n in np.minimum(2 * n_rows - 1, (s - 2) * w + 5).tolist()],
-            [_next_fast_len(n) for n in np.maximum(2 * masses, w + 1).tolist()],
+            _fast_lens(np.minimum(2 * n_rows - 1, (s - 2) * w + 5).tolist()),
+            _fast_lens(np.maximum(2 * masses, w + 1).tolist()),
             w,
             ends,
             ends[w - 1],

@@ -376,6 +376,21 @@ def test_worker_count_is_capped(monkeypatch):
     assert cli._worker_count(2) == 2
 
 
+def test_importing_the_cli_leaves_the_worker_pool_unloaded():
+    """The pool's modules load only where ``simulate`` starts workers."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = "import sys, coaglab.cli; print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("threads", ["0", "-2", "four", "2.5", ""])
 def test_bad_coag_threads_exit_2(tmp_path, monkeypatch, capsys, threads):
     cfg = {"initial": [{"a": 1, "b": 1, "m": 1, "conc": 1.0}], "t_grid": [1.0], "n": 50}

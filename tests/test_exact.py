@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from coaglab import (
     size_biased,
 )
 from coaglab.kinetics import TruncationPolicy, _merge_sweep
-from coaglab.measures import Measure1D, diamond
+from coaglab.measures import Measure1D, convolution_power, diamond
 
 
 def test_family_validation():
@@ -359,3 +360,87 @@ def test_zero_weight_term_reads_no_factorial():
     got = concentration(_ZeroTermBesideNonzero(), t, a, b, m)
     assert got == alone * tau ** (m - 1) / (1 + t) ** (a + b)
     assert type(got) is Fraction
+
+
+def _float_family(family):
+    """The family of ``family``'s laws with float weights."""
+    laws = [getattr(family, f.name) for f in fields(family)]
+    return type(family)(*(Measure1D.from_dict({j: float(w) for j, w in mu.weights}) for mu in laws))
+
+
+def _reference_live(family, m):
+    """``live_types`` as a sorted set, built from the supports of the
+    convolution powers as the families first built it."""
+    if m == 1:
+        return sorted((p.a, p.b) for p in family._c0.support())
+
+    def support(nu, k):
+        return [j for j, _ in convolution_power(nu, k).weights]
+
+    if isinstance(family, OneFemaleArm):
+        live = {(s - m + 1, 1) for s in support(family.mu1, m) if s >= m - 1}
+    elif isinstance(family, RandomGender):
+        nu_half = size_biased(family.mu1).scaled(Fraction(1, 2))
+        ks = (s - m + 2 for s in support(nu_half, m))
+        live = {(k - b, b) for k in ks if k >= 0 for b in range(k + 1)}
+    else:
+        nu1, nu2 = size_biased(family.mu1), size_biased(family.mu2)
+        live = {
+            (j1 - k + 1, j2 - m + k + 1)
+            for k in range(m + 1)
+            for j1 in support(nu1, m - k)
+            if j1 >= k - 1
+            for j2 in support(nu2, k)
+            if j2 >= m - k - 1
+        }
+    return sorted(live)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_exact_family(), st.integers(1, 12), st.booleans())
+def test_live_types_equal_the_sorted_set_of_the_supports(family, m, as_floats):
+    """Each family lists its live types in sorted order without building a
+    set, exact laws and float laws alike."""
+    if as_floats:
+        family = _float_family(family)
+    assert live_types(family, m) == _reference_live(family, m)
+
+
+@pytest.mark.parametrize("mass", [0, -1])
+def test_live_types_refuse_a_mass_below_one(fam_one_female, fam_random_gender, fam_two_gender, mass):
+    rg_1_3 = RandomGender(Measure1D.from_dict({1: Fraction(1, 2), 3: Fraction(1, 2)}))
+    for fam in (fam_one_female, fam_random_gender, fam_two_gender, rg_1_3):
+        with pytest.raises(ValueError, match="mass must be at least 1"):
+            live_types(fam, mass)
+
+
+def test_power_lookup_holds_each_power_read_once(monkeypatch):
+    """Entries and live types read each convolution power once per family,
+    and the lookup keeps the power's own weight dict, not a copy: one entry
+    per (law, power) read, and no power above the masses asked."""
+    real = exact.convolution_power
+    reads = []
+    monkeypatch.setattr(exact, "convolution_power", lambda nu, k: reads.append((id(nu), k)) or real(nu, k))
+    mu = Measure1D.from_dict({0: Fraction(1, 4), 1: Fraction(1, 2), 2: Fraction(1, 4)})
+    families = [
+        OneFemaleArm(Measure1D.from_dict({0: Fraction(1, 2), 2: Fraction(1, 2)})),
+        RandomGender(Measure1D.from_dict({1: Fraction(1, 2), 3: Fraction(1, 2)})),
+        TwoGender(mu, Measure1D.from_dict({0: Fraction(1, 4), 1: Fraction(1, 4), 3: Fraction(1, 4)})),
+    ]
+    top = 7
+    for fam in families:
+        for m in range(1, top + 1):
+            for t in (Fraction(1, 3), Fraction(2), 0.5):
+                for a, b in live_types(fam, m) + [(0, 0), (1, 1), (9, 0)]:
+                    concentration(fam, t, a, b, m)
+    assert len(reads) == len(set(reads))
+    for fam in families:
+        index = fam._power_index
+        assert {(id(fam._laws[i]), k) for i, k in index} <= set(reads)
+        assert max(k for _, k in index) <= top
+        for (i, k), weights in index.items():
+            power = real(fam._laws[i], k)
+            assert weights == power._index
+            if k:  # the empty power is built afresh on each call
+                assert weights is power._index
+    assert len(reads) == sum(len(fam._power_index) for fam in families)

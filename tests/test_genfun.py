@@ -248,3 +248,50 @@ def test_weight_beyond_float_range_fails_only_when_evaluated_at_floats():
     assert gf.value(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)) > 10**399
     with pytest.raises(OverflowError):
         gf.value(0.5, 0.5, 0.5)
+
+
+# --- the float loop leaves out unit factors ---
+
+UNIT_FACTOR_STATES = {
+    "three_arm": TWIN_STATES["three_arm"],
+    "pq": TWIN_STATES["pq"],
+    "mixed_pairs": {p: Fraction(1, 4) for p in [(2, 1, 1), (1, 2, 1), (1, 0, 1), (0, 1, 1)]},
+}
+_UNIT_GFS = {name: InitialGF(c0) for name, c0 in UNIT_FACTOR_STATES.items()}
+
+
+def _every_factor(terms, x, y, z):
+    """``InitialGF._eval``'s loop as it reads at exact arguments: every factor
+    multiplied, ``x**0`` and ``x**1`` included."""
+    acc = 0
+    for a, b, m, w in terms:
+        acc = acc + w * (x**a) * (y**b) * (z**m)
+    return acc
+
+
+_point = st.one_of(st.sampled_from([0.0, 1.0, -0.0]), st.floats(min_value=-2.0, max_value=2.0))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(UNIT_FACTOR_STATES)), _point, _point, _point)
+def test_float_loop_without_unit_factors_keeps_the_bits(name, x, y, z):
+    """Leaving out the factors ``x**0`` and writing ``x`` for ``x**1`` gives
+    the bits of the loop that multiplies every factor, at random points and
+    corners.  The states' terms carry the exponents below, so all of 0, 1
+    and at least 2 occur."""
+    gf = _UNIT_GFS[name]
+    exponents = {e for terms in (gf._terms, gf._dx, gf._dy, gf._dz) for t in terms for e in t[:3]}
+    assert max(exponents) + 1 == len(exponents) == {"pq": 2, "mixed_pairs": 3, "three_arm": 4}[name]
+    pairs = (("value", gf._terms_float), ("dx", gf._dx_float), ("dy", gf._dy_float), ("dz", gf._dz_float))
+    for f, twin in pairs:
+        got, want = getattr(gf, f)(x, y, z), _every_factor(twin, x, y, z)
+        assert type(got) is float and got.hex() == want.hex(), (f, x, y, z)
+
+
+def test_term_of_exponents_zero_refuses_a_weight_beyond_float_range():
+    """``dz`` of an armless mass-1 species is a term with no factor left; its
+    weight past the float range still raises at floats."""
+    gf = InitialGF({**TWIN_STATES["pq"], (0, 0, 1): Fraction(10**400)})
+    assert (0, 0, 0, Fraction(10**400)) in gf._dz_float
+    with pytest.raises(OverflowError):
+        gf.dz(0.5, 0.5, 0.5)

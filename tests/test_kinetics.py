@@ -385,6 +385,22 @@ def test_fft_gain_on_a_window_matches_the_full_transform_and_the_pair_engine(
         assert not gain[fast.table[2] > min(mass_cap, 2 * top)].any()
 
 
+@pytest.mark.parametrize("seeds, mass_cap, arm_cap", _FFT_GRIDS)
+def test_window_table_equals_the_rule_read_per_mass(seeds, mass_cap, arm_cap):
+    """The window table, built with one ``_next_fast_len`` call where a
+    length passes the last one, equals the window rule applied to each
+    mass on its own."""
+    fast = UniformArmSystem(seeds, TruncationPolicy(mass_cap=mass_cap, arm_cap=arm_cap))
+    table = [tuple(row) for row in fast._windows[:, :3].tolist()]
+    assert table == [_window(fast, top) for top in range(1, mass_cap + 1)]
+
+
+def test_fast_lens_equal_next_fast_len_on_any_order():
+    ns = [1, 7, 7, 8, 9, 31, 33, 12, 13, 11, 100, 97, 101, 128, 1, 2]
+    assert kinetics._fast_lens(ns) == [_next_fast_len(n) for n in ns]
+    assert kinetics._fast_lens(range(1, 200)) == [_next_fast_len(n) for n in range(1, 200)]
+
+
 @pytest.mark.parametrize(
     "s, seeds",
     [(1, [(1, 0, 1), (0, 1, 1)]), (2, [(1, 1, 1)]), (3, [(3, 0, 1), (0, 3, 1)]), (4, [(2, 2, 1)])],

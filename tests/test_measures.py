@@ -208,7 +208,7 @@ def test_quotient_sites_match_the_inline_branches():
         # measures.diamond and exact.limiting_mass_concentration
         law = Measure1D.from_dict({0: third, 1: third, 2: third})
         family = TwoGender(law, law)
-        nu1, nu2 = family._nus
+        nu1, nu2 = family._laws
         for m in range(2, 8):
             terms = []
             for k in range(1, m):
