@@ -59,15 +59,13 @@ def merge(p: TypeLike, q: TypeLike) -> ParticleType:
     return ParticleType(p[0] + q[0] - 1, p[1] + q[1] - 1, p[2] + q[2])
 
 
-def decompositions(
-    p: TypeLike, positive_rate_only: bool = True
-) -> list[tuple[ParticleType, ParticleType]]:
+def decompositions(p: TypeLike) -> list[tuple[ParticleType, ParticleType]]:
     """All ordered splittings ``(q, r)`` of ``p`` with ``merge(q, r) == p``.
 
     Enumerates ``q = (a', b', m')`` over ``a' <= a + 1``, ``b' <= b + 1``,
     ``1 <= m' <= m - 1`` with complement ``r = (a + 1 - a', b + 1 - b',
-    m - m')``.  By default only splittings with ``coagulation_rate(q, r) > 0``
-    are returned, since the others contribute nothing to the gain term of the
+    m - m')``.  Only splittings with ``coagulation_rate(q, r) > 0`` are
+    returned, since the others contribute nothing to the gain term of the
     kinetic equations.  Mass-1 species admit no splitting.
     """
     a, b, m = as_particle_type(p)
@@ -77,9 +75,8 @@ def decompositions(
             for bq in range(b + 2):
                 q = ParticleType(aq, bq, mq)
                 r = ParticleType(a + 1 - aq, b + 1 - bq, m - mq)
-                if positive_rate_only and coagulation_rate(q, r) == 0:
-                    continue
-                out.append((q, r))
+                if coagulation_rate(q, r) > 0:
+                    out.append((q, r))
     return out
 
 

@@ -170,7 +170,6 @@ class InitialGF:
                 f"t = {t} is not strictly below the critical time T_c = {t_crit} "
                 f"(margin {_SUBCRITICAL_MARGIN})"
             )
-        return t_crit
 
     def phi(self, t, x, y, z):
         """Characteristic map ((1+t)x - t dg0/dy, (1+t)y - t dg0/dx)."""
@@ -179,33 +178,24 @@ class InitialGF:
             (1 + t) * y - t * self.dx(x, y, z),
         )
 
-    def _fixed_point(self, cu, cv, fac, start, z, tol, max_iter, history=None):
+    def _fixed_point(self, cu, cv, fac, start, z, history=None):
         """Iterate ``(x, y) <- (cu + fac dg0/dy, cv + fac dg0/dx)`` at ``z`` from
-        ``start`` until the max-norm step is below ``tol``; None if ``max_iter``
-        steps do not get there.  Each step's max-norm is appended to ``history``
-        if that is a list."""
+        ``start`` until the max-norm step is below ``_FIXED_POINT_TOL``; None if
+        ``_FIXED_POINT_MAX_ITER`` steps do not get there.  Each step's max-norm
+        is appended to ``history`` if that is a list."""
         x, y = start
-        for _ in range(max_iter):
+        for _ in range(_FIXED_POINT_MAX_ITER):
             x1 = cu + fac * self.dy(x, y, z)
             y1 = cv + fac * self.dx(x, y, z)
             delta = max(abs(x1 - x), abs(y1 - y))
             if history is not None:
                 history.append(delta)
             x, y = x1, y1
-            if delta < tol:
+            if delta < _FIXED_POINT_TOL:
                 return (x, y)
         return None
 
-    def invert_phi(
-        self,
-        t,
-        u,
-        v,
-        z,
-        tol: float = _FIXED_POINT_TOL,
-        max_iter: int = _FIXED_POINT_MAX_ITER,
-        history: "list | None" = None,
-    ):
+    def invert_phi(self, t, u, v, z, history: "list | None" = None):
         """Right inverse ``h_t(u, v, z)`` of the characteristic map.
 
         Solves ``phi_t(x, y, z) = (u, v)`` by iterating
@@ -216,25 +206,25 @@ class InitialGF:
         from ``(u, v)``.  Before the critical time this self-map of the unit
         square is a contraction, so the iteration converges geometrically; the
         result is verified by a round trip through ``phi`` to within
-        ``10 * tol``.  If ``history`` is a list, the successive max-norm
-        iterate differences are appended to it.
+        ``10 * _FIXED_POINT_TOL``.  If ``history`` is a list, the successive
+        max-norm iterate differences are appended to it.
         """
         self._check_subcritical(t)
         if t == 0:
             return (u, v)
         cu, cv, fac = u / (1 + t), v / (1 + t), t / (1 + t)
-        xy = self._fixed_point(cu, cv, fac, (u, v), z, tol, max_iter, history)
+        xy = self._fixed_point(cu, cv, fac, (u, v), z, history)
         if xy is None:
             raise ConvergenceError(
-                f"fixed-point inversion did not converge in {max_iter} iterations "
-                f"at t = {t} (t may be too close to the critical time)"
+                f"fixed-point inversion did not converge in {_FIXED_POINT_MAX_ITER} "
+                f"iterations at t = {t} (t may be too close to the critical time)"
             )
         x, y = xy
         pu, pv = self.phi(t, x, y, z)
-        if max(abs(pu - u), abs(pv - v)) > 10 * tol:
+        if max(abs(pu - u), abs(pv - v)) > 10 * _FIXED_POINT_TOL:
             raise ConvergenceError(
                 f"round-trip check failed at t = {t}: residual "
-                f"{max(abs(pu - u), abs(pv - v)):.3e} > {10 * tol:.1e}"
+                f"{max(abs(pu - u), abs(pv - v)):.3e} > {10 * _FIXED_POINT_TOL:.1e}"
             )
         return (x, y)
 

@@ -390,30 +390,21 @@ class TruncatedSystem(_Engine):
         return self._gain_out
 
 
-def _next_fast_len(n: int) -> int:
-    """Smallest 5-smooth integer >= n (decent FFT sizes without scipy)."""
-    while True:
-        rest = n
-        for f in (2, 3, 5):
-            while rest % f == 0:
-                rest //= f
-        if rest == 1:
-            return n
-        n += 1
-
-
-def _fast_lens(ns: Iterable[int]) -> list[int]:
-    """``_next_fast_len`` of each of ``ns``.  Once ``prev <= n <= last``, with
-    ``last`` the fast length of ``prev``, ``last`` is the fast length of
-    ``n`` too, so a nondecreasing run calls ``_next_fast_len`` only where
-    ``n`` passes the last length."""
-    out, prev, last = [], 0, 0
-    for n in ns:
-        if not prev <= n <= last:
-            last = _next_fast_len(n)
-        prev = n
-        out.append(last)
-    return out
+def _fast_lens(ns) -> np.ndarray:
+    """The smallest 5-smooth integer >= n for each of ``ns`` (decent FFT
+    sizes without scipy).  A power of 2 lies in [n, 2n), so the 5-smooth
+    integers up to twice the largest n are listed once and each n is looked
+    up among them."""
+    ns = np.asarray(ns)
+    top = 2 * int(ns.max())
+    smooth = {1}
+    for f in (2, 3, 5):
+        for v in sorted(smooth):
+            while v * f <= top:
+                v *= f
+                smooth.add(v)
+    smooth = np.array(sorted(smooth))
+    return smooth[np.searchsorted(smooth, ns)]
 
 
 class UniformArmSystem(_Engine):
@@ -510,8 +501,8 @@ class UniformArmSystem(_Engine):
         n_rows = np.maximum.accumulate(heaviest) + 2  # gain is read at row a + 1
         ends = np.cumsum(count)
         self._windows = np.column_stack([
-            _fast_lens(np.minimum(2 * n_rows - 1, (s - 2) * w + 5).tolist()),
-            _fast_lens(np.maximum(2 * masses, w + 1).tolist()),
+            _fast_lens(np.minimum(2 * n_rows - 1, (s - 2) * w + 5)),
+            _fast_lens(np.maximum(2 * masses, w + 1)),
             w,
             ends,
             ends[w - 1],
@@ -527,7 +518,8 @@ class UniformArmSystem(_Engine):
         self._spec_v = np.empty((half, f1), dtype=np.complex128)
         self._conv = np.empty((f0, n_cols))  # only the mass columns that are read
         self._grid_at = rows * n_cols + cols  # flat index of (a, m)
-        self._gain_at = (rows + 1) * n_cols + cols  # flat index of (a + 1, m)
+        # _conv from row 1 on: in it, _grid_at's index of (a, m) reads its gain at (a + 1, m)
+        self._conv_from_row1 = self._conv.reshape(-1)[n_cols:]
 
     def _gain(self, c: np.ndarray) -> np.ndarray:
         # The window of the heaviest mass with a nonzero input; RK4 stage
@@ -557,7 +549,8 @@ class UniformArmSystem(_Engine):
         # lost mass stays a linear invariant.
         gain = np.zeros(self.size)
         read = gain[:n_out]
-        self._conv.take(self._gain_at[:n_out], out=read, mode="clip")  # "raise" would buffer `out`
+        # mode "raise" would buffer `out`
+        self._conv_from_row1.take(self._grid_at[:n_out], out=read, mode="clip")
         mag = np.abs(read)
         read[mag <= _FFT_NOISE_FLOOR * mag.max(initial=0.0)] = 0.0
         return gain

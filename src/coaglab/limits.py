@@ -38,14 +38,8 @@ from math import inf
 import numpy as np
 
 from .core import ConcentrationState
-from .genfun import _FIXED_POINT_MAX_ITER, _FIXED_POINT_TOL, ConvergenceError, InitialGF
-from .measures import (
-    _PROBABILITY_TOL,
-    Measure2D,
-    TruncatedSeries,
-    _over_common_denominator,
-    size_biased_laws,
-)
+from .genfun import ConvergenceError, InitialGF
+from .measures import Measure2D, TruncatedSeries, _over_common_denominator, size_biased_laws
 from .particles import _block_stream
 
 
@@ -129,14 +123,12 @@ def _require_no_gelation(gf: InitialGF) -> None:
         )
 
 
-def h_infinity(gf: "InitialGF | ConcentrationState | dict", z: float):
+def h_infinity(gf: InitialGF, z: float):
     """Numeric fixed point (h1, h2) at a scalar z in [0, 1); needs T_c = inf."""
-    if not isinstance(gf, InitialGF):
-        gf = InitialGF(gf)
     _require_no_gelation(gf)
     if not (0 <= z < 1):
         raise ValueError(f"z must lie in [0, 1), got {z}")
-    xy = gf._fixed_point(0.0, 0.0, 1.0, (0.0, 0.0), z, _FIXED_POINT_TOL, _FIXED_POINT_MAX_ITER)
+    xy = gf._fixed_point(0.0, 0.0, 1.0, (0.0, 0.0), z)
     if xy is None:
         raise ConvergenceError(f"limit fixed point did not converge at z = {z}")
     return xy
@@ -144,7 +136,7 @@ def h_infinity(gf: "InitialGF | ConcentrationState | dict", z: float):
 
 def _require_probability_laws(nu_m: Measure2D, nu_f: Measure2D) -> None:
     for name, nu in (("nu_m", nu_m), ("nu_f", nu_f)):
-        if abs(float(nu.total()) - 1.0) > _PROBABILITY_TOL:
+        if not nu.is_probability():
             raise ValueError(f"{name} must be a probability measure, total = {nu.total()}")
 
 
@@ -207,14 +199,12 @@ def _online_fixed_point(x_terms, y_terms, order: int):
     return TruncatedSeries(tuple(x)), TruncatedSeries(tuple(y))
 
 
-def limiting_concentrations(
-    c0: "ConcentrationState | dict | InitialGF", max_mass: int
-) -> LimitState:
+def limiting_concentrations(c0: "ConcentrationState | dict", max_mass: int) -> LimitState:
     """Limiting concentrations ``c_inf(m)`` for ``m <= max_mass`` (T_c = inf).
 
     Exact when the initial concentrations are rational.
     """
-    gf = c0 if isinstance(c0, InitialGF) else InitialGF(c0)
+    gf = InitialGF(c0)
     _require_no_gelation(gf)
     if max_mass < 1:
         raise ValueError(f"max_mass must be >= 1, got {max_mass}")

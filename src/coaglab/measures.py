@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Mapping
 
 Scalar = "float | Fraction | int"
 _PROBABILITY_TOL = 1e-9  # tolerance on a total or a mean that must equal 1
@@ -59,55 +59,67 @@ def _over_common_denominator(values):
 
 
 @dataclass(frozen=True)
-class Measure1D:
-    """Finite measure on nonnegative integers, stored as sorted (j, weight) pairs."""
+class _Measure:
+    """Finite measure stored as sorted (point, weight) pairs.  A subclass
+    says what a point is: its ``_point`` validates and normalises one key."""
 
-    weights: tuple[tuple[int, "Scalar"], ...]
-    # Convolution powers k >= 2 of this measure, filled by convolution_power.
-    _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    weights: tuple[tuple[object, "Scalar"], ...]
 
-    @staticmethod
-    def from_dict(d: Mapping[int, "Scalar"]) -> "Measure1D":
+    @classmethod
+    def from_dict(cls, d: Mapping):
         items = []
-        for j, w in d.items():
-            j = int(j)
-            if j < 0:
-                raise ValueError(f"support must be nonnegative integers, got {j}")
+        for key, w in d.items():
+            key = cls._point(key)
             if w < 0:
-                raise ValueError(f"weights must be nonnegative, got {w} at {j}")
+                raise ValueError(f"weights must be nonnegative, got {w} at {key}")
             if w != 0:
-                items.append((j, w))
-        return Measure1D(tuple(sorted(items)))
+                items.append((key, w))
+        return cls(tuple(sorted(items)))
 
-    @staticmethod
-    def delta(j: int, weight: "Scalar" = 1) -> "Measure1D":
-        return Measure1D.from_dict({j: weight})
-
-    def as_dict(self) -> dict[int, "Scalar"]:
+    def as_dict(self) -> dict:
         return dict(self.weights)
 
     @cached_property
-    def _index(self) -> dict[int, "Scalar"]:
+    def _index(self) -> dict:
         # in the instance dict, not a field: ==, hash and repr do not see it
         return dict(self.weights)
 
-    def __call__(self, j: int):
-        return self._index.get(j, 0)
-
     def total(self):
         return _sum(w for _, w in self.weights)
-
-    def mean(self):
-        return _sum(j * w for j, w in self.weights)
-
-    def scaled(self, factor: "Scalar") -> "Measure1D":
-        return Measure1D(tuple((j, factor * w) for j, w in self.weights))
 
     def is_exact(self) -> bool:
         return all(_is_exact(w) for _, w in self.weights)
 
     def is_probability(self) -> bool:
         return abs(self.total() - 1) <= _PROBABILITY_TOL
+
+
+@dataclass(frozen=True)
+class Measure1D(_Measure):
+    """Finite measure on nonnegative integers, stored as sorted (j, weight) pairs."""
+
+    # Convolution powers k >= 2 of this measure, filled by convolution_power.
+    _powers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @staticmethod
+    def _point(j) -> int:
+        j = int(j)
+        if j < 0:
+            raise ValueError(f"support must be nonnegative integers, got {j}")
+        return j
+
+    @staticmethod
+    def delta(j: int) -> "Measure1D":
+        return Measure1D.from_dict({j: 1})
+
+    def __call__(self, j: int):
+        return self._index.get(j, 0)
+
+    def mean(self):
+        return _sum(j * w for j, w in self.weights)
+
+    def scaled(self, factor: "Scalar") -> "Measure1D":
+        return Measure1D(tuple((j, factor * w) for j, w in self.weights))
 
 
 def convolve(x: Measure1D, y: Measure1D) -> Measure1D:
@@ -171,46 +183,29 @@ def diamond(nu1: Measure1D, nu2: Measure1D, m: int):
     return (m - 1) * _sum(terms) if terms else 0
 
 
-@dataclass(frozen=True)
-class Measure2D:
-    """Finite measure on pairs of nonnegative integers (arm-count measures)."""
-
-    weights: tuple[tuple[tuple[int, int], "Scalar"], ...]
+class Measure2D(_Measure):
+    """Finite measure on pairs of nonnegative integers (arm-count measures),
+    stored as sorted ((a, b), weight) pairs."""
 
     @staticmethod
-    def from_dict(d: Mapping[tuple[int, int], "Scalar"]) -> "Measure2D":
-        items = []
-        for (a, b), w in d.items():
-            a, b = int(a), int(b)
-            if a < 0 or b < 0:
-                raise ValueError(f"support must be nonnegative pairs, got ({a}, {b})")
-            if w < 0:
-                raise ValueError(f"weights must be nonnegative, got {w} at ({a}, {b})")
-            if w != 0:
-                items.append(((a, b), w))
-        return Measure2D(tuple(sorted(items)))
+    def _point(ab) -> tuple[int, int]:
+        a, b = map(int, ab)
+        if a < 0 or b < 0:
+            raise ValueError(f"support must be nonnegative pairs, got ({a}, {b})")
+        return a, b
 
     @staticmethod
-    def delta(a: int, b: int, weight: "Scalar" = 1) -> "Measure2D":
-        return Measure2D.from_dict({(a, b): weight})
-
-    def as_dict(self) -> dict[tuple[int, int], "Scalar"]:
-        return dict(self.weights)
+    def delta(a: int, b: int) -> "Measure2D":
+        return Measure2D.from_dict({(a, b): 1})
 
     def __call__(self, a: int, b: int):
-        return dict(self.weights).get((a, b), 0)
-
-    def total(self):
-        return _sum(w for _, w in self.weights)
+        return self._index.get((a, b), 0)
 
     def mean_a(self):
         return _sum(ab[0] * w for ab, w in self.weights)
 
     def mean_b(self):
         return _sum(ab[1] * w for ab, w in self.weights)
-
-    def is_exact(self) -> bool:
-        return all(_is_exact(w) for _, w in self.weights)
 
 
 def size_biased_laws(mu: Measure2D) -> tuple[Measure2D, Measure2D]:

@@ -175,6 +175,18 @@ class Event:
     merged: ParticleType
 
 
+def _totals(counts: Mapping[ParticleType, int]) -> tuple[int, int, int, int, int]:
+    """Male arms, female arms, sum of a b, particles and mass over ``counts``."""
+    items = counts.items()
+    return (
+        sum(p.a * k for p, k in items),
+        sum(p.b * k for p, k in items),
+        sum(p.a * p.b * k for p, k in items),
+        sum(counts.values()),
+        sum(p.m * k for p, k in items),
+    )
+
+
 class ParticleSystemState:
     """Live species in a slot table, with cached totals and arm trees over the slots."""
 
@@ -198,12 +210,9 @@ class ParticleSystemState:
         self.types: list["ParticleType | None"] = live + [None] * (size - len(live))
         self.slot = {p: s for s, p in enumerate(live)}
         self._free = list(range(size - 1, len(live) - 1, -1))  # the lowest free slot on top
-        items = self.counts.items()
-        self.total_male = sum(p.a * k for p, k in items)
-        self.total_female = sum(p.b * k for p, k in items)
-        self.sum_ab = sum(p.a * p.b * k for p, k in items)
-        self.n_particles = sum(self.counts.values())
-        self.total_mass = sum(p.m * k for p, k in items)
+        self.total_male, self.total_female, self.sum_ab, self.n_particles, self.total_mass = (
+            _totals(self.counts)
+        )
         if max(self.total_male, self.total_female) > _WORD_RANGE:
             # Totals only fall, so every bound _uniform_below is given is <= 2**63.
             raise ValueError(f"an arm total exceeds 2**63, the sampler's word range, at n = {n}")
@@ -240,12 +249,8 @@ class ParticleSystemState:
         assert self.slot == {p: s for s, p in enumerate(types) if p is not None}
         assert self.slot.keys() == counts.keys()
         assert sorted(self._free) == [s for s, p in enumerate(types) if p is None]
-        items = counts.items()
-        assert self.n_particles == sum(counts.values())
-        assert self.total_male == sum(p.a * k for p, k in items)
-        assert self.total_female == sum(p.b * k for p, k in items)
-        assert self.sum_ab == sum(p.a * p.b * k for p, k in items)
-        assert self.total_mass == sum(p.m * k for p, k in items)
+        cached = self.total_male, self.total_female, self.sum_ab, self.n_particles, self.total_mass
+        assert cached == _totals(counts)
         fen_a, fen_b = self._arm_trees()
         assert self._fen_a.tree == fen_a.tree and self._fen_b.tree == fen_b.tree
 

@@ -65,17 +65,17 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
 @pytest.mark.parametrize(
     "mutate",
     [
-        lambda c: c.update(initial=[]),
-        lambda c: c.update(initial=[{"a": 1, "b": 1, "m": 1}]),
-        lambda c: c.update(initial={"family": "nope", "mu1": {"1": 1}}),
-        lambda c: c.update(initial=[{"a": 1, "b": 1, "m": 1, "conc": "1/0"}]),
-        lambda c: c.update(t_grid=[2.0, 1.0]),
-        lambda c: c.update(truncation={"mass_cap": 0}),
-        lambda c: c.update(solver={"rhs": "magic"}),
-        lambda c: c.update(t_grid=[0.5, 0.5]),
-        lambda c: c.update(t_grid=[0.5, "1/2"]),
-        lambda c: c.update(t_grid=["1e400"]),
-        lambda c: c.update(solver={"dt": "1e400"}),
+        pytest.param(lambda c: c.update(initial=[]), id="<lambda>0"),
+        pytest.param(lambda c: c.update(initial=[{"a": 1, "b": 1, "m": 1}]), id="<lambda>1"),
+        pytest.param(lambda c: c.update(initial={"family": "nope", "mu1": {"1": 1}}), id="<lambda>2"),
+        pytest.param(lambda c: c.update(initial=[{"a": 1, "b": 1, "m": 1, "conc": "1/0"}]), id="<lambda>3"),
+        pytest.param(lambda c: c.update(t_grid=[2.0, 1.0]), id="<lambda>4"),
+        pytest.param(lambda c: c.update(truncation={"mass_cap": 0}), id="<lambda>5"),
+        pytest.param(lambda c: c.update(solver={"rhs": "magic"}), id="<lambda>6"),
+        pytest.param(lambda c: c.update(t_grid=[0.5, 0.5]), id="<lambda>7"),
+        pytest.param(lambda c: c.update(t_grid=[0.5, "1/2"]), id="<lambda>8"),
+        pytest.param(lambda c: c.update(t_grid=["1e400"]), id="<lambda>9"),
+        pytest.param(lambda c: c.update(solver={"dt": "1e400"}), id="<lambda>10"),
     ],
 )
 def test_config_validation_failures(tmp_path, mutate):

@@ -40,7 +40,8 @@ def test_decompositions_examples():
         (ParticleType(1, 0, 1), ParticleType(0, 1, 1)),
     ]
     assert decompositions((4, 7, 1)) == []
-    assert len(decompositions((1, 1, 2), positive_rate_only=False)) == 9
+    # 9 splittings, less (0, 0, 1) with (2, 2, 1) either way round, at rate 0
+    assert len(decompositions((1, 1, 2))) == 7
 
 
 @given(types, types)
@@ -63,14 +64,6 @@ def test_decomposition_merge_duality(p):
     for q, r in decompositions(p):
         assert coagulation_rate(q, r) > 0
         assert merge(q, r) == ParticleType(*p)
-
-
-@given(types)
-def test_decompositions_filter_is_a_subset(p):
-    full = decompositions(p, positive_rate_only=False)
-    filtered = decompositions(p)
-    assert set(filtered) <= set(full)
-    assert all(coagulation_rate(q, r) > 0 for q, r in filtered)
 
 
 def test_moment_examples():

@@ -120,8 +120,8 @@ def test_exact_and_float_paths_agree(fam_random_gender, fam_two_gender):
     # A float family equals, and hashes like, the exact one of the same values,
     # so nothing derived from one may be handed to the other.
     float_families = (
-        RandomGender(Measure1D.delta(2, 1.0)),
-        TwoGender(Measure1D.delta(1, 1.0), Measure1D.delta(1, 1.0)),
+        RandomGender(Measure1D.from_dict({2: 1.0})),
+        TwoGender(Measure1D.from_dict({1: 1.0}), Measure1D.from_dict({1: 1.0})),
     )
     for fam, fam_float in zip((fam_random_gender, fam_two_gender), float_families):
         assert fam_float == fam

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from coaglab import ConcentrationState, InitialGF, critical_data
+from coaglab import ConcentrationState, InitialGF, critical_data, genfun
 from coaglab.genfun import ConvergenceError
 
 
@@ -159,9 +159,10 @@ def test_contraction_is_geometric(gf_three):
     assert ratios and max(ratios) <= bound
 
 
-def test_invert_phi_reports_nonconvergence(gf_three):
-    with pytest.raises(ConvergenceError):
-        gf_three.invert_phi(0.9, 0.5, 0.5, 0.5, tol=1e-12, max_iter=5)
+def test_invert_phi_reports_nonconvergence(gf_three, monkeypatch):
+    monkeypatch.setattr(genfun, "_FIXED_POINT_MAX_ITER", 5)
+    with pytest.raises(ConvergenceError, match="in 5 iterations"):
+        gf_three.invert_phi(0.9, 0.5, 0.5, 0.5)
 
 
 # --- float twins: float arguments read float copies of the weights ---

@@ -31,7 +31,6 @@ from coaglab.kinetics import (
     TruncatedSystem,
     UniformArmSystem,
     _Integrator,
-    _next_fast_len,
     _observe,
     _snapshot,
     make_system,
@@ -231,7 +230,7 @@ def test_fft_engine_matches_pair_engine_on_short_arm_axis(seeds, s, mass_cap, ar
     assert fast._fshape[0] < 2 * n_rows - 1  # products wrap on the arm axis
     # 2 * mass_cap is 5-smooth in every case, so the product at that mass
     # wraps onto column 0 of the mass axis.
-    assert fast._fshape[1] == _next_fast_len(2 * mass_cap) == 2 * mass_cap
+    assert fast._fshape[1] == _next_smooth(2 * mass_cap) == 2 * mass_cap
     rng = np.random.default_rng(mass_cap + arm_cap)
     state = ConcentrationState(
         {p: float(w) for p, w in zip(generic.types, rng.random(generic.size))}
@@ -269,6 +268,21 @@ def test_fft_gain_transforms_only_the_pruned_lines(three_arm_state, monkeypatch)
     assert sum(points) == 2 * (n_cols * f0 + h0 * f1) + h0 * f1 + n_cols * f0
 
 
+# The 5-smooth integers up to 8192, by brute force.
+_SMOOTH = sorted(
+    2**i * 3**j * 5**k
+    for i in range(14)
+    for j in range(9)
+    for k in range(7)
+    if 2**i * 3**j * 5**k <= 8192
+)
+
+
+def _next_smooth(n):
+    """The smallest 5-smooth integer >= n, by brute force (n <= 8192)."""
+    return next(v for v in _SMOOTH if v >= n)
+
+
 def _window(fast, top):
     """``(f0, f1, w)`` of the class docstring's window rule for an input
     supported at masses <= ``top``: the arm and mass axes' lengths and the
@@ -278,8 +292,8 @@ def _window(fast, top):
     w = min(fast.policy.mass_cap, 2 * top)
     n_rows = int(rows[cols <= top].max()) + 2
     return (
-        _next_fast_len(min(2 * n_rows - 1, (s - 2) * w + 5)),
-        _next_fast_len(max(2 * top, w + 1)),
+        _next_smooth(min(2 * n_rows - 1, (s - 2) * w + 5)),
+        _next_smooth(max(2 * top, w + 1)),
         w,
     )
 
@@ -387,18 +401,11 @@ def test_fft_gain_on_a_window_matches_the_full_transform_and_the_pair_engine(
 
 @pytest.mark.parametrize("seeds, mass_cap, arm_cap", _FFT_GRIDS)
 def test_window_table_equals_the_rule_read_per_mass(seeds, mass_cap, arm_cap):
-    """The window table, built with one ``_next_fast_len`` call where a
-    length passes the last one, equals the window rule applied to each
-    mass on its own."""
+    """The window table, built with one ``_fast_lens`` call per axis, equals
+    the window rule applied to each mass on its own."""
     fast = UniformArmSystem(seeds, TruncationPolicy(mass_cap=mass_cap, arm_cap=arm_cap))
     table = [tuple(row) for row in fast._windows[:, :3].tolist()]
     assert table == [_window(fast, top) for top in range(1, mass_cap + 1)]
-
-
-def test_fast_lens_equal_next_fast_len_on_any_order():
-    ns = [1, 7, 7, 8, 9, 31, 33, 12, 13, 11, 100, 97, 101, 128, 1, 2]
-    assert kinetics._fast_lens(ns) == [_next_fast_len(n) for n in ns]
-    assert kinetics._fast_lens(range(1, 200)) == [_next_fast_len(n) for n in range(1, 200)]
 
 
 @pytest.mark.parametrize(
@@ -419,17 +426,12 @@ def test_uniform_arm_table_matches_brute_force(s, seeds, arm_cap):
     assert all(type(p) is ParticleType and all(type(v) is int for v in p) for p in fast.types)
 
 
-def test_next_fast_len_is_the_smallest_5_smooth_integer_at_least_n():
-    top = 4096
-    smooth = sorted(
-        2**i * 3**j * 5**k
-        for i in range(14)
-        for j in range(9)
-        for k in range(7)
-        if 2**i * 3**j * 5**k <= 2 * top
-    )
-    for n in range(1, top + 1):
-        assert _next_fast_len(n) == next(v for v in smooth if v >= n)
+def test_fast_lens_are_the_smallest_5_smooth_integers_at_least_n():
+    ns = list(range(1, 4097))
+    assert kinetics._fast_lens(ns).tolist() == [_next_smooth(n) for n in ns]
+    ns = [1, 7, 7, 8, 9, 31, 33, 12, 13, 11, 100, 97, 101, 128, 1, 2, 4096, 4095, 1]
+    assert kinetics._fast_lens(ns).tolist() == [_next_smooth(n) for n in ns]
+    assert kinetics._fast_lens([1]).tolist() == [1]
 
 
 def test_integrator_counts_rhs_calls_of_bisected_steps(three_arm_state):

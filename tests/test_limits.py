@@ -331,6 +331,6 @@ def test_initial_arm_measure_requires_monodisperse():
 def test_gw_config_validation(pq_laws):
     nu_m, nu_f = pq_laws
     with pytest.raises(ValueError, match="probability"):
-        GWConfig(Measure2D.delta(0, 0, Fraction(1, 2)), nu_f)
+        GWConfig(Measure2D.from_dict({(0, 0): Fraction(1, 2)}), nu_f)
     with pytest.raises(ValueError):
         GWConfig(nu_m, nu_f, replicates=0)

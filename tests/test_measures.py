@@ -381,3 +381,19 @@ def test_measure_lookup_leaves_equality_hash_and_repr():
     assert (repr(nu), hash(nu)) == before
     assert nu == Measure1D.from_dict(weights)
     assert [f.name for f in fields(nu)] == ["weights", "_powers"]
+
+
+def test_measure2d_lookups_read_one_cached_index():
+    weights = {(0, 0): Fraction(1, 4), (1, 2): Fraction(1, 2), (3, 0): Fraction(1, 4)}
+    mu = Measure2D.from_dict(weights)
+    before = (repr(mu), hash(mu))
+    cells = [(a, b) for a in range(5) for b in range(4)]
+    assert [mu(a, b) for a, b in cells] == [weights.get(ab, 0) for ab in cells]
+    index = vars(mu)["_index"]
+    assert index == dict(mu.weights) == weights
+    assert mu(1, 2) == Fraction(1, 2) and vars(mu)["_index"] is index
+    vars(mu)["_index"] = {(9, 9): 7}  # a lookup reads the cache, not the weights
+    assert mu(9, 9) == 7 and mu(1, 2) == 0
+    assert (repr(mu), hash(mu)) == before
+    assert mu == Measure2D.from_dict(weights)
+    assert mu.is_probability() and not Measure2D.from_dict({(0, 1): 0.5}).is_probability()

@@ -1,10 +1,12 @@
-"""Static guard: every function, class and method under src/coaglab has a caller.
+"""Static guard: every function, class, method and module-level constant under
+src/coaglab has a caller.
 
-A module-level function or class, or a method other than a dunder, that is
-named nowhere but in its own definition is dead code.  Names are counted as
-identifiers in code and inside string literals (``perfbench/tracing.py``
-names its targets in strings); comments do not count.  The count is per
-name, so a dead method that shares its name with a live one is not caught.
+A module-level function, class or constant, or a method, that is named
+nowhere but in its own definition is dead code; dunder names are exempt.
+Names are counted as identifiers in code and inside string literals
+(``perfbench/tracing.py`` names its targets in strings); comments do not
+count.  The count is per name, so a dead method that shares its name with a
+live one is not caught.
 """
 
 import ast
@@ -18,19 +20,32 @@ ROOT = Path(__file__).resolve().parents[1]
 _WORD = re.compile(r"[A-Za-z_]\w*")
 
 
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def defined_names(source: str) -> list[str]:
-    """Module-level functions and classes of ``source``, and the non-dunder
-    methods of its classes, one entry per definition."""
+    """Module-level functions, classes and non-dunder constants of
+    ``source``, and the non-dunder methods of its classes, one entry per
+    definition."""
     names = []
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names.append(node.name)
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.extend(
+                target.id
+                for t in targets
+                for target in ast.walk(t)
+                if isinstance(target, ast.Name) and not _is_dunder(target.id)
+            )
         if isinstance(node, ast.ClassDef):
             names.extend(
                 item.name
                 for item in node.body
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and not (item.name.startswith("__") and item.name.endswith("__"))
+                and not _is_dunder(item.name)
             )
     return names
 
@@ -74,6 +89,9 @@ def test_guard_flags_names_used_only_in_comments():
         "        return 'C.traced'\n"
         "    def never(self):\n"
         "        pass\n"
+        "__all__ = ['used']\n"
+        "_LIVE, _UNUSED = 1, 2  # _UNUSED\n"
+        "_TYPED: int = _LIVE\n"
     )
-    found = unreferenced(defined_names(source), name_counts([source, "C()\n"]))
-    assert found == ["dead", "never"]
+    found = unreferenced(defined_names(source), name_counts([source, "C(_TYPED)\n"]))
+    assert found == ["_UNUSED", "dead", "never"]
