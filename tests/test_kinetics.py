@@ -426,9 +426,16 @@ def test_uniform_arm_table_matches_brute_force(s, seeds, arm_cap):
     assert all(type(p) is ParticleType and all(type(v) is int for v in p) for p in fast.types)
 
 
-def test_fast_lens_are_the_smallest_5_smooth_integers_at_least_n():
+def test_next_fast_len_is_the_smallest_5_smooth_integer_at_least_n():
+    """The fast length ``_fast_lens`` gives each n is the smallest 5-smooth
+    integer >= n."""
     ns = list(range(1, 4097))
     assert kinetics._fast_lens(ns).tolist() == [_next_smooth(n) for n in ns]
+
+
+def test_fast_lens_equal_next_fast_len_on_any_order():
+    """Unsorted and repeated inputs, and n = 1 alone, get the fast length of
+    each n on its own."""
     ns = [1, 7, 7, 8, 9, 31, 33, 12, 13, 11, 100, 97, 101, 128, 1, 2, 4096, 4095, 1]
     assert kinetics._fast_lens(ns).tolist() == [_next_smooth(n) for n in ns]
     assert kinetics._fast_lens([1]).tolist() == [1]
