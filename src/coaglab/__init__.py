@@ -32,7 +32,7 @@ from .exact import (
     live_types,
     size_biased,
 )
-from .genfun import ConvergenceError, CriticalData, InitialGF, critical_data
+from .genfun import ConvergenceError, CriticalData, InitialGF
 from .kinetics import (
     IntegrationError,
     Observables,
@@ -41,9 +41,8 @@ from .kinetics import (
     TruncatedSystem,
     TruncationPolicy,
     integrate,
+    rate_map,
     reachable_types,
-    rhs_full,
-    rhs_reduced,
     truncation_error_estimate,
 )
 from .limits import (

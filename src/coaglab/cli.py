@@ -16,9 +16,9 @@ One JSON config schema feeds every subcommand::
       "gw": {"replicates": 100000, "population_cap": 1000000}
     }
 
-Unknown keys are rejected.  Numeric values may be JSON numbers or strings
-like ``"1/3"``, which are parsed as exact rationals and keep the analysis
-pipeline exact.
+Unknown keys are rejected, and a family object takes exactly its laws (``mu1``,
+and ``mu2`` for ``two_gender``); ``gw`` runs at ``max_mass`` 1 too.  Numbers may
+be JSON numbers or strings like ``"1/3"``, parsed as exact rationals.
 
 Outputs are deterministic bytes given config and seed: every table is a CSV
 written by :func:`coaglab.tables.write_csv` (floats printed with 17
@@ -59,7 +59,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -82,7 +82,8 @@ from .tables import write_csv
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
-_FAMILY_NAMES = {"one_female", "random_gender", "two_gender"}
+# initial.family -> family class; its dataclass fields are the laws it takes
+_FAMILIES = {"one_female": OneFemaleArm, "random_gender": RandomGender, "two_gender": TwoGender}
 
 
 class ConfigError(ValueError):
@@ -161,7 +162,7 @@ class RunConfig:
     max_mass: int
     gw_replicates: int
     gw_population_cap: int
-    raw: dict = field(repr=False, default_factory=dict)
+    raw: dict = field(repr=False)
 
     def state(self) -> tuple[ConcentrationState, object]:
         """Normalized initial state and the applied concentration scale."""
@@ -221,26 +222,18 @@ def parse_config(obj: dict) -> RunConfig:
         if not particles:
             raise ConfigError("initial particle list is empty")
     elif isinstance(initial, dict):
-        _check_keys(initial, {"family", "mu1", "mu2"}, "initial")
         name = initial.get("family")
-        if name not in _FAMILY_NAMES:
-            raise ConfigError(f"initial.family must be one of {sorted(_FAMILY_NAMES)}, got {name!r}")
-        if "mu1" not in initial:
-            raise ConfigError("initial requires 'mu1'")
-        mu1 = _measure_1d(initial["mu1"], "initial.mu1")
+        if name not in _FAMILIES:
+            raise ConfigError(f"initial.family must be one of {sorted(_FAMILIES)}, got {name!r}")
+        laws = [f.name for f in fields(_FAMILIES[name])]
+        if set(initial) != {"family", *laws}:
+            given = sorted(set(initial) - {"family"})
+            raise ConfigError(f"initial: family {name} takes exactly the laws {laws}, got {given}")
+        mus = [_measure_1d(initial[law], f"initial.{law}") for law in laws]
         try:
-            if name == "one_female":
-                family = OneFemaleArm(mu1)
-            elif name == "random_gender":
-                family = RandomGender(mu1)
-            else:
-                if "mu2" not in initial:
-                    raise ConfigError("two_gender requires 'mu2'")
-                family = TwoGender(mu1, _measure_1d(initial["mu2"], "initial.mu2"))
+            family = _FAMILIES[name](*mus)
         except ValueError as exc:
             raise ConfigError(f"initial family: {exc}") from exc
-        if name != "two_gender" and "mu2" in initial:
-            raise ConfigError(f"initial.mu2 is only valid for two_gender, not {name}")
     else:
         raise ConfigError("initial must be a particle list or a family object")
 
@@ -598,6 +591,16 @@ def cmd_compare(path_a: str, path_b: str, tolerance: float) -> int:
     return 0 if max_diff <= tolerance else 1
 
 
+# subcommands that write to --out: name -> (handler, help)
+_OUT_COMMANDS = {
+    "ode": (cmd_ode, "integrate the truncated kinetic system"),
+    "explicit": (cmd_explicit, "tabulate closed-form family concentrations"),
+    "simulate": (cmd_simulate, "run the stochastic particle system"),
+    "limit": (cmd_limit, "limiting concentrations as t -> infinity"),
+    "gw": (cmd_gw, "total-progeny law: series, sampled, and limit table"),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coaglab",
@@ -609,13 +612,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.add_argument("--out", default=None, help="also write the JSON report here")
 
-    for name, text in (
-        ("ode", "integrate the truncated kinetic system"),
-        ("explicit", "tabulate closed-form family concentrations"),
-        ("simulate", "run the stochastic particle system"),
-        ("limit", "limiting concentrations as t -> infinity"),
-        ("gw", "total-progeny law: series, sampled, and limit table"),
-    ):
+    for name, (_, text) in _OUT_COMMANDS.items():
         p = sub.add_parser(name, help=text)
         p.add_argument("config")
         p.add_argument("--out", required=True, help="output directory")
@@ -639,13 +636,7 @@ def main(argv: "list[str] | None" = None) -> int:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
         preexisting = set(out_dir.iterdir())
-        handler = {
-            "ode": cmd_ode,
-            "explicit": cmd_explicit,
-            "simulate": cmd_simulate,
-            "limit": cmd_limit,
-            "gw": cmd_gw,
-        }[args.command]
+        handler = _OUT_COMMANDS[args.command][0]
         try:
             handler(cfg, out_dir)
         except BaseException:  # drop partial outputs of the failed command, then report it

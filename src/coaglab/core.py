@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, NamedTuple
+from typing import Callable, NamedTuple
 
 from .measures import _quotient
 
@@ -131,16 +131,15 @@ class ConcentrationState:
         return sorted(self.entries, key=lambda p: (p.m, p.a, p.b))
 
 
-def moment(c: "ConcentrationState | Mapping", f: Callable[[ParticleType], float]):
+def moment(c: ConcentrationState, f: Callable[[ParticleType], float]):
     """Weighted sum ``sum_p c(p) f(p)`` over the finite support of ``c``.
 
     Linear in both arguments; returns 0 for an empty state.  Exactness is
     preserved when the weights and ``f`` values are rational.
     """
-    items = c.items() if hasattr(c, "items") else c
     total = 0
-    for p, w in items:
-        total += w * f(as_particle_type(p))
+    for p, w in c.items():
+        total += w * f(p)
     return total
 
 

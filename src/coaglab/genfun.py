@@ -248,8 +248,3 @@ class InitialGF:
                 "the subcritical precondition is numerically breached"
             )
         return (self.gamma / d, self.beta / d)
-
-
-def critical_data(c0: "ConcentrationState | dict") -> CriticalData:
-    """Critical constants of an initial state (see :class:`InitialGF`)."""
-    return InitialGF(c0).critical_data()

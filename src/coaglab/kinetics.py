@@ -73,16 +73,13 @@ class TruncationPolicy:
         if self.mass_cap < 1 or self.arm_cap < 0:
             raise ValueError(f"invalid truncation caps {self}")
 
-    def admits(self, p: ParticleType) -> bool:
-        return p.m <= self.mass_cap and p.a <= self.arm_cap and p.b <= self.arm_cap
-
     def admitted(self, seeds: Iterable[ParticleType]) -> list[ParticleType]:
         """``seeds`` as ``ParticleType``s; a ValueError names the first one
         outside the caps.  Seeds are refused rather than dropped: dropping
         initial mass would corrupt the conservation accounting."""
         seeds = [as_particle_type(p) for p in seeds]
         for p in seeds:
-            if not self.admits(p):
+            if p.m > self.mass_cap or p.a > self.arm_cap or p.b > self.arm_cap:
                 raise ValueError(f"initial species {tuple(p)} exceeds truncation caps {self}")
         return seeds
 
@@ -572,23 +569,15 @@ def make_system(seeds, policy: TruncationPolicy):
     return TruncatedSystem(supp, policy)
 
 
-def _rate_map(system: _Engine, c: ConcentrationState, t: float, form: str):
-    dc = system.rhs(system.concentration_vector(c), t, form)[:-3]
-    return dict(zip(system.types, dc.tolist()))
-
-
-def rhs_full(c: ConcentrationState, policy: TruncationPolicy = TruncationPolicy()):
-    """Signed rate map of the full system over the reachable truncated set."""
-    return _rate_map(TruncatedSystem(c.support(), policy), c, c.time, "full")
-
-
-def rhs_reduced(
-    c: ConcentrationState, t: float, policy: TruncationPolicy = TruncationPolicy()
+def rate_map(
+    c: ConcentrationState, policy: TruncationPolicy = TruncationPolicy(), form: str = "full"
 ):
-    """Signed rate map with both arm densities of the loss term set to 1/(1 + t)."""
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    return _rate_map(TruncatedSystem(c.support(), policy), c, t, "reduced")
+    """Signed rate map of the ``solver.rhs`` form ``form`` at ``c.time``, over
+    the reachable truncated set."""
+    SolverSettings(rhs=form)  # refuses an unknown form
+    system = TruncatedSystem(c.support(), policy)
+    dc = system.rhs(system.concentration_vector(c), c.time, form)[:-3]
+    return dict(zip(system.types, dc.tolist()))
 
 
 class _Integrator:
@@ -728,7 +717,7 @@ def truncation_error_estimate(
     With ``return_runs`` the three trajectories (quarter, half, full cap) are
     returned alongside the estimates so callers can reuse the full-cap run.
     The quarter and half caps are at least the heaviest seed mass, so every
-    run admits the seeds that the full cap admits; a seed past the full cap
+    run accepts the seeds that the full cap accepts; a seed past the full cap
     is refused by the first run, under the full cap.
     """
     heaviest = max((p.m for p in c0.support()), default=1)

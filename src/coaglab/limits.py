@@ -227,8 +227,8 @@ def gw_progeny_pmf_series(nu_m: Measure2D, nu_f: Measure2D, max_total: int) -> l
     ancestor.  Index k of the returned list is P(T = k); entries 0 and 1 are 0.
     """
     _require_probability_laws(nu_m, nu_f)
-    if max_total < 2:
-        raise ValueError(f"max_total must be >= 2, got {max_total}")
+    if max_total < 1:
+        raise ValueError(f"max_total must be >= 1, got {max_total}")
     gm, gf_ = _online_fixed_point(
         [(a, b, 1, w) for (a, b), w in nu_m.weights],
         [(a, b, 1, w) for (a, b), w in nu_f.weights],

@@ -76,9 +76,6 @@ class _Measure:
                 items.append((key, w))
         return cls(tuple(sorted(items)))
 
-    def as_dict(self) -> dict:
-        return dict(self.weights)
-
     @cached_property
     def _index(self) -> dict:
         # in the instance dict, not a field: ==, hash and repr do not see it

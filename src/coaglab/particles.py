@@ -459,6 +459,8 @@ def first_event_distribution(
     state = ParticleSystemState(counts, n=1)
     if state.total_rate() == 0:
         raise ValueError("state has no possible event")
+    if max(state.total_male, state.total_female) >= _WORD_RANGE:  # locate_many descends in int64
+        raise ValueError("an arm total of 2**63 exceeds the batch sampler's limit, 2**63 - 1")
     species = sorted(state.counts)
     code = {p: k for k, p in enumerate(species)}
     live = [p for p in state.types if p is not None]  # slots 0, 1, ... of a new state

@@ -29,7 +29,6 @@ from coaglab import (
     TruncationPolicy,
     TwoGender,
     concentration,
-    critical_data,
     gw_progeny_pmf_series,
     gw_sample_total_progeny,
     initial_arm_measure,
@@ -97,7 +96,7 @@ def three_arm_runs(three_arm_state):
 
 def test_criterion_01_critical_time_oracle(three_arm_state, tmp_path, capsys):
     t0 = time.perf_counter()
-    data = critical_data(three_arm_state)
+    data = InitialGF(three_arm_state).critical_data()
     assert data.big_m == Fraction(2) and data.t_crit == Fraction(1)
 
     cfg = tmp_path / "three_arm.json"

@@ -120,6 +120,21 @@ def _set(key, value):
         pytest.param(_set("solver", {"dt": float("nan")}), "solver.dt", id="dt-nan"),
         pytest.param(_set("solver", {"dt": "1e400"}), "solver.dt", id="dt-past-float-range"),
         pytest.param(_set("t_grid", ["1e400"]), "t_grid", id="t_grid-past-float-range"),
+        pytest.param(
+            _set("initial", {"family": "two_gender", "mu1": {"1": 1}}),
+            "two_gender takes exactly the laws ['mu1', 'mu2'], got ['mu1']",
+            id="two_gender-without-mu2",
+        ),
+        pytest.param(
+            _set("initial", {"family": "one_female", "mu1": {"1": 1}, "mu2": {"1": 1}}),
+            "one_female takes exactly the laws ['mu1'], got ['mu1', 'mu2']",
+            id="one_female-with-mu2",
+        ),
+        pytest.param(
+            _set("initial", {"family": "random_gender"}),
+            "random_gender takes exactly the laws ['mu1'], got []",
+            id="random_gender-without-mu1",
+        ),
     ],
 )
 def test_config_bad_values_exit_2(tmp_path, capsys, mutate, where):
@@ -482,6 +497,21 @@ def test_gw_command(tmp_path):
     assert float(row2["pmf_series"]) == 0.25
     assert abs(float(row2["pmf_sampled"]) - 0.25) < 0.03
     assert float(row2["c_inf"]) == 0.25
+
+
+def test_gw_command_at_max_mass_one(tmp_path):
+    cfg = {
+        "initial": [
+            {"a": 1, "b": 0, "m": 1, "conc": "1/2"},
+            {"a": 0, "b": 1, "m": 1, "conc": "1/2"},
+            {"a": 1, "b": 1, "m": 1, "conc": "1/2"},
+        ],
+        "max_mass": 1,
+        "gw": {"replicates": 100},
+    }
+    out = tmp_path / "gw"
+    assert main(["gw", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    assert (out / "gw.csv").read_text().splitlines()[1:] == ["1,0,0,0,0"]
 
 
 def test_limit_command(tmp_path):

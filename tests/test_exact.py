@@ -7,12 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from coaglab import (
     ConcentrationState,
+    InitialGF,
     exact,
     OneFemaleArm,
     RandomGender,
     TwoGender,
     concentration,
-    critical_data,
     initial_state,
     limiting_mass_concentration,
     live_types,
@@ -54,7 +54,7 @@ def test_one_female_never_gels():
         Measure1D.from_dict({0: Fraction(2, 3), 3: Fraction(1, 3)}),
     ):
         c0 = initial_state(OneFemaleArm(mu1))
-        assert critical_data(c0).t_crit == math.inf
+        assert InitialGF(c0).critical_data().t_crit == math.inf
 
 
 def test_random_gender_examples(fam_random_gender):
@@ -92,7 +92,7 @@ def test_two_gender_critical_time():
     mu1 = Measure1D.from_dict({3: Fraction(1, 3)})
     mu2 = Measure1D.from_dict({3: Fraction(1, 3)})
     c0 = initial_state(TwoGender(mu1, mu2))
-    data = critical_data(c0)
+    data = InitialGF(c0).critical_data()
     m1 = size_biased(mu1).mean()
     m2 = size_biased(mu2).mean()
     assert data.big_m == Fraction(2)
@@ -100,7 +100,7 @@ def test_two_gender_critical_time():
     assert data.t_crit == Fraction(1)
 
     mu1b = Measure1D.from_dict({4: Fraction(1, 4)})  # nu mean 3
-    datab = critical_data(initial_state(TwoGender(mu1b, mu2)))
+    datab = InitialGF(initial_state(TwoGender(mu1b, mu2))).critical_data()
     assert float(datab.big_m) == pytest.approx(math.sqrt(6), rel=1e-14)
     assert float(datab.t_crit) == pytest.approx(1 / (math.sqrt(6) - 1), rel=1e-12)
 
@@ -109,7 +109,7 @@ def test_two_gender_limit_identity():
     # t -> infinity of the armless branch approaches diamond(m)/(m-1).
     mu = Measure1D.from_dict({1: Fraction(2, 3), 2: Fraction(1, 6)})
     fam = TwoGender(mu, mu)
-    assert critical_data(initial_state(fam)).t_crit == math.inf
+    assert InitialGF(initial_state(fam)).critical_data().t_crit == math.inf
     for m in (2, 3, 4, 6):
         limit = limiting_mass_concentration(fam, m)
         at_large_t = concentration(fam, Fraction(10**6), 0, 0, m)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from coaglab import ConcentrationState, InitialGF, critical_data, genfun
+from coaglab import ConcentrationState, InitialGF, genfun
 from coaglab.genfun import ConvergenceError
 
 
@@ -34,7 +34,7 @@ def test_critical_data_examples(gf_d11, gf_three):
     assert (d.alpha, d.beta, d.gamma) == (0, 2, 2)
     assert d.big_m == Fraction(2) and d.t_crit == Fraction(1)
 
-    d = critical_data({(2, 0, 1): Fraction(1, 2), (0, 2, 1): Fraction(1, 2)})
+    d = InitialGF({(2, 0, 1): Fraction(1, 2), (0, 2, 1): Fraction(1, 2)}).critical_data()
     assert d.big_m == 1 and d.t_crit == math.inf
 
 
@@ -238,13 +238,13 @@ def test_mixed_arguments_multiply_the_exact_weights(name, x, y, z):
 def test_critical_data_is_computed_once():
     gf = InitialGF(TWIN_STATES["sevenths"])
     assert gf.critical_data() is gf.critical_data()
-    assert gf.critical_data() == critical_data(TWIN_STATES["sevenths"])
+    assert gf.critical_data() == InitialGF(TWIN_STATES["sevenths"]).critical_data()
 
 
 def test_weight_beyond_float_range_fails_only_when_evaluated_at_floats():
     huge = {**TWIN_STATES["pq"], (0, 0, 1): Fraction(10**400)}  # an armless species
     gf = InitialGF(huge)
-    assert gf.critical_data() == critical_data(TWIN_STATES["pq"])
+    assert gf.critical_data() == InitialGF(TWIN_STATES["pq"]).critical_data()
     assert gf.dx(0.5, 0.5, 0.5) == _GFS["pq"].dx(0.5, 0.5, 0.5)  # the armless term is not in dx
     assert gf.value(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)) > 10**399
     with pytest.raises(OverflowError):

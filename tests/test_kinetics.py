@@ -20,9 +20,8 @@ from coaglab import (
     TruncationPolicy,
     initial_state,
     integrate,
+    rate_map,
     reachable_types,
-    rhs_full,
-    rhs_reduced,
     truncation_error_estimate,
 )
 from coaglab.kinetics import (
@@ -40,22 +39,33 @@ from coaglab.tables import write_csv
 
 def test_rhs_full_examples():
     c = ConcentrationState({(1, 1, 1): 1.0})
-    r = rhs_full(c, TruncationPolicy(mass_cap=8, arm_cap=4))
+    r = rate_map(c, TruncationPolicy(mass_cap=8, arm_cap=4))
     assert r[ParticleType(1, 1, 1)] == pytest.approx(-2.0, abs=1e-14)
     assert r[ParticleType(1, 1, 2)] == pytest.approx(1.0, abs=1e-14)
 
     inert = ConcentrationState({(0, 0, 5): 3.0})
-    r = rhs_full(inert, TruncationPolicy(mass_cap=8, arm_cap=4))
+    r = rate_map(inert, TruncationPolicy(mass_cap=8, arm_cap=4))
     assert all(v == 0 for v in r.values())
 
-    assert rhs_full(ConcentrationState({})) == {}
+    assert rate_map(ConcentrationState({})) == {}
 
 
 def test_rhs_reduced_examples():
     c = ConcentrationState({(1, 1, 1): 1.0})
-    r = rhs_reduced(c, 0.0, TruncationPolicy(mass_cap=8, arm_cap=4))
+    r = rate_map(c, TruncationPolicy(mass_cap=8, arm_cap=4), "reduced")
     assert r[ParticleType(1, 1, 1)] == pytest.approx(-2.0, abs=1e-14)
-    assert rhs_reduced(ConcentrationState({}), 2.0) == {}
+    assert rate_map(ConcentrationState({}, 2.0), form="reduced") == {}
+
+
+def test_rate_map_reads_the_state_time_and_refuses_an_unknown_form():
+    # At t = 1 the reduced loss of (1,1,1) is a B + b A = 1/2 + 1/2, the gain
+    # into it 0; the full form measures A = B = 1 whatever the time.
+    pol = TruncationPolicy(mass_cap=8, arm_cap=4)
+    c = ConcentrationState({(1, 1, 1): 1.0}, 1.0)
+    assert rate_map(c, pol, "reduced")[ParticleType(1, 1, 1)] == pytest.approx(-1.0, abs=1e-14)
+    assert rate_map(c, pol, "full")[ParticleType(1, 1, 1)] == pytest.approx(-2.0, abs=1e-14)
+    with pytest.raises(ValueError, match=re.escape("rhs must be one of ['full', 'reduced']")):
+        rate_map(c, pol, "magic")
 
 
 def test_reduced_equals_full_on_arm_identity_states():
@@ -67,9 +77,9 @@ def test_reduced_equals_full_on_arm_identity_states():
         entries = {
             (1, 1, m): t ** (m - 1) / (1 + t) ** (m + 1) for m in range(1, 61)
         }
-        c = ConcentrationState(entries)
-        full = rhs_full(c, pol)
-        red = rhs_reduced(c, t, pol)
+        c = ConcentrationState(entries, t)
+        full = rate_map(c, pol)
+        red = rate_map(c, pol, "reduced")
         gap = max(abs(full[p] - red[p]) for p in full)
         assert gap <= 1e-10
 
@@ -95,7 +105,7 @@ def test_pair_table_matches_brute_force_double_loop():
             if core.coagulation_rate(p, q) <= 0:
                 continue
             r = core.merge(p, q)
-            if pol.admits(r):
+            if r.m <= pol.mass_cap and r.a <= pol.arm_cap and r.b <= pol.arm_cap:
                 coeff = core.coagulation_rate(p, q) * (0.5 if i == j else 1.0)
                 expected.append((i, j, coeff, index[r]))
             elif r.m <= pol.mass_cap:

@@ -89,6 +89,13 @@ def test_gw_pmf_series_examples(pq_laws):
         assert pmf[m] == (m - 1) * p * p * q ** (m - 2)
 
 
+def test_gw_pmf_series_at_the_smallest_orders(pq_laws):
+    # P(T = 1) = 0, so the series is defined from max_total = 1 on
+    assert gw_progeny_pmf_series(*pq_laws, 1) == [0, 0]
+    with pytest.raises(ValueError, match="max_total must be >= 1, got 0"):
+        gw_progeny_pmf_series(*pq_laws, 0)
+
+
 def test_gw_pmf_matches_limit_concentrations(pq_state, pq_laws):
     nu_m, nu_f = pq_laws
     pmf = gw_progeny_pmf_series(nu_m, nu_f, 12)

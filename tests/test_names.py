@@ -1,5 +1,6 @@
-"""Static guard: every function, class, method and module-level constant under
-src/coaglab has a caller.
+"""Static guards: every function, class, method and module-level constant under
+src/coaglab has a caller, and only a pinned list of them has no caller but
+tests.
 
 A module-level function, class or constant, or a method, that is named
 nowhere but in its own definition is dead code; dunder names are exempt.
@@ -74,6 +75,28 @@ def test_every_definition_is_named_elsewhere():
     definitions = [n for p, s in sources.items() if p.parent == package for n in defined_names(s)]
     assert len(definitions) > 100
     assert unreferenced(definitions, name_counts(sources.values())) == []
+
+
+# Oracles and checks that only tests call; a new name that nothing outside
+# tests calls fails test_only_pinned_names_are_called_by_tests_alone.
+TEST_ONLY = [
+    "check_consistency",
+    "decompositions",
+    "empirical_error",
+    "eval_g",
+    "h_infinity",
+    "limiting_mass_concentration",
+    "rate_map",
+]
+
+
+def test_only_pinned_names_are_called_by_tests_alone():
+    package = ROOT / "src" / "coaglab"
+    files = [p for p in sorted(package.rglob("*.py")) if p.name != "__init__.py"]
+    files += sorted((ROOT / "perfbench").rglob("*.py"))
+    sources = {p: p.read_text(encoding="utf-8") for p in files}
+    definitions = [n for p, s in sources.items() if p.parent == package for n in defined_names(s)]
+    assert unreferenced(definitions, name_counts(sources.values())) == TEST_ONLY
 
 
 def test_guard_flags_names_used_only_in_comments():

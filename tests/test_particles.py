@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -329,6 +330,16 @@ def test_non_integral_counts_are_refused():
             ParticleSystemState({(1, 1, 1): k}, n=2)
     exact = ParticleSystemState({(1, 1, 1): 2.0, (2, 1, 1): Fraction(3), (0, 1, 1): np.int64(4)}, n=2)
     assert exact.counts == {(1, 1, 1): 2, (2, 1, 1): 3, (0, 1, 1): 4}
+
+
+def test_first_event_distribution_refuses_an_arm_total_past_int64():
+    # locate_many descends in int64; the scalar simulator's words reach 2**63
+    big = {(1, 0, 1): 2**63, (0, 1, 1): 2**63}
+    ParticleSystemState(big, n=1)
+    with pytest.raises(ValueError, match=re.escape("batch sampler's limit, 2**63 - 1")):
+        first_event_distribution(big, 10)
+    emp = first_event_distribution({(1, 0, 1): 2**63 - 1, (0, 1, 1): 2**63 - 1}, 10)
+    assert emp == {(ParticleType(0, 1, 1), ParticleType(1, 0, 1)): 1.0}
 
 
 @pytest.mark.parametrize("draws", [0, -5])
