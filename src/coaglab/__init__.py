@@ -66,13 +66,11 @@ from .measures import (
     size_biased_laws,
 )
 from .particles import (
-    Event,
     ParticleSystemState,
     SimulationRun,
     empirical_error,
     first_event_distribution,
     run_simulation,
-    step,
 )
 
 __version__ = "0.1.0"

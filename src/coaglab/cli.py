@@ -42,10 +42,10 @@ float concentration, that a count overflows a float, for ``limit`` a result
 past the float range, for ``gw`` a degenerate initial state, whose trees
 need not end, a path that cannot be read or written, and for ``compare`` a
 tolerance that is not a finite number >= 0, a value cell that is not a
-finite number, or two tables whose key columns or value column counts
-differ.  ``compare`` keys each row on its leading columns named ``t``,
-``a``, ``b`` or ``m`` and compares every later cell with the same cell of
-the other table.
+finite number, a key repeated within one table, or two tables whose key
+columns or value column counts differ.  ``compare`` keys each row on its
+leading columns named ``t``, ``a``, ``b`` or ``m`` and compares every later
+cell with the same cell of the other table.
 A subcommand that fails for any reason leaves no new files in its output
 directory; any other exception is then re-raised with its traceback.
 """
@@ -546,7 +546,7 @@ def cmd_compare(path_a: str, path_b: str, tolerance: float) -> int:
             raise ConfigError(
                 f"{path} needs leading key columns named {sorted(_KEY_COLUMNS)}, then value columns"
             )
-        table = {}
+        table, first_line = {}, {}
         for line, row in enumerate(body, start=2):
             try:
                 values = [float(x) for x in row[n_keys:]] if len(row) == len(header) else [math.nan]
@@ -557,7 +557,11 @@ def cmd_compare(path_a: str, path_b: str, tolerance: float) -> int:
                     f"{path}, line {line}: expected {len(header)} cells, "
                     f"the last {len(header) - n_keys} finite numbers"
                 )
-            table[tuple(row[:n_keys])] = values
+            key = tuple(row[:n_keys])
+            if key in first_line:
+                raise ConfigError(f"{path}, lines {first_line[key]} and {line}: the same key {key}")
+            first_line[key] = line
+            table[key] = values
         return header[:n_keys], len(header) - n_keys, table
 
     keys_a, width_a, table_a = read(path_a)

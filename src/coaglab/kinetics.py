@@ -121,6 +121,11 @@ class Observables:
     lost_female_arms: float
 
 
+# The ODE state's tail, after the concentrations: the fluxes past the caps,
+# in this order.  ``Observables`` reads them by these names.
+_LOST = ("lost_mass", "lost_male_arms", "lost_female_arms")
+
+
 def _particle_types(a: np.ndarray, b: np.ndarray, m: np.ndarray) -> list[ParticleType]:
     """One ``ParticleType`` per row of a species table, with int fields."""
     return list(map(ParticleType, a.tolist(), b.tolist(), m.tolist()))
@@ -325,13 +330,14 @@ class _Engine:
             v[_locate(self.table, species)] = [float(w) for w in weights]
         return v
 
-    def rhs(self, c: np.ndarray, t: float, form: str) -> np.ndarray:
-        """Signed rates, then the lost mass, male-arm and female-arm fluxes,
-        of the ``solver.rhs`` form ``form``.
+    def rhs(self, y: np.ndarray, t: float, form: str) -> np.ndarray:
+        """Signed rates, then the ``_LOST`` fluxes, of the ``solver.rhs`` form
+        ``form`` at the state ``y``, whose tail (if any) is not read.
 
         Flux into dropped (out-of-cap) products is never enumerated: it is
         the loss-side flux minus the retained gain flux, which costs O(N).
         """
+        c = y[: self.size]
         gain = self._gain(c)
         rate, loss = self._rate, self._loss
         arms_a, arms_b = _ARM_DENSITIES[form](self, c, t)
@@ -340,11 +346,14 @@ class _Engine:
         np.add(rate, loss, out=rate)
         np.multiply(c, rate, out=loss)
         events = 0.5 * float(loss.sum())
-        out = np.empty(self.size + 3)
-        out[-3] = _dot(self.m, loss) - _dot(self.m, gain)
-        out[-2] = _dot(self.a, loss) - events - _dot(self.a, gain)
-        out[-1] = _dot(self.b, loss) - events - _dot(self.b, gain)
-        np.subtract(gain, loss, out=out[:-3])
+        lost = {
+            "lost_mass": _dot(self.m, loss) - _dot(self.m, gain),
+            "lost_male_arms": _dot(self.a, loss) - events - _dot(self.a, gain),
+            "lost_female_arms": _dot(self.b, loss) - events - _dot(self.b, gain),
+        }
+        out = np.empty(self.size + len(_LOST))
+        out[self.size :] = [lost[k] for k in _LOST]
+        np.subtract(gain, loss, out=out[: self.size])
         return out
 
 
@@ -576,7 +585,7 @@ def rate_map(
     the reachable truncated set."""
     SolverSettings(rhs=form)  # refuses an unknown form
     system = TruncatedSystem(c.support(), policy)
-    dc = system.rhs(system.concentration_vector(c), c.time, form)[:-3]
+    dc = system.rhs(system.concentration_vector(c), c.time, form)[: system.size]
     return dict(zip(system.types, dc.tolist()))
 
 
@@ -591,24 +600,25 @@ class _Integrator:
 
     def __init__(self, system: _Engine, solver: SolverSettings):
         self.rhs = partial(system.rhs, form=solver.rhs)
+        self.size = system.size
         self.accepted = 0
         self.rejected = 0
 
     def _rk4(self, y: np.ndarray, t: float, h: float, k1: np.ndarray) -> np.ndarray:
         f = self.rhs
-        k2 = f((y + 0.5 * h * k1)[:-3], t + 0.5 * h)
-        k3 = f((y + 0.5 * h * k2)[:-3], t + 0.5 * h)
-        k4 = f((y + h * k3)[:-3], t + h)
+        k2 = f(y + 0.5 * h * k1, t + 0.5 * h)
+        k3 = f(y + 0.5 * h * k2, t + 0.5 * h)
+        k4 = f(y + h * k3, t + h)
         return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
     def advance(
         self, y: np.ndarray, t: float, h: float, depth: int = 0, k1: "np.ndarray | None" = None
     ) -> np.ndarray:
         if k1 is None:
-            k1 = self.rhs(y[:-3], t)
+            k1 = self.rhs(y, t)
         ynew = self._rk4(y, t, h, k1)
-        conc = ynew[:-3]
-        floor = -_CLAMP_TOL * max(1.0, float(y[:-3].max(initial=0.0)))
+        conc = ynew[: self.size]
+        floor = -_CLAMP_TOL * max(1.0, float(y[: self.size].max(initial=0.0)))
         if conc.min(initial=0.0) >= floor:
             self.accepted += 1
             return ynew
@@ -623,7 +633,7 @@ class _Integrator:
 
 
 def _observe(system: _Engine, y: np.ndarray, t: float) -> Observables:
-    c = y[:-3]
+    c = y[: system.size]
     a, b, m = system.a, system.b, system.m
     return Observables(
         time=t,
@@ -634,14 +644,12 @@ def _observe(system: _Engine, y: np.ndarray, t: float) -> Observables:
         second_a=_dot(a * (a - 1.0), c),
         second_b=_dot(b * (b - 1.0), c),
         cross_ab=_dot(a * b, c),
-        lost_mass=float(y[-3]),
-        lost_male_arms=float(y[-2]),
-        lost_female_arms=float(y[-1]),
+        **dict(zip(_LOST, y[system.size :].tolist())),
     )
 
 
 def _snapshot(system: _Engine, y: np.ndarray, t: float) -> _Checkpoint:
-    c = y[:-3]
+    c = y[: system.size]
     bad = np.flatnonzero(c < -_CLAMP_TOL * max(1.0, float(c.max(initial=0.0))))
     if len(bad):
         i = int(bad[0])
@@ -679,7 +687,7 @@ def integrate(
     cks = sorted(set(checkpoint_times(t_end, checkpoints)) | {0.0})
     system = make_system(c0.support(), policy)
     stepper = _Integrator(system, solver)
-    y = np.concatenate([system.concentration_vector(c0), [0.0, 0.0, 0.0]])
+    y = np.concatenate([system.concentration_vector(c0), np.zeros(len(_LOST))])
     t, snaps, obs = 0.0, [], []
     for target in cks:  # the first is 0.0, recorded before any step
         while target - t > _GAP_TOL * solver.dt:
@@ -692,9 +700,8 @@ def integrate(
     return Trajectory(system.table, snaps, obs)
 
 
-_OBS_FIELDS = tuple(  # the moment observables
-    f.name for f in fields(Observables) if f.name != "time" and not f.name.startswith("lost_")
-)
+# The moment observables.
+_OBS_FIELDS = tuple(f.name for f in fields(Observables) if f.name not in ("time", *_LOST))
 
 
 def truncation_error_estimate(

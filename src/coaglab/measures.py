@@ -254,10 +254,6 @@ class TruncatedSeries:
         return len(self.coeffs) - 1
 
     @staticmethod
-    def zero(order: int) -> "TruncatedSeries":
-        return TruncatedSeries((0,) * (order + 1))
-
-    @staticmethod
     def constant(value: "Scalar", order: int) -> "TruncatedSeries":
         return TruncatedSeries((value,) + (0,) * order)
 

@@ -49,11 +49,9 @@ that event when resumed.  Between events the trees, counts, slot table and
 totals are bound to the loop's locals, so an event calls only the word
 rejection, the two descents and, on a hit of one species, the same-instance
 test.  The loop writes the totals and the clock back to the state after each
-event, so a paused loop leaves a whole state behind.  :func:`run_simulation`
-drives the loop across its checkpoints, recording the state before it fires
-an event that falls past the next one; :func:`step` keeps the loop on the
-state, with the waiting time it has yielded, and fires one event per call.
-Both therefore take one event path.
+event, so a paused loop leaves a whole state behind.  Its one driver,
+:func:`run_simulation`, runs it across the checkpoints and records the state
+before it fires an event that falls past the next one.
 
 A single run is strictly sequential; replicates are independent given their
 seeds and may be executed concurrently by callers.
@@ -157,22 +155,11 @@ def _uniform_below(bound: int, word) -> int:
 class _Draws:
     """Block-drawn exponentials and 63-bit words of one generator."""
 
-    __slots__ = ("rng", "exponential", "word")
+    __slots__ = ("exponential", "word")
 
     def __init__(self, rng):
-        self.rng = rng
         self.exponential = _block_stream(rng.standard_exponential).__next__
         self.word = _block_stream(lambda k: rng.bit_generator.random_raw(k) >> 1).__next__
-
-
-@dataclass(frozen=True)
-class Event:
-    """One coagulation: waiting time in rescaled units and the species involved."""
-
-    dt: float
-    left: ParticleType
-    right: ParticleType
-    merged: ParticleType
 
 
 def _totals(counts: Mapping[ParticleType, int]) -> tuple[int, int, int, int, int]:
@@ -218,11 +205,6 @@ class ParticleSystemState:
             raise ValueError(f"an arm total exceeds 2**63, the sampler's word range, at n = {n}")
         self.time = 0.0
         self.rejections = 0  # same-instance arm pairs redrawn by the sampler
-        # step's block stream, its event loop and the waiting time the loop
-        # has yielded but not yet fired
-        self._draws: "_Draws | None" = None
-        self._loop = None
-        self._dt = inf
         self._fen_a, self._fen_b = self._arm_trees()
 
     def _arm_trees(self) -> tuple[_Fenwick, _Fenwick]:
@@ -280,10 +262,8 @@ def _event_loop(state: ParticleSystemState, draws: _Draws):
     the rescaled clock (rate ``total_rate / n``) and fires that event when
     resumed, or yields ``inf`` forever once the state is absorbed.
 
-    Resumed by ``send(fired)`` with a list, it appends the fired event's
-    ``(left, right, merged)`` species to it.  The trees, counts, slot table
-    and totals live in locals between events; the totals and the clock are
-    written back to ``state`` after every event.
+    The trees, counts, slot table and totals live in locals between events;
+    the totals and the clock are written back to ``state`` after every event.
     """
     counts, slot, types, free = state.counts, state.slot, state.types, state._free
     exponential, word, scale = draws.exponential, draws.word, state.n
@@ -293,7 +273,7 @@ def _event_loop(state: ParticleSystemState, draws: _Draws):
     tree_a, tree_b, size = fen_a.tree, fen_b.tree, fen_a.size
     while rate := tm * tf - sum_ab:
         dt = exponential() * (scale / rate)
-        fired = yield dt
+        yield dt
         # A uniform male arm and a uniform female arm; a pair of arms on one
         # instance is redrawn, which removes exactly the weight sum a_i b_i.
         while True:
@@ -345,8 +325,7 @@ def _event_loop(state: ParticleSystemState, draws: _Draws):
             s = state._claim(ParticleType(ma, mb, lm + rm))
             fen_a, fen_b = state._fen_a, state._fen_b  # rebuilt if the table doubled
             tree_a, tree_b, size = fen_a.tree, fen_b.tree, fen_a.size
-        merged = types[s]
-        counts[merged] += 1
+        counts[types[s]] += 1
         s += 1
         while s <= size:
             tree_a[s] += ma
@@ -359,44 +338,18 @@ def _event_loop(state: ParticleSystemState, draws: _Draws):
         time += dt
         state.total_male, state.total_female, state.sum_ab = tm, tf, sum_ab
         state.n_particles, state.rejections, state.time = particles, rejections, time
-        if fired is not None:
-            fired.append((left, right, merged))
     while True:
         yield inf
-
-
-def step(state: ParticleSystemState, rng) -> "Event | None":
-    """Execute one event in place; returns None when the state is absorbed.
-
-    The waiting time is exponential with rate ``total_rate / n`` (the rescaled
-    clock); the state's rescaled time advances by it.  The state keeps the
-    block stream of ``rng`` and its event loop, which :func:`run_simulation`
-    also runs, so stepping with a fresh generator of a seed replays
-    :func:`run_simulation` of that seed event for event.
-    """
-    if state._draws is None or state._draws.rng is not rng:  # a new generator starts a new stream
-        state._draws = _Draws(rng)
-        state._loop = _event_loop(state, state._draws)
-        state._dt = next(state._loop)
-    dt = state._dt
-    if dt == inf:
-        return None
-    fired: list = []
-    state._dt = state._loop.send(fired)
-    return Event(dt, *fired[0])
 
 
 @dataclass(frozen=True)
 class SimulationRun:
     """Recorded empirical concentrations of one run at fixed rescaled times."""
 
-    n: int
-    seed: "int | tuple"
     times: tuple[float, ...]
     states: tuple[dict[ParticleType, float], ...]
     events: int
     rejections: int
-    final_counts: dict[ParticleType, int]
     final_total_male: int
     final_total_female: int
     final_total_mass: int
@@ -429,13 +382,10 @@ def run_simulation(
             events += 1
         snapshots.append(state.empirical_concentrations())
     return SimulationRun(
-        n=n,
-        seed=seed,
         times=tuple(cks),
         states=tuple(snapshots),
         events=events,
         rejections=state.rejections,
-        final_counts=dict(state.counts),
         final_total_male=state.total_male,
         final_total_female=state.total_female,
         final_total_mass=state.total_mass,
@@ -449,7 +399,7 @@ def first_event_distribution(
     """Empirical law of the first coagulating species pair.
 
     Samples the event pair of a frozen state ``draws`` times through the
-    same species trees and same-instance rule used by :func:`step`, a block
+    same species trees and same-instance rule as the event loop, a block
     of draws at a time, and tallies unordered species pairs (canonically
     ordered).
     Used to validate the sampler against brute-force rate tables.

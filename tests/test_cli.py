@@ -594,6 +594,14 @@ def _table(tmp_path, name, text):
             id="compare-short-row",
         ),
         pytest.param(
+            # The second row of a key would otherwise overwrite the first, and
+            # its 0.5 would never be compared.
+            lambda d: ["compare", _table(d, "a.csv", "t,a,b,m,v\n1,1,1,1,0.5\n1,1,1,1,0.9\n"),
+                       _table(d, "b.csv", "t,a,b,m,v\n1,1,1,1,0.9\n"), "--tolerance", "0"],
+            "a.csv, lines 2 and 3",
+            id="compare-repeated-key",
+        ),
+        pytest.param(
             lambda d: ["compare", _table(d, "a.csv", "m,v\n1,2\n"),
                        _table(d, "b.csv", "m,v\n1,2\n"), "--tolerance", "nan"],
             "--tolerance",

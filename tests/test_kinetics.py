@@ -30,6 +30,7 @@ from coaglab.kinetics import (
     TruncatedSystem,
     UniformArmSystem,
     _Integrator,
+    _LOST,
     _observe,
     _snapshot,
     make_system,
@@ -150,8 +151,8 @@ def test_engines_agree(three_arm_state):
     )
     outg = generic.rhs(generic.concentration_vector(state), 0.4, "full")
     outf = fast.rhs(fast.concentration_vector(state), 0.4, "full")
-    dg, fluxg = outg[:-3], list(outg[-3:])
-    df, fluxf = outf[:-3], list(outf[-3:])
+    dg, fluxg = outg[: generic.size], list(outg[generic.size :])
+    df, fluxf = outf[: fast.size], list(outf[fast.size :])
     mg = dict(zip(generic.types, dg))
     mf = dict(zip(fast.types, df))
     assert max(abs(mg.get(p, 0.0) - mf.get(p, 0.0)) for p in set(mg) | set(mf)) < 1e-9
@@ -174,7 +175,7 @@ def test_pair_rhs_buffers_match_direct_gather(pq_state):
             system.pair_coeff * c[system.pair_i] * c[system.pair_j], starts
         )
         loss = c * (system.a * float(system.b @ c) + system.b * float(system.a @ c))
-        d = system.rhs(c, 0.3, "full")[:-3]
+        d = system.rhs(c, 0.3, "full")[: system.size]
         assert np.array_equal(d, gain - loss)
 
 
@@ -218,7 +219,7 @@ def test_pair_gain_within_rounding_of_exact_sum(seeds, mass_cap, arm_cap, heavy_
 def _gain_and_fluxes(system, c):
     """Gain term (the RHS with the loss added back) and the three lost fluxes."""
     out = system.rhs(c, 0.4, "full")
-    d, fluxes = out[:-3], list(out[-3:])
+    d, fluxes = out[: system.size], list(out[system.size :])
     loss = c * (system.a * float(system.b @ c) + system.b * float(system.a @ c))
     return dict(zip(system.types, d + loss)), fluxes
 
@@ -467,7 +468,7 @@ def test_integrator_counts_rhs_calls_of_bisected_steps(three_arm_state):
 
         system.rhs = counted
         stepper = _Integrator(system, SolverSettings(dt=0.2))
-        y = np.concatenate([system.concentration_vector(three_arm_state), [0.0, 0.0, 0.0]])
+        y = np.concatenate([system.concentration_vector(three_arm_state), np.zeros(len(_LOST))])
         stepper.advance(y, 0.0, 0.2)
         assert stepper.rejected > 0
         assert len(calls) == 4 * stepper.accepted + 3 * stepper.rejected
@@ -483,7 +484,7 @@ def test_fft_trajectory_takes_the_pair_engine_steps(three_arm_state):
         UniformArmSystem(three_arm_state.support(), pol),
     ):
         stepper = _Integrator(system, SolverSettings(dt=0.05))
-        y = np.concatenate([system.concentration_vector(three_arm_state), [0.0, 0.0, 0.0]])
+        y = np.concatenate([system.concentration_vector(three_arm_state), np.zeros(len(_LOST))])
         for k in range(15):  # to t = 0.75
             y = stepper.advance(y, 0.05 * k, 0.05)
         counts = (stepper.accepted, stepper.rejected)
@@ -626,7 +627,7 @@ def test_trajectory_states_equal_states_built_from_the_types(request, monkeypatc
     snapshot = kinetics._snapshot
 
     def recording(system, y, t):
-        seen.append((system, y[:-3].copy(), t))
+        seen.append((system, y[: system.size].copy(), t))
         return snapshot(system, y, t)
 
     monkeypatch.setattr(kinetics, "_snapshot", recording)

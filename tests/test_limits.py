@@ -115,7 +115,7 @@ def _generating_value(mu, x, y):
 def _series_sweeps(update, order):
     """The fixed point by ``order + 1`` full sweeps from zero: each sweep makes
     one more coefficient exact.  A slow reference for the online helper."""
-    x = y = TruncatedSeries.zero(order)
+    x = y = TruncatedSeries.constant(0, order)
     for _ in range(order + 1):
         x, y = update(x, y)
     return x, y

@@ -163,7 +163,7 @@ def test_series_basics():
     assert (s - s).coeffs == (0,) * 5
     assert evaluate(s, Fraction(1, 2)) == 1 + 1 + Fraction(3, 4)
     with pytest.raises(ValueError):
-        s + TruncatedSeries.zero(2)
+        s + TruncatedSeries.constant(0, 2)
 
 
 def test_series_antiderivative_is_exact_for_rationals():

@@ -4,10 +4,12 @@ tests.
 
 A module-level function, class or constant, or a method, that is named
 nowhere but in its own definition is dead code; dunder names are exempt.
-Names are counted as identifiers in code and inside string literals
-(``perfbench/tracing.py`` names its targets in strings); comments do not
-count.  The count is per name, so a dead method that shares its name with a
-live one is not caught.
+Names are counted as identifier tokens of code in ``src/``, ``tests/`` and
+``perfbench/``, and as words inside string literals only in ``perfbench/``,
+whose tracer names its targets in strings.  Comments, docstrings and error
+messages do not count, so a name that only prose mentions is still caught.
+The count is per name, so a dead method that shares its name with a live
+one is not caught.
 """
 
 import ast
@@ -51,16 +53,25 @@ def defined_names(source: str) -> list[str]:
     return names
 
 
-def name_counts(sources) -> Counter:
-    """Occurrences of each identifier in code and in string literals."""
+def name_counts(sources, strings: bool = False) -> Counter:
+    """Occurrences of each identifier token in ``sources``; with ``strings``,
+    also of each word inside their string literals."""
     counts: Counter = Counter()
     for source in sources:
         for tok in tokenize.generate_tokens(io.StringIO(source).readline):
             if tok.type == tokenize.NAME:
                 counts[tok.string] += 1
-            elif tok.type == tokenize.STRING:
+            elif strings and tok.type == tokenize.STRING:
                 counts.update(_WORD.findall(tok.string))
     return counts
+
+
+def _counts(sources: dict) -> Counter:
+    """Names in the code of every source, and in the strings of perfbench."""
+    traced = {p for p in sources if p.parent.name == "perfbench"}
+    return name_counts(s for p, s in sources.items() if p not in traced) + name_counts(
+        (sources[p] for p in traced), strings=True
+    )
 
 
 def unreferenced(definitions: list[str], counts: Counter) -> list[str]:
@@ -74,7 +85,7 @@ def test_every_definition_is_named_elsewhere():
     package = ROOT / "src" / "coaglab"
     definitions = [n for p, s in sources.items() if p.parent == package for n in defined_names(s)]
     assert len(definitions) > 100
-    assert unreferenced(definitions, name_counts(sources.values())) == []
+    assert unreferenced(definitions, _counts(sources)) == []
 
 
 # Oracles and checks that only tests call; a new name that nothing outside
@@ -86,6 +97,7 @@ TEST_ONLY = [
     "eval_g",
     "h_infinity",
     "limiting_mass_concentration",
+    "merge",
     "rate_map",
 ]
 
@@ -96,12 +108,15 @@ def test_only_pinned_names_are_called_by_tests_alone():
     files += sorted((ROOT / "perfbench").rglob("*.py"))
     sources = {p: p.read_text(encoding="utf-8") for p in files}
     definitions = [n for p, s in sources.items() if p.parent == package for n in defined_names(s)]
-    assert unreferenced(definitions, name_counts(sources.values())) == TEST_ONLY
+    assert unreferenced(definitions, _counts(sources)) == TEST_ONLY
 
 
 def test_guard_flags_names_used_only_in_comments():
+    """Comments, docstrings and string literals of code do not count; the
+    strings of a tracer, which names its targets in them, do."""
     source = (
         "def used():\n"
+        "    \"\"\"Not dead().\"\"\"\n"
         "    return 1\n"
         "def dead():  # dead\n"
         "    return used()\n"
@@ -109,12 +124,14 @@ def test_guard_flags_names_used_only_in_comments():
         "    def __init__(self):\n"
         "        pass\n"
         "    def traced(self):\n"
-        "        return 'C.traced'\n"
+        "        return 'never'\n"
         "    def never(self):\n"
         "        pass\n"
-        "__all__ = ['used']\n"
+        "__all__ = ['_UNUSED']\n"
         "_LIVE, _UNUSED = 1, 2  # _UNUSED\n"
         "_TYPED: int = _LIVE\n"
     )
-    found = unreferenced(defined_names(source), name_counts([source, "C(_TYPED)\n"]))
-    assert found == ["_UNUSED", "dead", "never"]
+    code = name_counts([source, "C(_TYPED)\n"])
+    assert unreferenced(defined_names(source), code) == ["_UNUSED", "dead", "never", "traced"]
+    tracer = name_counts(["TARGETS = ['C.traced']\n"], strings=True)
+    assert unreferenced(defined_names(source), code + tracer) == ["_UNUSED", "dead", "never"]

@@ -1,5 +1,6 @@
 import math
 import re
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -16,9 +17,27 @@ from coaglab import (
     first_event_distribution,
     integrate,
     run_simulation,
-    step,
 )
-from coaglab.particles import ParticleSystemState, _Fenwick, _uniform_below
+from coaglab.particles import ParticleSystemState, _Draws, _event_loop, _Fenwick, _uniform_below
+
+
+def _loop(state, seed):
+    """The event loop of ``state``, drawing from a fresh generator of ``seed``,
+    as :func:`run_simulation` builds it."""
+    return _event_loop(state, _Draws(np.random.default_rng(seed)))
+
+
+def _fired(state, loop):
+    """Fire the events of ``loop`` one ``next`` at a time, until ``state`` is
+    absorbed, yielding the species each one removed and the one it added as
+    Counter differences of ``state.counts``.  The merged species is heavier
+    than either departure, so the two differences never cancel."""
+    dt = next(loop)
+    while dt < math.inf:
+        before = Counter(state.counts)
+        dt = next(loop)
+        after = Counter(state.counts)
+        yield before - after, after - before
 
 
 def brute_force_pair_table(counts: dict) -> dict:
@@ -102,41 +121,37 @@ def test_total_rate_examples():
 
 
 def test_step_examples():
-    rng = np.random.default_rng(0)
     s = ParticleSystemState({(1, 0, 1): 1, (0, 1, 1): 1}, n=2)
-    ev = step(s, rng)
+    loop = _loop(s, 0)
+    (departed, merged), = _fired(s, loop)
     s.check_consistency()
-    assert ev.merged == ParticleType(0, 0, 2)
+    assert departed == {(1, 0, 1): 1, (0, 1, 1): 1} and merged == {(0, 0, 2): 1}
     assert s.counts == {ParticleType(0, 0, 2): 1}
     # The male's slot 0 is freed first, the female's slot 1 last, and the
     # merged species takes the slot freed last.
     assert s.types == [None, ParticleType(0, 0, 2)]
-    assert step(s, rng) is None  # absorbed
+    assert next(loop) == next(loop) == math.inf  # absorbed, and it stays so
 
     s = ParticleSystemState({(1, 1, 1): 2}, n=2)
-    ev = step(s, rng)
+    (departed, merged), = _fired(s, _loop(s, 0))
     s.check_consistency()
-    assert ev.merged == ParticleType(1, 1, 2)
+    assert departed == {(1, 1, 1): 2} and merged == {(1, 1, 2): 1}
 
     s = ParticleSystemState({(2, 0, 1): 1, (0, 0, 5): 7}, n=8)
     assert s.total_rate() == 0
-    assert step(s, rng) is None
+    assert next(_loop(s, 0)) == math.inf
 
 
 def test_event_conservation_laws():
-    rng = np.random.default_rng(42)
     s = ParticleSystemState({(3, 0, 1): 40, (0, 3, 1): 40, (1, 1, 1): 20}, n=100)
     mass0 = s.total_mass
-    while True:
-        male, female, count = s.total_male, s.total_female, s.n_particles
-        ev = step(s, rng)
+    totals = s.total_male, s.total_female, s.n_particles
+    for _ in _fired(s, _loop(s, 42)):
         s.check_consistency()
-        if ev is None:
-            break
         assert s.total_mass == mass0
-        assert s.total_male == male - 1
-        assert s.total_female == female - 1
-        assert s.n_particles == count - 1
+        assert (s.total_male, s.total_female, s.n_particles) == tuple(k - 1 for k in totals)
+        totals = s.total_male, s.total_female, s.n_particles
+    assert s.total_rate() == 0
 
 
 _REPLAY_STATE = {(3, 0, 1): 30, (0, 3, 1): 30, (1, 1, 1): 20}
@@ -151,26 +166,32 @@ _REPLAY_STATE = {(3, 0, 1): 30, (0, 3, 1): 30, (1, 1, 1): 20}
         pytest.param({(1, 1, 1): 40, (2, 1, 1): 10}, 50, 5, 100.0, True, id="doubling-5-100.0-True"),
     ],
 )
-def test_step_replays_run_simulation(counts, n, seed, t_end, absorbed):
-    """step and run_simulation share one event path: from the same seed,
-    stepping to t_end fires the events the run counts and ends in its state."""
-    run = run_simulation(counts, n, t_end, checkpoints=[t_end / 2, t_end], seed=seed)
+def test_checkpoint_holds_every_event_at_or_before_it(counts, n, seed, t_end, absorbed):
+    """run_simulation's checkpoint at T holds every event at or before T: its
+    loop, fired one event at a time from the same seed, holds the same state
+    at each checkpoint, with as many events and rejections by t_end."""
+    cks = [t_end / 2, t_end]
+    run = run_simulation(counts, n, t_end, checkpoints=cks, seed=seed)
     state = ParticleSystemState(counts, n)
     size = len(state.types)
-    rng = np.random.default_rng(seed)
-    events, at_t_end = 0, dict(state.counts)
-    while (ev := step(state, rng)) is not None and state.time <= t_end:
-        events += 1
-        at_t_end = dict(state.counts)
+    loop = _loop(state, seed)
+    held = {}  # checkpoint -> concentrations after the last event at or before it
+    events, rejections, now = 0, 0, state.empirical_concentrations()
+    for _ in _fired(state, loop):
+        for t in cks:
+            if state.time > t:
+                held.setdefault(t, now)
+        if state.time > t_end:
+            break
+        events, rejections, now = events + 1, state.rejections, state.empirical_concentrations()
     state.check_consistency()
     assert len(state.types) > size
-    assert (ev is None) == absorbed
-    assert events == run.events
-    assert at_t_end == run.final_counts
-    assert {p: k / n for p, k in at_t_end.items()} == run.states[-1]
+    assert (state.time <= t_end) == absorbed
+    assert [held.get(t, now) for t in cks] == list(run.states)
+    assert (events, rejections) == (run.events, run.rejections)
     if absorbed:
-        assert state.rejections == run.rejections > 0
-        assert step(state, rng) is None and step(state, rng) is None
+        assert rejections > 0
+        assert next(loop) == next(loop) == math.inf
         state.check_consistency()
 
 
@@ -212,7 +233,8 @@ def test_sampler_matches_rate_table(counts):
 
 def test_count_one_species_never_pairs_with_itself():
     # (2,1,1) has two male arms on its one instance: the frozen sampler and
-    # the simulator's step must reject every draw that pairs it with itself.
+    # the simulator's event loop must reject every draw that pairs it with
+    # itself.
     counts = {(2, 1, 1): 1, (1, 1, 1): 2}
     draws = 200_000
     emp = first_event_distribution(counts, draws, seed=4)
@@ -221,13 +243,14 @@ def test_count_one_species_never_pairs_with_itself():
     assert set(emp) == set(table)
     for pair, prob in table.items():
         assert abs(emp[pair] - prob) <= 4 * math.sqrt(prob * (1 - prob) / draws)
-    merged = []
+    merged = Counter()
     for seed in range(2000):
-        ev = step(ParticleSystemState(counts, n=3), np.random.default_rng(seed))
-        assert (ev.left, ev.right) != (ParticleType(2, 1, 1), ParticleType(2, 1, 1))
-        merged.append(ev.merged)
+        s = ParticleSystemState(counts, n=3)
+        departed, came = next(_fired(s, _loop(s, seed)))
+        assert departed[(2, 1, 1)] <= 1
+        merged += came
     # rates: (1,1,1)+(1,1,1) 2, (2,1,1)+(1,1,1) 6
-    share = merged.count(ParticleType(1, 1, 2)) / len(merged)
+    share = merged[(1, 1, 2)] / merged.total()
     assert abs(share - 0.25) <= 4 * math.sqrt(0.25 * 0.75 / len(merged))
 
 
@@ -237,9 +260,8 @@ def test_slot_table_grows_and_reuses_slots():
     # each event.
     s = ParticleSystemState({(1, 1, 1): 40, (2, 1, 1): 10}, n=50)
     assert len(s.types) == 2
-    rng = np.random.default_rng(5)
     seen, most_live = set(s.counts), len(s.counts)
-    while step(s, rng) is not None:
+    for _ in _fired(s, _loop(s, 5)):
         s.check_consistency()
         seen.update(s.counts)
         most_live = max(most_live, len(s.counts))
