@@ -346,13 +346,12 @@ class _Engine:
         np.add(rate, loss, out=rate)
         np.multiply(c, rate, out=loss)
         events = 0.5 * float(loss.sum())
-        lost = {
-            "lost_mass": _dot(self.m, loss) - _dot(self.m, gain),
-            "lost_male_arms": _dot(self.a, loss) - events - _dot(self.a, gain),
-            "lost_female_arms": _dot(self.b, loss) - events - _dot(self.b, gain),
-        }
         out = np.empty(self.size + len(_LOST))
-        out[self.size :] = [lost[k] for k in _LOST]
+        out[self.size :] = (  # in _LOST's order: mass, male arms, female arms
+            _dot(self.m, loss) - _dot(self.m, gain),
+            _dot(self.a, loss) - events - _dot(self.a, gain),
+            _dot(self.b, loss) - events - _dot(self.b, gain),
+        )
         np.subtract(gain, loss, out=out[: self.size])
         return out
 

@@ -250,8 +250,10 @@ def test_count_one_species_never_pairs_with_itself():
         assert departed[(2, 1, 1)] <= 1
         merged += came
     # rates: (1,1,1)+(1,1,1) 2, (2,1,1)+(1,1,1) 6
-    share = merged[(1, 1, 2)] / merged.total()
-    assert abs(share - 0.25) <= 4 * math.sqrt(0.25 * 0.75 / len(merged))
+    events = merged.total()
+    assert events == 2000
+    share = merged[(1, 1, 2)] / events
+    assert abs(share - 0.25) <= 4 * math.sqrt(0.25 * 0.75 / events)
 
 
 def test_slot_table_grows_and_reuses_slots():
