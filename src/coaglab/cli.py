@@ -42,10 +42,12 @@ float concentration, that a count overflows a float, for ``limit`` a result
 past the float range, for ``gw`` a degenerate initial state, whose trees
 need not end, a path that cannot be read or written, and for ``compare`` a
 tolerance that is not a finite number >= 0, a value cell that is not a
-finite number, a key repeated within one table, or two tables whose key
-columns or value column counts differ.  ``compare`` keys each row on its
-leading columns named ``t``, ``a``, ``b`` or ``m`` and compares every later
-cell with the same cell of the other table.
+finite number, a key cell that is not a number, a key repeated within one
+table, or two tables whose key columns or value column counts differ.
+``compare`` keys each row on its leading columns named ``t``, ``a``, ``b``
+or ``m``, each cell read as an exact number (``1``, ``1.0`` and ``1/1`` are
+one key), and compares every later cell with the same cell of the other
+table.
 A subcommand that fails for any reason leaves no new files in its output
 directory; any other exception is then re-raised with its traceback.
 """
@@ -533,7 +535,9 @@ def cmd_compare(path_a: str, path_b: str, tolerance: float) -> int:
         raise ConfigError(f"--tolerance must be a finite number >= 0, got {tolerance}")
 
     def read(path):
-        """Key column names, value column count and {key cells: values}."""
+        """Key column names, value column count and {key: values}, each key
+        its cells read as exact numbers, so ``1``, ``1.0`` and ``1/1`` are
+        one key."""
         with open(path, "r", encoding="utf-8", newline="") as fh:
             rows = list(csv.reader(fh))
         if not rows:
@@ -557,9 +561,15 @@ def cmd_compare(path_a: str, path_b: str, tolerance: float) -> int:
                     f"{path}, line {line}: expected {len(header)} cells, "
                     f"the last {len(header) - n_keys} finite numbers"
                 )
-            key = tuple(row[:n_keys])
+            cells = row[:n_keys]
+            try:
+                key = tuple(map(Fraction, cells))
+            except (ValueError, ZeroDivisionError):
+                raise ConfigError(f"{path}, line {line}: key cells {cells} are not all numbers") from None
             if key in first_line:
-                raise ConfigError(f"{path}, lines {first_line[key]} and {line}: the same key {key}")
+                raise ConfigError(
+                    f"{path}, lines {first_line[key]} and {line}: the same key {tuple(cells)}"
+                )
             first_line[key] = line
             table[key] = values
         return header[:n_keys], len(header) - n_keys, table

@@ -22,6 +22,16 @@ and arm content is accumulated into running "lost" totals, so ``retained mass
 + lost mass`` is a linear invariant of the augmented system and is preserved
 to rounding error by the Runge-Kutta steps.
 
+The swap of male and female arms, ``(a, b, m) -> (b, a, m)``, leaves the
+rate ``a'b + ab'``, the merge product and the caps unchanged.  So it maps
+the gain of a state to the gain of the swapped state, and the loss too: in
+``full`` it exchanges ``A`` and ``B``, and in ``reduced`` they are one
+number.  The solution is unique, so a state invariant under the swap stays
+invariant, and there the gain of each species with ``a > b`` is that of
+its mirror.  ``make_system`` builds such a state's pair engine
+``mirrored``: it sums only the pairs into species with ``a <= b``, about
+half of them, and copies each sum to the mirror.
+
 Both engines share one right-hand side, ``_Engine.rhs``.  An engine builds
 its species table and supplies only ``_gain(c)``, the bilinear gain term,
 since only that term depends on how pairs are enumerated.  The loss term and
@@ -363,22 +373,43 @@ class TruncatedSystem(_Engine):
     enumerated once, ordered by target (see ``_merge_sweep``).  Each gain
     evaluation gathers and multiplies over the pairs, then sums each fed
     species' run of the table with one ``np.add.reduceat`` over the run
-    starts; a species that no pair feeds (a mass-1 species, or a heavier
-    seed that no merge reaches) keeps a gain of 0.  ``reduceat`` sums a run
-    pairwise.  ``_gain`` works in buffers owned by the system, and returns
-    one of them, so one system must not be evaluated from two threads at
-    once.
+    starts, and reads every species' gain from those sums with one
+    ``np.take`` through ``_gain_at``; a species that no pair feeds (a mass-1
+    species, or a heavier seed that no merge reaches) reads a slot held at
+    0.  ``reduceat`` sums a run pairwise.
+
+    A ``mirrored`` system keeps only the pairs into species with ``a <= b``,
+    and a species with ``a > b`` reads the sum of its mirror ``(b, a, m)``.
+    On a state invariant under the arm swap that is its gain, to rounding,
+    and both ``solver.rhs`` forms keep such a state invariant (see the
+    module docstring).  The species table, the loss term and the lost fluxes
+    are the full system's.
+
+    ``_gain`` works in buffers owned by the system, and returns one of them,
+    so one system must not be evaluated from two threads at once.
     """
 
-    def __init__(self, seeds: Iterable[ParticleType], policy: TruncationPolicy):
-        table, self.pair_i, self.pair_j, self.pair_coeff, self.pair_tgt = _merge_sweep(seeds, policy)
+    def __init__(
+        self, seeds: Iterable[ParticleType], policy: TruncationPolicy, mirrored: bool = False
+    ):
+        table, *pairs = _merge_sweep(seeds, policy)  # pairs: i, j, coeff, target
         super().__init__(policy, table)
+        a, b, m = table
+        rows = np.arange(self.size)  # the row whose pair sum each species reads
+        if mirrored:
+            rows = np.where(a > b, _locate(table, np.column_stack((b, a, m))), rows)
+            kept = (a <= b)[pairs[3]]
+            pairs = [x[kept] for x in pairs]
+        self.pair_i, self.pair_j, self.pair_coeff, self.pair_tgt = pairs
         counts = np.bincount(self.pair_tgt, minlength=self.size)
-        self._fed = np.flatnonzero(counts)  # species that some pair feeds
-        self._starts = (np.cumsum(counts) - counts)[self._fed]  # first pair of each
+        fed = counts > 0  # species that some pair feeds
+        self._starts = (np.cumsum(counts) - counts)[fed]  # first pair of each
+        # The sum of each fed species' run, then one slot that stays 0.
+        self._sums = np.zeros(len(self._starts) + 1)
+        slot = np.where(fed, np.cumsum(fed) - 1, len(self._starts))
+        self._gain_at = slot[rows]
         self._pair_work = np.empty((2, len(self.pair_i)))
-        self._sums = np.empty(len(self._fed))
-        self._gain_out = np.zeros(self.size)  # entries no pair feeds stay 0
+        self._gain_out = np.empty(self.size)
 
     def _gain(self, c: np.ndarray) -> np.ndarray:
         # Pair-sized products go to preallocated buffers: with a fresh
@@ -390,8 +421,8 @@ class TruncatedSystem(_Engine):
         np.take(c, self.pair_j, out=cj, mode="clip")
         np.multiply(w, cj, out=w)
         # The pairs of each species are one contiguous run of the table.
-        np.add.reduceat(w, self._starts, out=self._sums)
-        self._gain_out[self._fed] = self._sums
+        np.add.reduceat(w, self._starts, out=self._sums[:-1])
+        np.take(self._sums, self._gain_at, out=self._gain_out, mode="clip")
         return self._gain_out
 
 
@@ -569,12 +600,21 @@ def _uniform_arms(seeds: list[ParticleType]) -> "int | None":
     return None
 
 
-def make_system(seeds, policy: TruncationPolicy):
-    """Pick the fastest exact engine for the given initial support."""
-    supp = [as_particle_type(p) for p in seeds]
-    if _uniform_arms(supp) is not None:
-        return UniformArmSystem(supp, policy)
-    return TruncatedSystem(supp, policy)
+def make_system(c0: ConcentrationState, policy: TruncationPolicy):
+    """Pick the fastest exact engine for the initial state ``c0``.
+
+    Seeds that all have mass 1 and one arm count run the FFT engine.  Any
+    other state runs the pair engine, ``mirrored`` when ``c0`` is exactly
+    invariant under the arm swap ``(a, b) -> (b, a)``, weights included:
+    both ``solver.rhs`` forms keep that symmetry, since the swap exchanges
+    ``A`` and ``B`` in ``full`` and fixes them in ``reduced`` (see the
+    module docstring), so an ``a > b`` species gains what its mirror gains.
+    """
+    seeds = c0.support()
+    if _uniform_arms(seeds) is not None:
+        return UniformArmSystem(seeds, policy)
+    mirrored = all(c0[(p.b, p.a, p.m)] == w for p, w in c0.items())
+    return TruncatedSystem(seeds, policy, mirrored)
 
 
 def rate_map(
@@ -684,7 +724,7 @@ def integrate(
     The trajectory builds its states when they are first read.
     """
     cks = sorted(set(checkpoint_times(t_end, checkpoints)) | {0.0})
-    system = make_system(c0.support(), policy)
+    system = make_system(c0, policy)
     stepper = _Integrator(system, solver)
     y = np.concatenate([system.concentration_vector(c0), np.zeros(len(_LOST))])
     t, snaps, obs = 0.0, [], []

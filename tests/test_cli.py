@@ -284,6 +284,17 @@ def test_compare_identical_and_mismatch(tmp_path, capsys):
     assert main(["compare", str(a), str(c), "--tolerance", "0"]) == 2
 
 
+def test_compare_matches_keys_written_as_different_numerals(tmp_path, capsys):
+    """A key cell is read as an exact number, so ``1``, ``1.0`` and ``1/1``
+    key the same row; before, each row counted as only in its own table."""
+    a = _table(tmp_path, "a.csv", "t,a,b,m,value\n1,1,1,1,0.5\n0.5,2,1,3,0.25\n")
+    b = _table(tmp_path, "b.csv", "t,a,b,m,value\n1.0,1,1,1,0.5\n1/2,2.0,1,3,0.25\n")
+    assert main(["compare", a, b, "--tolerance", "0"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert (report["shared_rows"], report["only_in_a"], report["only_in_b"]) == (2, 0, 0)
+    assert report["max_abs_diff"] == 0.0
+
+
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
@@ -600,6 +611,19 @@ def _table(tmp_path, name, text):
                        _table(d, "b.csv", "t,a,b,m,v\n1,1,1,1,0.9\n"), "--tolerance", "0"],
             "a.csv, lines 2 and 3",
             id="compare-repeated-key",
+        ),
+        pytest.param(
+            # 1 and 1.0 are one key, however they are written.
+            lambda d: ["compare", _table(d, "a.csv", "t,a,b,m,v\n1,1,1,1,0.5\n1.0,1,1,1,0.9\n"),
+                       _table(d, "b.csv", "t,a,b,m,v\n1,1,1,1,0.9\n"), "--tolerance", "0"],
+            "a.csv, lines 2 and 3: the same key ('1.0', '1', '1', '1')",
+            id="compare-repeated-key-written-two-ways",
+        ),
+        pytest.param(
+            lambda d: ["compare", _table(d, "a.csv", "t,v\n1,2\nlate,3\n"),
+                       _table(d, "b.csv", "t,v\n1,2\n"), "--tolerance", "1"],
+            "a.csv, line 3: key cells ['late'] are not all numbers",
+            id="compare-non-numeric-key",
         ),
         pytest.param(
             lambda d: ["compare", _table(d, "a.csv", "m,v\n1,2\n"),

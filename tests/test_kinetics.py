@@ -124,8 +124,8 @@ def test_pair_table_matches_brute_force_double_loop():
 
 def test_engine_dispatch(three_arm_state, pq_state):
     pol = TruncationPolicy(mass_cap=10, arm_cap=14)
-    assert isinstance(make_system(three_arm_state.support(), pol), UniformArmSystem)
-    assert isinstance(make_system(pq_state.support(), pol), TruncatedSystem)
+    assert isinstance(make_system(three_arm_state, pol), UniformArmSystem)
+    assert isinstance(make_system(pq_state, pol), TruncatedSystem)
 
 
 @pytest.mark.parametrize(
@@ -214,6 +214,115 @@ def test_pair_gain_within_rounding_of_exact_sum(seeds, mass_cap, arm_cap, heavy_
         assert abs(Fraction(g) - s) <= 4 * k * mag / 2**53
     unfed = [p for p, k in zip(system.types, count) if k == 0]
     assert [p for p in unfed if p.m > 1] == heavy_unfed  # seeds that no merge reaches
+
+
+MIXED_STATE = ConcentrationState({p: Fraction(1, 4) for p in MIXED_SEEDS})
+
+
+def _mirror_rows(system):
+    """Row of each species' mirror ``(b, a, m)`` in the system's table."""
+    a, b, m = system.table
+    return kinetics._locate(system.table, np.column_stack((b, a, m)))
+
+
+def _pairs_into_a_le_b(system):
+    """The pair targets of ``system`` whose species have a <= b."""
+    a, b, _ = system.table
+    return system.pair_tgt[(a <= b)[system.pair_tgt]]
+
+
+def test_mirrored_pair_engine_sums_half_the_pairs_and_copies_the_mirrors():
+    """On the ``mixed_pairs`` state at 20/10, ``make_system`` keeps only the
+    23 302 pairs into species with a <= b.  At a mirror-symmetric state each
+    such species' gain has the bits of the full table's, each a > b species
+    reads its mirror's, and the gain and lost fluxes are within rounding of
+    the full table's, in both ``solver.rhs`` forms."""
+    pol = TruncationPolicy(mass_cap=20, arm_cap=10)
+    full = TruncatedSystem(MIXED_SEEDS, pol)
+    mirrored = make_system(MIXED_STATE, pol)
+    assert (len(full.pair_i), len(mirrored.pair_i)) == (42_587, 23_302)
+    assert np.array_equal(mirrored.pair_tgt, _pairs_into_a_le_b(full))
+    a, b, _ = full.table
+    rows = _mirror_rows(full)
+    c = np.random.default_rng(11).uniform(-1.0, 1.0, full.size)  # signs as in RK4 stages
+    c = np.where(a > b, c[rows], c)
+    gain, want = mirrored._gain(c).copy(), full._gain(c)
+    assert np.array_equal(gain[rows], gain)
+    assert np.array_equal(gain, want[np.where(a > b, rows, np.arange(full.size))])
+    assert np.abs(gain - want).max() <= 1e-15 * np.abs(want).max()
+    for form in ("full", "reduced"):
+        got = mirrored.rhs(c, 0.3, form)[mirrored.size :]
+        assert got == pytest.approx(full.rhs(c, 0.3, form)[full.size :], rel=1e-15, abs=0)
+
+
+def _run(c0, pol, form, monkeypatch, engine=None):
+    """``integrate`` on the 0.5/1 grid at dt 0.01, and the system it built;
+    ``engine(c0, policy)``, if given, builds that system."""
+    built = []
+    make = engine or kinetics.make_system
+
+    def recording(*args):
+        built.append(make(*args))
+        return built[-1]
+
+    with monkeypatch.context() as patch:
+        patch.setattr(kinetics, "make_system", recording)
+        traj = integrate(c0, 1.0, pol, SolverSettings(rhs=form, dt=0.01), [0.5, 1.0])
+    return traj, built[0]
+
+
+def _unmirrored(c0, policy):
+    return TruncatedSystem(c0.support(), policy)
+
+
+def _dense(traj):
+    """Each checkpoint's concentrations over the whole table."""
+    out = np.zeros((len(traj.checkpoints), len(traj.table[0])))
+    for row, ck in zip(out, traj.checkpoints):
+        row[ck.rows] = ck.values
+    return out
+
+
+@pytest.mark.parametrize("form", ["full", "reduced"])
+@pytest.mark.parametrize("c0", [pytest.param("pq", id="pq"), pytest.param("mixed", id="mixed")])
+def test_mirrored_trajectories_are_symmetric_and_match_the_full_table(
+    request, monkeypatch, c0, form
+):
+    """A mirror-invariant state runs the mirrored engine.  Its checkpoints
+    are mirror-symmetric: exactly in the ``reduced`` form, whose arm
+    densities are one number; in ``full``, within rounding, since
+    ``<a, c>`` and ``<b, c>`` add the same terms in different orders.  They
+    agree with a run over the full pair table within 1e-14 relative."""
+    c0 = request.getfixturevalue("pq_state") if c0 == "pq" else MIXED_STATE
+    pol = TruncationPolicy(mass_cap=12, arm_cap=6)
+    traj, system = _run(c0, pol, form, monkeypatch)
+    ref, full = _run(c0, pol, form, monkeypatch, _unmirrored)
+    assert np.array_equal(system.pair_tgt, _pairs_into_a_le_b(full))
+    assert len(system.pair_i) < len(full.pair_i)
+    got, want = _dense(traj), _dense(ref)
+    asymmetry = np.abs(got[:, _mirror_rows(system)] - got).max()
+    assert asymmetry <= (0.0 if form == "reduced" else 1e-15 * got.max())
+    assert np.all(np.abs(got - want) <= 1e-14 * want)
+    for o, r in zip(traj.observables, ref.observables):
+        assert [getattr(o, f.name) for f in fields(o)] == pytest.approx(
+            [getattr(r, f.name) for f in fields(r)], rel=1e-14, abs=0
+        )
+
+
+def test_asymmetric_weights_on_a_mirror_closed_support_keep_the_full_table(monkeypatch):
+    """A balanced state whose support is mirror-closed but whose weights are
+    not runs the full pair table, with the bits of a directly built engine."""
+    c0 = ConcentrationState({
+        (2, 0, 1): Fraction(1, 4), (0, 2, 1): Fraction(1, 8),
+        (1, 0, 1): Fraction(1, 4), (0, 1, 1): Fraction(1, 2),
+    })
+    pol = TruncationPolicy(mass_cap=12, arm_cap=6)
+    for form in ("full", "reduced"):
+        traj, system = _run(c0, pol, form, monkeypatch)
+        ref, full = _run(c0, pol, form, monkeypatch, _unmirrored)
+        assert np.array_equal(system.pair_tgt, full.pair_tgt)
+        assert _dense(traj).tobytes() == _dense(ref).tobytes()
+        assert traj.observables == ref.observables
 
 
 def _gain_and_fluxes(system, c):
@@ -457,7 +566,7 @@ def test_integrator_counts_rhs_calls_of_bisected_steps(three_arm_state):
     from t = 0 is bisected by the dynamics, on either engine."""
     for system in (
         TruncatedSystem(three_arm_state.support(), TruncationPolicy(mass_cap=40, arm_cap=42)),
-        make_system(three_arm_state.support(), TruncationPolicy(mass_cap=160, arm_cap=162)),
+        make_system(three_arm_state, TruncationPolicy(mass_cap=160, arm_cap=162)),
     ):
         calls = []
         rhs = system.rhs
@@ -701,7 +810,7 @@ def test_integrate_builds_particle_types_only_when_states_are_read(
 
     monkeypatch.setattr(kinetics, "ParticleType", counting)
     for c0, pol in ((three_arm_state, _ENGINE_RUNS["fft"][1]), (pq_state, _ENGINE_RUNS["pair"][1])):
-        system = make_system(c0.support(), pol)
+        system = make_system(c0, pol)
         system.rhs(system.concentration_vector(c0), 0.0, "full")
         traj = integrate(c0, 0.6, pol, SolverSettings(dt=0.05), [0.25, 0.6])
         assert (traj.times, len(traj.observables)) == ([0.0, 0.25, 0.6], 3)
@@ -724,7 +833,7 @@ def test_integrate_refuses_a_negative_checkpoint(request, monkeypatch, engine):
     fixture, pol, _ = _ENGINE_RUNS[engine]
     c0 = request.getfixturevalue(fixture)
     row = 5
-    species = make_system(c0.support(), pol).types[row]
+    species = make_system(c0, pol).types[row]
     advance = kinetics._Integrator.advance
 
     def spoiled(self, y, t, h, depth=0, k1=None):
