@@ -38,9 +38,12 @@ Config errors include integer fields that are not integers in range, a
 that are not strictly increasing, a ``COAG_THREADS`` that is not a positive
 integer, for ``ode`` an initial species outside the truncation caps, for
 ``simulate`` an ``n`` so large that an arm total exceeds 2**63 or, with a
-float concentration, that a count overflows a float, for ``limit`` a result
-past the float range, for ``gw`` a degenerate initial state, whose trees
-need not end, a path that cannot be read or written, and for ``compare`` a
+float concentration, that a count overflows a float, for ``limit`` and
+``gw`` an initial state that gels (a finite T_c, named in the message), for
+``limit`` a result past the float range, for ``gw`` an initial state with a
+species heavier than mass 1 (the message names its mass) or a degenerate
+one, whose trees need not end, a path that cannot be read or written, and
+for ``compare`` a
 tolerance that is not a finite number >= 0, a value cell that is not a
 finite number, a key cell that is not a number, a key repeated within one
 table, or two tables whose key columns or value column counts differ.
@@ -241,14 +244,16 @@ def parse_config(obj: dict) -> RunConfig:
 
     trunc = _section(obj, "truncation", {"mass_cap", "arm_cap"})
     policy = TruncationPolicy(
-        mass_cap=_integer(trunc.get("mass_cap", 64), "truncation.mass_cap", 1),
-        arm_cap=_integer(trunc.get("arm_cap", 32), "truncation.arm_cap", 0),
+        mass_cap=_integer(
+            trunc.get("mass_cap", TruncationPolicy.mass_cap), "truncation.mass_cap", 1
+        ),
+        arm_cap=_integer(trunc.get("arm_cap", TruncationPolicy.arm_cap), "truncation.arm_cap", 0),
     )
 
     sol = _section(obj, "solver", {"rhs", "dt"})
     try:
-        dt = _float(_number(sol.get("dt", 1e-3), "solver.dt"), "solver.dt")
-        solver = SolverSettings(rhs=sol.get("rhs", "full"), dt=dt)
+        dt = _float(_number(sol.get("dt", SolverSettings.dt), "solver.dt"), "solver.dt")
+        solver = SolverSettings(rhs=sol.get("rhs", SolverSettings.rhs), dt=dt)
     except ValueError as exc:
         raise ConfigError(f"solver: {exc}") from exc
 
@@ -272,8 +277,10 @@ def parse_config(obj: dict) -> RunConfig:
         seed=_integer(obj.get("seed", 0), "seed", 0),
         replicates=_integer(obj.get("replicates", 1), "replicates", 1),
         max_mass=_integer(obj.get("max_mass", 12), "max_mass", 1),
-        gw_replicates=_integer(gw.get("replicates", 100_000), "gw.replicates", 1),
-        gw_population_cap=_integer(gw.get("population_cap", 1_000_000), "gw.population_cap", 2),
+        gw_replicates=_integer(gw.get("replicates", GWConfig.replicates), "gw.replicates", 1),
+        gw_population_cap=_integer(
+            gw.get("population_cap", GWConfig.population_cap), "gw.population_cap", 2
+        ),
         raw=obj,
     )
 
@@ -473,8 +480,19 @@ def _float(value, what: str) -> float:
         raise ConfigError(f"{what} is past the float range: {exc}") from exc
 
 
+def _refuse_gelation(command: str, c0: ConcentrationState) -> None:
+    """A ConfigError when ``c0`` gels: the t -> inf views need T_c = inf."""
+    t_crit = InitialGF(c0).critical_data().t_crit
+    if t_crit != math.inf:
+        raise ConfigError(
+            f"{command}: the initial state gels at T_c = {t_crit}; "
+            "the limiting state needs an infinite critical time"
+        )
+
+
 def cmd_limit(cfg: RunConfig, out_dir: Path) -> None:
     c0, _ = cfg.state()
+    _refuse_gelation("limit", c0)
     limit = limiting_concentrations(c0, cfg.max_mass)
     rows = ((m, _float(limit.c_inf[m], f"c_inf({m})")) for m in range(1, cfg.max_mass + 1))
     write_csv(out_dir / "limit.csv", ["m", "c_inf"], rows)
@@ -494,10 +512,14 @@ def cmd_limit(cfg: RunConfig, out_dir: Path) -> None:
 
 def cmd_gw(cfg: RunConfig, out_dir: Path) -> None:
     c0, _ = cfg.state()
-    mu = initial_arm_measure(c0)  # raises for non-monodisperse states
+    try:
+        mu = initial_arm_measure(c0)
+    except ValueError as exc:  # a species heavier than mass 1
+        raise ConfigError(f"gw: initial {exc}") from exc
     reasons = degeneracy_reasons(mu)
     if reasons:  # a tree that does not end grows to the population cap
         raise ConfigError("degenerate initial state, trees need not end: " + "; ".join(reasons))
+    _refuse_gelation("gw", c0)
     nu_m, nu_f = size_biased_laws(mu)
     limit = limiting_concentrations(c0, cfg.max_mass)
     pmf = gw_progeny_pmf_series(nu_m, nu_f, cfg.max_mass)

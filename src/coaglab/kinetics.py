@@ -22,15 +22,10 @@ and arm content is accumulated into running "lost" totals, so ``retained mass
 + lost mass`` is a linear invariant of the augmented system and is preserved
 to rounding error by the Runge-Kutta steps.
 
-The swap of male and female arms, ``(a, b, m) -> (b, a, m)``, leaves the
-rate ``a'b + ab'``, the merge product and the caps unchanged.  So it maps
-the gain of a state to the gain of the swapped state, and the loss too: in
-``full`` it exchanges ``A`` and ``B``, and in ``reduced`` they are one
-number.  The solution is unique, so a state invariant under the swap stays
-invariant, and there the gain of each species with ``a > b`` is that of
-its mirror.  ``make_system`` builds such a state's pair engine
-``mirrored``: it sums only the pairs into species with ``a <= b``, about
-half of them, and copies each sum to the mirror.
+On a state invariant under the swap of male and female arms,
+``make_system`` builds the pair engine ``mirrored``: it sums only the pairs
+into species with ``a <= b``, about half of them, and copies each sum to the
+mirror.  The rule, and why it is exact, is stated once, in ``_merge_sweep``.
 
 Both engines share one right-hand side, ``_Engine.rhs``.  An engine builds
 its species table and supplies only ``_gain(c)``, the bilinear gain term,
@@ -201,20 +196,35 @@ class Trajectory:
         return ["t"] + cols[1:], rows
 
 
-def _merge_sweep(seeds: Iterable[ParticleType], policy: TruncationPolicy):
+def _merge_sweep(seeds: Iterable[ParticleType], policy: TruncationPolicy, mirrored: bool = False):
     """Species closure of ``seeds`` under merging within the caps, and its pairs.
 
     Masses strictly increase under merging, so one sweep over target masses
     ``mt`` in increasing order is complete.  The blocks ``(m1, mt - m1)``,
     ``m1 <= mt / 2``, keep pairs of positive rate whose product is within the
     caps (``i <= j`` on a diagonal block, whose rate is halved at ``i == j``).
-    The pairs of one target mass are then stably sorted by target, so
-    ``pair_tgt`` is nondecreasing and each species' pairs are one contiguous
-    run, in which they come by ``m1``, then row-major.  Sorting one target
-    mass at a time, not the finished table, keeps the sort's temporaries to
-    the size of one block.  Returns ``(table, pair_i, pair_j, pair_coeff,
+    Once a target mass's species are known, each gets the row whose pair sum
+    it reads (``read``), and only the pairs into species that read their own
+    row are kept.  These are then stably sorted by target, so ``pair_tgt`` is
+    nondecreasing and each species' pairs are one contiguous run, in which
+    they come by ``m1``, then row-major.  Cutting and sorting one target mass
+    at a time, not the finished table, keeps the temporaries to the size of
+    one block.  Returns ``(table, read, pair_i, pair_j, pair_coeff,
     pair_tgt)``, with ``table`` the int arrays ``(a, b, m)`` of the species,
     sorted by ``(m, a, b)``.
+
+    Unless ``mirrored``, every species reads its own row.  The mirror rule:
+    a ``mirrored`` sweep gives each species with ``a > b`` the row of its
+    mirror ``(b, a, m)``, so only the pairs into species with ``a <= b``,
+    about half of them, are kept; a KeyError names a species whose mirror
+    is not in the table.  The swap ``(a, b, m) -> (b, a, m)`` leaves the rate
+    ``a'b + ab'``, the merge product and the caps unchanged, so it maps the
+    gain of a state to the gain of the swapped state, and the loss too: in
+    ``full`` it exchanges ``A`` and ``B``, and in ``reduced`` they are one
+    number.  The solution is unique, so a state invariant under the swap,
+    weights included, stays invariant in both ``solver.rhs`` forms, and
+    there each species with ``a > b`` gains what its mirror gains, to
+    rounding.
     """
     cap = policy.arm_cap
     width = cap + 1  # the key a * width + b sorts like (a, b)
@@ -224,7 +234,7 @@ def _merge_sweep(seeds: Iterable[ParticleType], policy: TruncationPolicy):
     n = 0  # species so far
     species: dict[int, tuple[int, np.ndarray, np.ndarray]] = {}  # m -> (first index, a, b)
     none = np.empty(0, dtype=np.int64)
-    pi, pj, pc, pt = [none], [none], [np.empty(0)], [none]
+    reads, pi, pj, pc, pt = [none], [none], [none], [np.empty(0)], [none]
     for mt in range(1, policy.mass_cap + 1):
         products = [np.fromiter(seed_keys.get(mt, ()), dtype=np.int64)]
         bi, bj, bc = [none], [none], [np.empty(0)]  # this target mass's pairs, by m1
@@ -246,13 +256,25 @@ def _merge_sweep(seeds: Iterable[ParticleType], policy: TruncationPolicy):
         keys = np.flatnonzero(np.bincount(np.concatenate(products)))  # sorted, unique
         if not len(keys):
             continue
+        a, b = keys // width, keys % width
+        read = np.arange(len(keys))
+        swap = np.flatnonzero(a > b) if mirrored else none
+        mirror = b[swap] * width + a[swap]  # below its species' key, so found in range
+        at = np.searchsorted(keys, mirror)
+        lost = keys[at] != mirror
+        if lost.any():
+            k = swap[np.argmax(lost)]
+            raise KeyError(f"species {(int(b[k]), int(a[k]), mt)} is not in the table")
+        read[swap] = at
         tgt = np.searchsorted(keys, np.concatenate([none, *products[1:]]))
-        order = np.argsort(tgt, kind="stable")  # by target, then as enumerated
+        order = np.flatnonzero(read[tgt] == tgt)  # pairs into species that read their own row
+        order = order[np.argsort(tgt[order], kind="stable")]  # by target, then as enumerated
         pi.append(np.concatenate(bi)[order])
         pj.append(np.concatenate(bj)[order])
         pc.append(np.concatenate(bc)[order])
         pt.append(n + tgt[order])
-        species[mt] = (n, keys // width, keys % width)
+        reads.append(n + read)
+        species[mt] = (n, a, b)
         n += len(keys)
     blocks = species.values()
     table = (
@@ -260,7 +282,8 @@ def _merge_sweep(seeds: Iterable[ParticleType], policy: TruncationPolicy):
         np.concatenate([none, *(b for _, _, b in blocks)]),
         np.repeat(np.fromiter(species, dtype=np.int64), [len(a) for _, a, _ in blocks]),
     )
-    return table, np.concatenate(pi), np.concatenate(pj), np.concatenate(pc), np.concatenate(pt)
+    pairs = (np.concatenate(x) for x in (pi, pj, pc, pt))
+    return (table, np.concatenate(reads), *pairs)
 
 
 def reachable_types(
@@ -379,11 +402,9 @@ class TruncatedSystem(_Engine):
     0.  ``reduceat`` sums a run pairwise.
 
     A ``mirrored`` system keeps only the pairs into species with ``a <= b``,
-    and a species with ``a > b`` reads the sum of its mirror ``(b, a, m)``.
-    On a state invariant under the arm swap that is its gain, to rounding,
-    and both ``solver.rhs`` forms keep such a state invariant (see the
-    module docstring).  The species table, the loss term and the lost fluxes
-    are the full system's.
+    and a species with ``a > b`` reads the sum of its mirror ``(b, a, m)``,
+    which ``_merge_sweep`` chose (see its mirror rule).  The species table,
+    the loss term and the lost fluxes are the full system's.
 
     ``_gain`` works in buffers owned by the system, and returns one of them,
     so one system must not be evaluated from two threads at once.
@@ -392,14 +413,8 @@ class TruncatedSystem(_Engine):
     def __init__(
         self, seeds: Iterable[ParticleType], policy: TruncationPolicy, mirrored: bool = False
     ):
-        table, *pairs = _merge_sweep(seeds, policy)  # pairs: i, j, coeff, target
+        table, read, *pairs = _merge_sweep(seeds, policy, mirrored)
         super().__init__(policy, table)
-        a, b, m = table
-        rows = np.arange(self.size)  # the row whose pair sum each species reads
-        if mirrored:
-            rows = np.where(a > b, _locate(table, np.column_stack((b, a, m))), rows)
-            kept = (a <= b)[pairs[3]]
-            pairs = [x[kept] for x in pairs]
         self.pair_i, self.pair_j, self.pair_coeff, self.pair_tgt = pairs
         counts = np.bincount(self.pair_tgt, minlength=self.size)
         fed = counts > 0  # species that some pair feeds
@@ -407,7 +422,7 @@ class TruncatedSystem(_Engine):
         # The sum of each fed species' run, then one slot that stays 0.
         self._sums = np.zeros(len(self._starts) + 1)
         slot = np.where(fed, np.cumsum(fed) - 1, len(self._starts))
-        self._gain_at = slot[rows]
+        self._gain_at = slot[read]
         self._pair_work = np.empty((2, len(self.pair_i)))
         self._gain_out = np.empty(self.size)
 
@@ -605,10 +620,8 @@ def make_system(c0: ConcentrationState, policy: TruncationPolicy):
 
     Seeds that all have mass 1 and one arm count run the FFT engine.  Any
     other state runs the pair engine, ``mirrored`` when ``c0`` is exactly
-    invariant under the arm swap ``(a, b) -> (b, a)``, weights included:
-    both ``solver.rhs`` forms keep that symmetry, since the swap exchanges
-    ``A`` and ``B`` in ``full`` and fixes them in ``reduced`` (see the
-    module docstring), so an ``a > b`` species gains what its mirror gains.
+    invariant under the arm swap ``(a, b) -> (b, a)``, weights included (see
+    the mirror rule of ``_merge_sweep``).
     """
     seeds = c0.support()
     if _uniform_arms(seeds) is not None:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import re
@@ -11,7 +12,8 @@ import pytest
 
 from coaglab import cli, kinetics
 from coaglab.cli import ConfigError, cmd_analyze, load_config, main, parse_config
-from coaglab.kinetics import TruncatedSystem, TruncationPolicy
+from coaglab.kinetics import SolverSettings, TruncatedSystem, TruncationPolicy
+from coaglab.limits import GWConfig
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -155,6 +157,15 @@ def test_config_accepts_integral_floats_and_documented_configs():
     assert blocks
     for block in blocks:
         parse_config(json.loads(block))
+
+
+def test_config_defaults_are_the_classes_defaults():
+    """A config with only ``initial`` takes every default from its class."""
+    cfg = parse_config({"initial": THREE_ARM["initial"]})
+    assert cfg.truncation == TruncationPolicy()
+    assert cfg.solver == SolverSettings()
+    gw = {f.name: f.default for f in dataclasses.fields(GWConfig)}
+    assert (cfg.gw_replicates, cfg.gw_population_cap) == (gw["replicates"], gw["population_cap"])
 
 
 def test_gw_refuses_degenerate_state(tmp_path, capsys):
@@ -553,7 +564,8 @@ def test_gw_rejects_polydisperse_initial(tmp_path, capsys):
     }
     path = write_config(tmp_path, cfg)
     out = tmp_path / "gw_bad"
-    assert main(["gw", path, "--out", str(out)]) == 3
+    assert main(["gw", path, "--out", str(out)]) == 2
+    assert "gw: initial state is not monodisperse: contains mass-2 species" in capsys.readouterr().err
     assert not any(out.iterdir())  # partial outputs removed
 
 
@@ -645,9 +657,19 @@ def _table(tmp_path, name, text):
         pytest.param(
             lambda d: ["ode", write_config(d, {"initial": [{"a": 40, "b": 40, "m": 1, "conc": 1.0}],
                                                "truncation": {"arm_cap": 32}}),
-                       "--out", str(d / "ode")],
+                       "--out", str(d / "out")],
             "exceeds truncation caps",
             id="ode-seed-outside-caps",
+        ),
+        pytest.param(
+            lambda d: ["limit", write_config(d, THREE_ARM), "--out", str(d / "out")],
+            "limit: the initial state gels at T_c = 1;",
+            id="limit-gelling-state",
+        ),
+        pytest.param(
+            lambda d: ["gw", write_config(d, THREE_ARM), "--out", str(d / "out")],
+            "gw: the initial state gels at T_c = 1;",
+            id="gw-gelling-state",
         ),
     ],
 )
@@ -656,5 +678,5 @@ def test_bad_command_line_inputs_exit_2(tmp_path, capsys, argv, message):
     out, err = capsys.readouterr()
     assert message in err
     assert out == ""  # no report on bad input
-    ode_out = tmp_path / "ode"
-    assert not ode_out.exists() or not any(ode_out.iterdir())  # ode wrote no file
+    out_dir = tmp_path / "out"
+    assert not out_dir.exists() or not any(out_dir.iterdir())  # the subcommand wrote no file

@@ -196,7 +196,7 @@ def _tau_recursion(family, max_mass):
     ``K = c_0`` at mass 1.  The arm cap is too large to bind below ``max_mass``.
     """
     c0 = initial_state(family)
-    table, pair_i, pair_j, pair_coeff, pair_tgt = _merge_sweep(
+    table, _, pair_i, pair_j, pair_coeff, pair_tgt = _merge_sweep(
         c0.support(), TruncationPolicy(max_mass, 3 * max_mass)
     )
     types = list(zip(*(x.tolist() for x in table)))  # (a, b, m) rows

@@ -95,6 +95,20 @@ CASES = {
             "t_grid": [0.5, 1.0],
         },
     ),
+    "ode_asym": (
+        "ode",
+        {  # a mirror-closed support with asymmetric weights: the unmirrored pair engine
+            "initial": [
+                {"a": 2, "b": 0, "m": 1, "conc": "1/4"},
+                {"a": 0, "b": 2, "m": 1, "conc": "1/8"},
+                {"a": 1, "b": 0, "m": 1, "conc": "1/4"},
+                {"a": 0, "b": 1, "m": 1, "conc": "1/2"},
+            ],
+            "truncation": {"mass_cap": 10, "arm_cap": 4},
+            "solver": {"dt": 0.01},
+            "t_grid": [0.5, 1.0],
+        },
+    ),
 }
 
 

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
@@ -233,16 +234,19 @@ def _pairs_into_a_le_b(system):
 
 def test_mirrored_pair_engine_sums_half_the_pairs_and_copies_the_mirrors():
     """On the ``mixed_pairs`` state at 20/10, ``make_system`` keeps only the
-    23 302 pairs into species with a <= b.  At a mirror-symmetric state each
-    such species' gain has the bits of the full table's, each a > b species
-    reads its mirror's, and the gain and lost fluxes are within rounding of
-    the full table's, in both ``solver.rhs`` forms."""
+    23 302 pairs into species with a <= b, in the full table's order.  At a
+    mirror-symmetric state each such species' gain has the bits of the full
+    table's, each a > b species reads its mirror's, and the gain and lost
+    fluxes are within rounding of the full table's, in both ``solver.rhs``
+    forms."""
     pol = TruncationPolicy(mass_cap=20, arm_cap=10)
     full = TruncatedSystem(MIXED_SEEDS, pol)
     mirrored = make_system(MIXED_STATE, pol)
     assert (len(full.pair_i), len(mirrored.pair_i)) == (42_587, 23_302)
-    assert np.array_equal(mirrored.pair_tgt, _pairs_into_a_le_b(full))
     a, b, _ = full.table
+    kept = (a <= b)[full.pair_tgt]
+    for name in ("pair_i", "pair_j", "pair_coeff", "pair_tgt"):
+        assert getattr(mirrored, name).tobytes() == getattr(full, name)[kept].tobytes(), name
     rows = _mirror_rows(full)
     c = np.random.default_rng(11).uniform(-1.0, 1.0, full.size)  # signs as in RK4 stages
     c = np.where(a > b, c[rows], c)
@@ -253,6 +257,37 @@ def test_mirrored_pair_engine_sums_half_the_pairs_and_copies_the_mirrors():
     for form in ("full", "reduced"):
         got = mirrored.rhs(c, 0.3, form)[mirrored.size :]
         assert got == pytest.approx(full.rhs(c, 0.3, form)[full.size :], rel=1e-15, abs=0)
+
+
+def test_mirrored_build_holds_only_the_kept_pairs():
+    """``_merge_sweep`` cuts the a > b targets' pairs before it sorts each
+    target mass, so the mirrored build's ``tracemalloc`` peak falls with the
+    pair count (about 0.6 of the full build's on the mixed state at 20/10)."""
+    pol = TruncationPolicy(mass_cap=20, arm_cap=10)
+
+    def peak(build):
+        build(TruncationPolicy(mass_cap=4, arm_cap=2))  # first-call allocations
+        tracemalloc.start()
+        try:
+            build(pol)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    mirrored = peak(lambda p: make_system(MIXED_STATE, p))
+    full = peak(lambda p: TruncatedSystem(MIXED_SEEDS, p))
+    assert mirrored <= 0.7 * full
+
+
+def test_mirrored_sweep_refuses_a_support_that_is_not_mirror_closed():
+    """A mirrored sweep finds each mirror within its mass block, and names a
+    species whose mirror is missing rather than read another row."""
+    pol = TruncationPolicy(mass_cap=6, arm_cap=4)
+    with pytest.raises(KeyError, match=re.escape("species (1, 2, 1) is not in the table")):
+        kinetics._merge_sweep([(2, 1, 1), (1, 0, 1), (0, 1, 1)], pol, mirrored=True)
+    # The mass-1 seeds are mirrors; the seed (3, 0, 2) has none at mass 2.
+    with pytest.raises(KeyError, match=re.escape("species (0, 3, 2) is not in the table")):
+        kinetics._merge_sweep([(2, 1, 1), (1, 2, 1), (3, 0, 2)], pol, mirrored=True)
 
 
 def _run(c0, pol, form, monkeypatch, engine=None):
