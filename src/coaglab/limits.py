@@ -149,9 +149,11 @@ def _online_fixed_point(x_terms, y_terms, order: int):
     only through coefficient k - 1.  So step k first extends every power by
     its coefficient k - 1, then sets x[k] and y[k]; nothing is recomputed.
     Each power of degree 2 or more is the power before it in a chain times x
-    or y, and costs one convolution, summed over i ascending as
-    ``TruncatedSeries.__mul__`` does; degrees 0 and 1 are 1, x and y
-    themselves.  The pass costs O(P n^2) for P such powers.
+    or y, and costs one convolution, summed left to right over i ascending;
+    degrees 0 and 1 are 1, x and y themselves.  Exact sums equal
+    ``TruncatedSeries.__mul__``'s; float sums are not correctly rounded as
+    its ``fsum`` sums are, so they may differ in the last bits.  The pass
+    costs O(P n^2) for P such powers.
 
     Exact weights over a common denominator D run the pass on integers:
     coefficient k of every series is scaled by D^k, an integer because a

@@ -5,10 +5,12 @@ Everything here is finite-support numeric arithmetic: convolution powers of
 laws derived from a 2-D arm measure, and a fixed-order truncated power series
 used by the limiting-state machinery.  Exact :class:`fractions.Fraction`
 arithmetic is used whenever the inputs are exact; float inputs fall back to
-floating point with correctly rounded (``math.fsum``) summation.  The
-convolution kernels write exact inputs as integers over one common
-denominator, multiply and add plain ints, and build one Fraction per output
-cell, so no gcd is taken per product or per sum.
+floating point with correctly rounded (``math.fsum``) summation.  One
+product kernel, ``_products``, serves both :func:`convolve` and
+:class:`TruncatedSeries` products, so the ``fsum`` rule covers both.  It
+writes exact inputs as integers over one common denominator, multiplies and
+adds plain ints, and builds one Fraction per output cell, so no gcd is taken
+per product or per sum.
 
 Infinite-support laws (e.g. Poisson) must be supplied pre-truncated by the
 caller; nothing here truncates silently.
@@ -119,24 +121,39 @@ class Measure1D(_Measure):
         return Measure1D(tuple((j, factor * w) for j, w in self.weights))
 
 
+def _products(xs, ys, n: int) -> dict:
+    """Cells through ``z^n`` of the product of the sparse series ``xs`` and
+    ``ys`` (lists of ``(power, weight)`` sorted by power), as ``{power: value}``
+    over every power that received a product, cancelled ones included.
+
+    Exact weights run on integers over one common denominator, with one
+    Fraction built per cell when a Fraction is among them (ints stay ints).
+    Any other mix is summed per cell with ``_sum``: exactly for exact
+    products, with ``math.fsum`` as soon as a float is among them.
+    """
+    ex = _over_common_denominator([w for _, w in xs])
+    ey = _over_common_denominator([w for _, w in ys])
+    exact = ex is not None and ey is not None
+    if exact:
+        xs = [(i, c) for (i, _), c in zip(xs, ex[0])]
+        ys = [(j, c) for (j, _), c in zip(ys, ey[0])]
+    cells = [[] for _ in range(n + 1)]
+    for i, x in xs:
+        for j, y in ys:
+            if j > n - i:
+                break
+            cells[i + j].append(x * y)
+    if not exact:
+        return {k: _sum(ps) for k, ps in enumerate(cells) if ps}
+    if ex[2] or ey[2]:
+        d = ex[1] * ey[1]
+        return {k: Fraction(sum(ps), d) for k, ps in enumerate(cells) if ps}
+    return {k: sum(ps) for k, ps in enumerate(cells) if ps}
+
+
 def convolve(x: Measure1D, y: Measure1D) -> Measure1D:
-    ex = _over_common_denominator([w for _, w in x.weights])
-    ey = _over_common_denominator([w for _, w in y.weights])
-    if ex is None or ey is None:
-        out: dict[int, list] = {}
-        for j1, w1 in x.weights:
-            for j2, w2 in y.weights:
-                out.setdefault(j1 + j2, []).append(w1 * w2)
-        return Measure1D(tuple(sorted((j, _sum(ws)) for j, ws in out.items())))
-    (nx, dx, fx), (ny, dy, fy) = ex, ey
-    ys = [(j, n) for (j, _), n in zip(y.weights, ny)]
-    acc: dict[int, int] = {}
-    for (j1, _), n1 in zip(x.weights, nx):
-        for j2, n2 in ys:
-            acc[j1 + j2] = acc.get(j1 + j2, 0) + n1 * n2
-    d = dx * dy
-    cells = sorted(acc.items())
-    return Measure1D(tuple((j, Fraction(n, d)) for j, n in cells) if fx or fy else tuple(cells))
+    n = x.weights[-1][0] + y.weights[-1][0] if x.weights and y.weights else 0
+    return Measure1D(tuple(_products(x.weights, y.weights, n).items()))
 
 
 def _power(nu: Measure1D, k: int) -> Measure1D:
@@ -225,19 +242,6 @@ def size_biased_laws(mu: Measure2D) -> tuple[Measure2D, Measure2D]:
     return Measure2D.from_dict(nu_m), Measure2D.from_dict(nu_f)
 
 
-def _truncated_products(xs, ys, n: int) -> list:
-    """Coefficients through ``z^n`` of the product of the sparse series ``xs``
-    and ``ys`` (lists of ``(power, coefficient)`` sorted by power), each summed
-    over the left power ascending, from int 0."""
-    out = [0] * (n + 1)
-    for i, x in xs:
-        for j, y in ys:
-            if j > n - i:
-                break
-            out[i + j] += x * y
-    return out
-
-
 @dataclass(frozen=True)
 class TruncatedSeries:
     """Univariate power series truncated at a fixed order.
@@ -292,21 +296,8 @@ class TruncatedSeries:
         n = self.order
         xs = [(i, x) for i, x in enumerate(self.coeffs) if x != 0]
         ys = [(j, y) for j, y in enumerate(other.coeffs) if y != 0]
-        ex = _over_common_denominator([x for _, x in xs])
-        ey = _over_common_denominator([y for _, y in ys])
-        if ex is None or ey is None:
-            return TruncatedSeries(tuple(_truncated_products(xs, ys, n)))
-        (nx, dx, fx), (ny, dy, fy) = ex, ey
-        ix, iy = [i for i, _ in xs], [j for j, _ in ys]
-        out = _truncated_products(list(zip(ix, nx)), list(zip(iy, ny)), n)
-        if fx or fy:
-            # a cell that received a product is a Fraction, even when they cancel
-            d, support = dx * dy, set(iy)
-            out = [
-                Fraction(c, d) if c or any(k - i in support for i in ix if i <= k) else 0
-                for k, c in enumerate(out)
-            ]
-        return TruncatedSeries(tuple(out))
+        cells = _products(xs, ys, n)
+        return TruncatedSeries(tuple(cells.get(k, 0) for k in range(n + 1)))
 
     __rmul__ = __mul__
 

@@ -3,10 +3,10 @@
 Each case runs one subcommand on a fixed config and compares every file it
 writes, byte for byte, with ``tests/golden/<case>/``.  The goldens were
 written by the code as it stood before each case was added, from the same
-configs.  A
-change that means to alter output bytes rewrites them and says so; any other
-byte that moves is a regression.  The FFT engine is left out: its outputs
-follow numpy's FFT rounding, which may differ between builds.
+configs.  A change that means to alter output bytes rewrites them and says
+so; any other byte that moves is a regression.  ``ode_fft`` runs the
+uniform-arm FFT engine, so its bytes also follow the FFT rounding of the
+installed numpy build.
 """
 
 import json
@@ -14,7 +14,8 @@ from pathlib import Path
 
 import pytest
 
-from coaglab.cli import main
+from coaglab.cli import main, parse_config
+from coaglab.kinetics import UniformArmSystem, make_system
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -109,7 +110,22 @@ CASES = {
             "t_grid": [0.5, 1.0],
         },
     ),
+    "ode_fft": (
+        "ode",
+        {  # three arms on every particle: the uniform-arm FFT engine, before T_c = 1
+            "initial": [{"a": 3, "b": 0, "m": 1, "conc": "1/3"}, {"a": 0, "b": 3, "m": 1, "conc": "1/3"}],
+            "truncation": {"mass_cap": 24, "arm_cap": 26},
+            "solver": {"dt": 0.05},
+            "t_grid": [0.25, 0.5],
+        },
+    ),
 }
+
+
+def test_ode_fft_runs_the_fft_engine():
+    cfg = parse_config(CASES["ode_fft"][1])
+    c0, _ = cfg.state()
+    assert isinstance(make_system(c0, cfg.truncation), UniformArmSystem)
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

@@ -265,16 +265,22 @@ def _reference_convolve(x, y):
 
 
 def _reference_series_mul(xs, ys):
-    """``TruncatedSeries.__mul__`` as a generic loop over nonzero coefficients."""
+    """``TruncatedSeries.__mul__`` as a generic loop over nonzero coefficients:
+    plain sums for exact cells, ``math.fsum`` as soon as a float is among a
+    cell's products; a cell that received no product is int 0."""
     n = len(xs) - 1
-    out = [0] * (n + 1)
+    out = {}
     for i, x in enumerate(xs):
         if x == 0:
             continue
         for j, y in enumerate(ys):
             if y != 0 and i + j <= n:
-                out[i + j] += x * y
-    return tuple(out)
+                out.setdefault(i + j, []).append(x * y)
+    cells = [0] * (n + 1)
+    for k, ps in out.items():
+        exact = all(isinstance(p, (int, Fraction)) for p in ps)
+        cells[k] = sum(ps) if exact else math.fsum(ps)
+    return tuple(cells)
 
 
 def _identical(got, want):
@@ -350,6 +356,32 @@ def test_series_mul_exact_equals_plain_fraction_loop(pair):
 def test_series_mul_float_equals_generic_loop_bit_for_bit(pair, swap):
     xs, ys = pair[::-1] if swap else pair
     _identical((TruncatedSeries(xs) * TruncatedSeries(ys)).coeffs, _reference_series_mul(xs, ys))
+
+
+@settings(max_examples=150)
+@given(
+    _measures(st.one_of(exact_values, float_values)),
+    _measures(st.one_of(exact_values, float_values)),
+    st.integers(min_value=0, max_value=10),
+)
+def test_convolve_and_series_products_agree_cell_for_cell(x, y, spare):
+    """Both run one kernel: on the same nonzero sparse data they give the same
+    cells, of the same types, through the series order (which may cut the
+    convolution short); a cell no product reached is int 0 in the series."""
+    x, y = (Measure1D(tuple((j, w) for j, w in m.weights if w != 0)) for m in (x, y))
+    n = max([m.weights[-1][0] for m in (x, y) if m.weights], default=0) + spare
+
+    def series(m):
+        coeffs = [0] * (n + 1)
+        for j, w in m.weights:
+            coeffs[j] = w
+        return TruncatedSeries(tuple(coeffs))
+
+    want = [0] * (n + 1)
+    for k, w in convolve(x, y).weights:
+        if k <= n:
+            want[k] = w
+    _identical((series(x) * series(y)).coeffs, tuple(want))
 
 
 def test_kernels_keep_cancelled_and_untouched_cells_apart():
