@@ -26,6 +26,9 @@ fixed points, ``(h1, h2)`` and the progeny generating functions, are solved
 by one online pass: every term carries a factor z (or r), so coefficient k
 follows from the coefficients below k, and order n costs O(n^2) coefficient
 products per power of the unknowns rather than a sweep per coefficient.
+Each coefficient follows the cell rule of ``measures._products``: the sum of
+its products, exact while they are exact and ``math.fsum`` once a float is
+among them.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import numpy as np
 
 from .core import ConcentrationState
 from .genfun import ConvergenceError, InitialGF
-from .measures import Measure2D, TruncatedSeries, _over_common_denominator, size_biased_laws
+from .measures import Measure2D, TruncatedSeries, _over_common_denominator, _sum, size_biased_laws
 from .particles import _block_stream
 
 
@@ -149,22 +152,24 @@ def _online_fixed_point(x_terms, y_terms, order: int):
     only through coefficient k - 1.  So step k first extends every power by
     its coefficient k - 1, then sets x[k] and y[k]; nothing is recomputed.
     Each power of degree 2 or more is the power before it in a chain times x
-    or y, and costs one convolution, summed left to right over i ascending;
-    degrees 0 and 1 are 1, x and y themselves.  Exact sums equal
-    ``TruncatedSeries.__mul__``'s; float sums are not correctly rounded as
-    its ``fsum`` sums are, so they may differ in the last bits.  The pass
-    costs O(P n^2) for P such powers.
+    or y, and costs one convolution; degrees 0 and 1 are 1, x and y
+    themselves.  The pass costs O(P n^2) for P such powers.
 
-    Exact weights over a common denominator D run the pass on integers:
-    coefficient k of every series is scaled by D^k, an integer because a
-    term of z-degree k holds at most k weights, so a term with z^m carries
-    its weight's numerator times D^(m-1).  One Fraction is built per
-    coefficient of x and y at the end.
+    Each coefficient is the sum of its list of products, exact while they
+    are exact and ``math.fsum`` once a float is among them.  Exact weights
+    over a common denominator D run the pass on integers: coefficient k of
+    every series is scaled by D^k, an integer because a term of z-degree k
+    holds at most k weights, so a term with z^m carries its weight's
+    numerator times D^(m-1).  A coefficient of x or y that received
+    products, even ones that cancel, is returned as ``Fraction(c, D^k)``
+    when a weight is a Fraction; one that received none stays int 0.
     """
     n = order + 1
     exact = _over_common_denominator([w for *_, w in x_terms] + [w for *_, w in y_terms])
+    add, d, fraction = _sum, 1, False
     if exact is not None:
         nums, d, fraction = exact
+        add = sum
         x_nums, y_nums = nums[: len(x_terms)], nums[len(x_terms) :]
         x_terms = [(a, b, m, c * d ** (m - 1)) for (a, b, m, _), c in zip(x_terms, x_nums)]
         y_terms = [(a, b, m, c * d ** (m - 1)) for (a, b, m, _), c in zip(y_terms, y_nums)]
@@ -182,23 +187,17 @@ def _online_fixed_point(x_terms, y_terms, order: int):
 
     x_terms = [(power(a, b), m, w) for a, b, m, w in x_terms]
     y_terms = [(power(a, b), m, w) for a, b, m, w in y_terms]
+    cell = Fraction if fraction else lambda c, _: c  # a received coefficient, from its scaled value
+    hx, hy = [0] * n, [0] * n
     for k in range(1, n):
         for p, q, s in chain:
-            p[k - 1] = sum(q[i] * s[k - 1 - i] for i in range(k) if q[i] and s[k - 1 - i])
-        for out, terms in ((x, x_terms), (y, y_terms)):
-            out[k] = sum(w * p[k - m] for p, m, w in terms if m <= k and p[k - m])
-    if exact is not None and fraction:
-        scale = [d**k for k in range(n)]
-
-        def unscale(out, terms):
-            # a coefficient that received a term is a Fraction, even when they cancel
-            return [
-                Fraction(c, scale[k]) if c or any(m <= k and p[k - m] for p, m, _ in terms) else 0
-                for k, c in enumerate(out)
-            ]
-
-        x, y = unscale(x, x_terms), unscale(y, y_terms)
-    return TruncatedSeries(tuple(x)), TruncatedSeries(tuple(y))
+            p[k - 1] = add([q[i] * s[k - 1 - i] for i in range(k) if q[i] and s[k - 1 - i]])
+        for out, h, terms in ((x, hx, x_terms), (y, hy, y_terms)):
+            products = [w * p[k - m] for p, m, w in terms if m <= k and p[k - m]]
+            if products:
+                out[k] = add(products)
+                h[k] = cell(out[k], d**k)
+    return TruncatedSeries(tuple(hx)), TruncatedSeries(tuple(hy))
 
 
 def limiting_concentrations(c0: "ConcentrationState | dict", max_mass: int) -> LimitState:
@@ -214,8 +213,8 @@ def limiting_concentrations(c0: "ConcentrationState | dict", max_mass: int) -> L
     z = TruncatedSeries.identity(max_mass)
     g = gf.dz(h1, h2, z).antiderivative()
     c_inf = {m: g[m] for m in range(1, max_mass + 1)}
-    total_c = sum(c_inf.values())
-    total_m = sum(m * v for m, v in c_inf.items())
+    total_c = _sum(c_inf.values())
+    total_m = _sum(m * v for m, v in c_inf.items())
     return LimitState(h1=h1, h2=h2, g=g, c_inf=c_inf, total_concentration=total_c, total_mass=total_m)
 
 

@@ -7,10 +7,14 @@ used by the limiting-state machinery.  Exact :class:`fractions.Fraction`
 arithmetic is used whenever the inputs are exact; float inputs fall back to
 floating point with correctly rounded (``math.fsum``) summation.  One
 product kernel, ``_products``, serves both :func:`convolve` and
-:class:`TruncatedSeries` products, so the ``fsum`` rule covers both.  It
-writes exact inputs as integers over one common denominator, multiplies and
-adds plain ints, and builds one Fraction per output cell, so no gcd is taken
-per product or per sum.
+:class:`TruncatedSeries` products, and the online series pass
+``limits._online_fixed_point`` sums each coefficient by its cell rule, so
+the ``fsum`` rule covers all three.  ``_products`` writes exact inputs as
+integers over one common denominator, multiplies and adds plain ints, and
+builds one Fraction per output cell, so no gcd is taken per product or per
+sum.  Outside this rule, ``core.moment`` and ``genfun.InitialGF``
+evaluations sum floats left to right: ``moment`` normalises every float
+state, so changing it would move the output of every float-config run.
 
 Infinite-support laws (e.g. Poisson) must be supplied pre-truncated by the
 caller; nothing here truncates silently.
@@ -283,12 +287,6 @@ class TruncatedSeries:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return TruncatedSeries(tuple(-x for x in self.coeffs))
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, TruncatedSeries) else -other)
-
     def __mul__(self, other):
         if not isinstance(other, TruncatedSeries):
             return TruncatedSeries(tuple(other * x for x in self.coeffs))
@@ -315,8 +313,9 @@ class TruncatedSeries:
 
     def antiderivative(self) -> "TruncatedSeries":
         """Antiderivative vanishing at 0, truncated back to the same order
-        (the top input coefficient is discarded)."""
+        (the top input coefficient is discarded).  An int 0, a cell that
+        received no product, stays int 0."""
         out = [0]
-        for k in range(self.order):
-            out.append(_quotient(self.coeffs[k], k + 1))
+        for k, c in enumerate(self.coeffs[:-1]):
+            out.append(0 if type(c) is int and c == 0 else _quotient(c, k + 1))
         return TruncatedSeries(tuple(out))

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from coaglab import ConcentrationState, InitialGF, genfun
 from coaglab.genfun import ConvergenceError
@@ -224,15 +224,16 @@ _float_or_fraction = st.one_of(_unit, _unit_fraction.filter(lambda q: q <= 1))
 
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(sorted(TWIN_STATES)), _float_or_fraction, _float_or_fraction, _float_or_fraction)
+@example("pq", 0.3, Fraction(1, 3), Fraction(1, 2))  # pq's dx has only x**0: the float enters as a unit factor
 def test_mixed_arguments_multiply_the_exact_weights(name, x, y, z):
     """Any Fraction argument keeps the exact weights: ``w * x**a`` stays exact
-    until a float enters the product."""
+    until a float enters the product, and a float ``x**0`` enters it too."""
     assume(not (isinstance(x, float) and isinstance(y, float) and isinstance(z, float)))
-    gf, ref = _GFS[name], _on_weights(_GFS[name])
-    for f in ("value", "dx", "dy", "dz"):
-        got, old = getattr(gf, f)(x, y, z), getattr(ref, f)(x, y, z)
-        assert type(got) is type(old)
-        assert got.hex() == old.hex() if isinstance(old, float) else got == old
+    gf = _GFS[name]
+    for f, terms in (("value", gf._terms), ("dx", gf._dx), ("dy", gf._dy), ("dz", gf._dz)):
+        got, want = getattr(gf, f)(x, y, z), sum(w * x**a * y**b * z**m for a, b, m, w in terms)
+        assert type(got) is type(want)
+        assert got.hex() == want.hex() if isinstance(want, float) else got == want
 
 
 def test_critical_data_is_computed_once():

@@ -1,4 +1,5 @@
 import bisect
+import json
 import math
 from fractions import Fraction
 
@@ -199,6 +200,21 @@ def test_online_fixed_point_on_integers_keeps_values_and_types(c0):
         x, _ = _online_fixed_point([(0, 0, 2, third), (0, 1, 1, minus_one)], [(0, 0, 1, third)], 5)
         assert [type(c) for c in x.coeffs] == [int, int, Fraction, int, int, int]
         assert x.coeffs == (0,) * 6
+
+
+def test_online_fixed_point_sums_float_products_with_fsum():
+    # y = z and x = 1e100 y z^2 + z^3 - 1e100 y z^2: x[3] receives 1e100, 1.0
+    # and -1e100, which a left-to-right sum rounds to 0.0
+    x, _ = _online_fixed_point([(0, 1, 2, 1e100), (0, 0, 3, 1.0), (0, 1, 2, -1e100)], [(0, 0, 1, 1.0)], 4)
+    assert x[3] == 1.0
+
+
+@pytest.mark.parametrize("c0", [PQ, QUADRATIC, MIXED, THIRDS], ids=["pq", "quadratic", "mixed", "thirds"])
+def test_float_limit_holds_only_floats_and_int_zeros(c0):
+    ls = limiting_concentrations({p: float(w) for p, w in c0.items()}, 6)
+    cells = [*ls.h1.coeffs, *ls.h2.coeffs, *ls.g.coeffs, *ls.c_inf.values(), ls.total_concentration, ls.total_mass]
+    assert all(type(c) is float or (type(c) is int and c == 0) for c in cells)
+    json.dumps(ls.c_inf)
 
 
 def test_online_pmf_equals_sweeps_on_quadratic_laws():
