@@ -34,7 +34,8 @@ processes used for replicate fan-out, which never exceeds the usable CPUs.
 
 Exit codes: 0 success, 2 config/usage error, 3 numerical/convergence failure.
 Config errors include integer fields that are not integers in range, a
-``solver.dt`` or ``t_grid`` time past the float range, ``t_grid`` times
+``solver.dt`` or ``t_grid`` time past the float range, a family law or
+initial concentrations whose sums pass the float range, ``t_grid`` times
 that are not strictly increasing, a ``COAG_THREADS`` that is not a positive
 integer, for ``ode`` an initial species outside the truncation caps, for
 ``simulate`` an ``n`` so large that an arm total exceeds 2**63 or, with a
@@ -149,9 +150,13 @@ def _measure_1d(obj, where: str) -> Measure1D:
             raise ConfigError(f"{where}: key {key!r} is not an integer") from exc
         weights[j] = _number(val, f"{where}[{key}]")
     try:
-        return Measure1D.from_dict(weights)
+        mu = Measure1D.from_dict(weights)
+        mu.total(), mu.mean()  # the sums the family checks take
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+    except OverflowError as exc:  # a float sum past the range, or a float beside a huge exact weight
+        raise ConfigError(f"{where}: weights sum past the float range: {exc}") from exc
+    return mu
 
 
 @dataclass
@@ -174,14 +179,16 @@ class RunConfig:
         if self.family is not None:
             return initial_state(self.family), 1
         entries: dict = {}
-        for a, b, m, conc in self.initial_particles:
-            key = (a, b, m)
-            entries[key] = entries.get(key, 0) + conc
         try:
+            for a, b, m, conc in self.initial_particles:
+                key = (a, b, m)
+                entries[key] = entries.get(key, 0) + conc
             c0 = ConcentrationState(entries)
             return validate_and_normalize(c0)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        except OverflowError as exc:  # a float concentration beside an exact one past the float range
+            raise ConfigError(f"initial concentrations: {exc}") from exc
 
 
 def parse_config(obj: dict) -> RunConfig:
@@ -228,7 +235,7 @@ def parse_config(obj: dict) -> RunConfig:
             raise ConfigError("initial particle list is empty")
     elif isinstance(initial, dict):
         name = initial.get("family")
-        if name not in _FAMILIES:
+        if not isinstance(name, str) or name not in _FAMILIES:
             raise ConfigError(f"initial.family must be one of {sorted(_FAMILIES)}, got {name!r}")
         laws = [f.name for f in fields(_FAMILIES[name])]
         if set(initial) != {"family", *laws}:
@@ -251,9 +258,12 @@ def parse_config(obj: dict) -> RunConfig:
     )
 
     sol = _section(obj, "solver", {"rhs", "dt"})
+    rhs = sol.get("rhs", SolverSettings.rhs)
+    if not isinstance(rhs, str):
+        raise ConfigError(f"solver.rhs: expected a string, got {rhs!r}")
     try:
         dt = _float(_number(sol.get("dt", SolverSettings.dt), "solver.dt"), "solver.dt")
-        solver = SolverSettings(rhs=sol.get("rhs", SolverSettings.rhs), dt=dt)
+        solver = SolverSettings(rhs=rhs, dt=dt)
     except ValueError as exc:
         raise ConfigError(f"solver: {exc}") from exc
 

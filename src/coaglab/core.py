@@ -13,6 +13,7 @@ preserve exact arithmetic when fed exact inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -149,9 +150,10 @@ _BALANCE_TOL = 1e-12  # relative gap allowed between the male and female arm mom
 def validate_and_normalize(c0: ConcentrationState) -> tuple[ConcentrationState, float | Fraction]:
     """Rescale ``c0`` so both mean arm counts equal 1.
 
-    Requires the male and female arm moments to be positive and to agree to
-    within ``_BALANCE_TOL`` (relative).  Returns ``(scaled_state, lam)`` with
-    ``lam = 1 / <a, c0>``; the scaled state is ``lam * c0``.
+    Requires the male and female arm moments to be positive and finite and
+    to agree to within ``_BALANCE_TOL`` (relative).  Returns
+    ``(scaled_state, lam)`` with ``lam = 1 / <a, c0>``; the scaled state is
+    ``lam * c0``.
 
     Rescaling concentrations reparametrizes time: if ``c_t`` solves the
     kinetic system from ``c0``, then ``lam * c_(lam * t)`` solves it from
@@ -161,8 +163,8 @@ def validate_and_normalize(c0: ConcentrationState) -> tuple[ConcentrationState, 
     """
     am = moment(c0, lambda p: p.a)
     bm = moment(c0, lambda p: p.b)
-    if am <= 0 or bm <= 0:
-        raise ValueError(f"both arm moments must be positive: <a> = {am}, <b> = {bm}")
+    if not (0 < am < math.inf and 0 < bm < math.inf):  # a float sum past the float range is inf
+        raise ValueError(f"both arm moments must be positive and finite: <a> = {am}, <b> = {bm}")
     if abs(am - bm) > _BALANCE_TOL * max(am, bm):
         raise ValueError(
             f"unbalanced arms: male moment <a> = {am} differs from female moment <b> = {bm}"

@@ -46,7 +46,14 @@ Rational inputs (Fraction weights and times) are evaluated exactly, on plain
 ints: each term's weights are read once as integer ratios, a term with a zero
 weight is dropped before its factorials are read, the factorials are read by
 index from a table, and the terms are summed as one unnormalised integer
-ratio, so each entry builds one Fraction.  Float inputs sum the terms in log
+ratio, so each entry builds one Fraction.  A family may name a key under
+which that sum, times ``a! b!``, is kept as a reduced integer ratio S, so
+that an entry at t = p/q is the one Fraction
+``S * p^(m-1) q^(a+b) / (a! b! (p+q)^(m-1+a+b))``.  :class:`RandomGender`
+keys S on ``(a + b, m)``, since each arm's gender is drawn alone: its cache
+holds one entry per arm total and mass read, never one per species or per
+time (320 for the table of ``mu1`` on {1, 3} through mass 32, which has 4040
+species).  The other families cache nothing.  Float inputs sum the terms in log
 space (log-gamma factorials, log-sum-exp), so large masses neither overflow
 nor lose the leading digits.
 """
@@ -87,6 +94,17 @@ class _Family:
     def _power_index(self) -> dict:
         # (i, k) -> convolution_power(self._laws[i], k)._index, filled on first read
         return {}
+
+    @cached_property
+    def _coefficients(self) -> dict:
+        # _coefficient_key(a, b, m) -> a! b! K(a, b, m), a reduced (num, den), filled on first read
+        return {}
+
+    def _coefficient_key(self, a, b, m):
+        """The key under which ``concentration`` caches ``a! b! K(a, b, m)``,
+        or None to cache nothing: that product must be the same for every
+        species of one key."""
+        return None
 
     def _power_weights(self, i: int, k: int) -> dict:
         """The weights of ``convolution_power(self._laws[i], k)``, keyed by
@@ -139,6 +157,10 @@ class RandomGender(_Family):
     @cached_property
     def _laws(self) -> tuple[Measure1D]:
         return (size_biased(self.mu1).scaled(Fraction(1, 2)),)
+
+    def _coefficient_key(self, a, b, m):
+        # each arm's gender is drawn alone, so a! b! K(a, b, m) depends on a + b and m only
+        return a + b, m
 
     def _terms(self, a, b, m):
         k = a + b
@@ -251,6 +273,11 @@ def _log_term(nums, dens, weights) -> float:
     )
 
 
+def _terms_of(family, a, b, m):
+    """The terms of K(a, b, m), mass 1 included, whose K is c_0(a, b, 1)."""
+    return family._terms(a, b, m) if m > 1 else [((), (), (family._c0[(a, b, 1)],))]
+
+
 def concentration(family, t, a: int, b: int, m: int):
     """Closed-form c_t(a, b, m) = K(a, b, m) tau^(m-1) (1+t)^-(a+b) of a family."""
     if a < 0 or b < 0 or m < 1:
@@ -262,34 +289,43 @@ def concentration(family, t, a: int, b: int, m: int):
         raise ValueError(f"time must be nonnegative, got {t}")
     if p == 0:
         return family._c0[(a, b, 1)] if m == 1 else 0
-    terms = family._terms(a, b, m) if m > 1 else [((), (), (family._c0[(a, b, 1)],))]
     if exact_t and family._exact:
-        # K = num/den, summed unnormalised over plain ints; the entry is the one
-        # Fraction built.  Weights come first: a zero-weight term's factorial
-        # arguments may be negative, and facts[-1] would read the largest one.
-        num, den = 0, 1
-        facts = _FACTORIALS
-        for nums, dens, weights in terms:
-            n = d = 1
-            for w in weights:
-                wn, wd = w.as_integer_ratio()
-                if not wn:
-                    break
-                n, d = n * wn, d * wd
-            else:
-                size = len(facts)
-                for x in nums:
-                    n *= facts[x] if 0 <= x < size else _factorial(x)
-                for x in dens:
-                    d *= facts[x] if 0 <= x < size else _factorial(x)
-                num, den = num * d + n * den, den * d
+        # S = a! b! K = num/den, summed unnormalised over plain ints, or read
+        # from the family's cache under its key; the entry is the one Fraction
+        # built.  Weights come first: a zero-weight term's factorial arguments
+        # may be negative, and facts[-1] would read the largest one.
+        key = family._coefficient_key(a, b, m)
+        arms = _factorial(a) * _factorial(b)
+        if key is not None and key in family._coefficients:
+            num, den = family._coefficients[key]
+        else:
+            num, den = 0, 1
+            facts = _FACTORIALS
+            for nums, dens, weights in _terms_of(family, a, b, m):
+                n = d = 1
+                for w in weights:
+                    wn, wd = w.as_integer_ratio()
+                    if not wn:
+                        break
+                    n, d = n * wn, d * wd
+                else:
+                    size = len(facts)
+                    for x in nums:
+                        n *= facts[x] if 0 <= x < size else _factorial(x)
+                    for x in dens:
+                        d *= facts[x] if 0 <= x < size else _factorial(x)
+                    num, den = num * d + n * den, den * d
+            num *= arms
+            if key is not None:
+                g = math.gcd(num, den)
+                num, den = family._coefficients[key] = num // g, den // g
         if not num:  # every term is positive, so no term was left
             return 0
         # tau = p/(p+q), 1+t = (p+q)/q
-        return Fraction(num * p ** (m - 1) * q ** (a + b), den * (p + q) ** (m - 1 + a + b))
+        return Fraction(num * p ** (m - 1) * q ** (a + b), den * arms * (p + q) ** (m - 1 + a + b))
     # log-sum-exp: single factorial ratios overflow long before the
     # time-weighted sum does.
-    logs = [_log_term(*term) for term in terms if all(term[2])]
+    logs = [_log_term(*term) for term in _terms_of(family, a, b, m) if all(term[2])]
     if not logs:
         return 0
     shift = max(logs)

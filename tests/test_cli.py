@@ -137,6 +137,30 @@ def _set(key, value):
             "random_gender takes exactly the laws ['mu1'], got []",
             id="random_gender-without-mu1",
         ),
+        pytest.param(
+            _set("initial", {"family": "two_gender", "mu1": {"2": "1e400", "1": 0.5}, "mu2": {"1": 1}}),
+            "initial.mu1: weights sum past the float range",
+            id="two_gender-law-with-a-float-beside-an-exact-weight-past-the-float-range",
+        ),
+        pytest.param(
+            _set("initial", {"family": [], "mu1": {"1": 1}}),
+            "initial.family must be one of",
+            id="family-name-a-list",
+        ),
+        pytest.param(_set("solver", {"rhs": {}}), "solver.rhs", id="rhs-an-object"),
+        pytest.param(
+            _set(
+                "initial",
+                [{"a": 1, "b": 1, "m": 1, "conc": 2.5}, {"a": 1, "b": 1, "m": 1, "conc": "1e400"}],
+            ),
+            "initial concentrations",
+            id="float-concentration-beside-an-exact-one-past-the-float-range",
+        ),
+        pytest.param(
+            _set("initial", [{"a": 1, "b": 1, "m": 1, "conc": 1e308}] * 2),
+            "must be positive and finite",
+            id="float-concentrations-summing-past-the-float-range",
+        ),
     ],
 )
 def test_config_bad_values_exit_2(tmp_path, capsys, mutate, where):

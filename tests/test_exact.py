@@ -345,6 +345,9 @@ class _ZeroTermBesideNonzero:
     _exact = True
     _c0 = ConcentrationState({(1, 1, 1): Fraction(1)})
 
+    def _coefficient_key(self, a, b, m):
+        return None
+
     def _terms(self, a, b, m):
         yield (-1,), (0,), (Fraction(0), Fraction(1, 2))
         yield (m + 1,), (m, a), (Fraction(1, 3),)
@@ -444,3 +447,59 @@ def test_power_lookup_holds_each_power_read_once(monkeypatch):
             if k:  # the empty power is built afresh on each call
                 assert weights is power._index
     assert len(reads) == sum(len(fam._power_index) for fam in families)
+
+
+def _table(family, top, times):
+    return {
+        (t, a, b, m): concentration(family, t, a, b, m)
+        for t in times
+        for m in range(1, top + 1)
+        for a, b in live_types(family, m)
+    }
+
+
+def test_random_gender_caches_one_coefficient_per_arm_total_and_mass():
+    """The table of the benchmark's exact study, 4040 species at three times,
+    fills one cache entry per distinct (a + b, m), never one per species."""
+    family = RandomGender(Measure1D.from_dict({1: Fraction(1, 2), 3: Fraction(1, 2)}))
+    table = _table(family, 32, [Fraction(1, 4), Fraction(1, 2), Fraction(1)])
+    species = {(a, b, m) for _, a, b, m in table}
+    assert (len(table), len(species)) == (12120, 4040)
+    assert set(family._coefficients) == {(a + b, m) for a, b, m in species}
+    assert len(family._coefficients) == 320
+
+
+def test_one_female_and_two_gender_tables_cache_nothing():
+    mu = Measure1D.from_dict({0: Fraction(1, 4), 1: Fraction(1, 2), 2: Fraction(1, 4)})
+    for family in (
+        OneFemaleArm(Measure1D.from_dict({0: Fraction(1, 2), 2: Fraction(1, 2)})),
+        TwoGender(mu, mu),
+    ):
+        assert _table(family, 10, [Fraction(1, 3), Fraction(2)])
+        assert family._coefficients == {}
+
+
+@pytest.mark.parametrize(
+    "law",
+    [
+        pytest.param({1: Fraction(1, 2), 3: Fraction(1, 2)}, id="arms-1-or-3"),
+        pytest.param({2: Fraction(1)}, id="two-arms-zero-at-no-free-arm"),
+        pytest.param({0: Fraction(1, 8), 1: Fraction(1, 2), 4: Fraction(3, 8)}, id="arms-0-1-or-4"),
+    ],
+)
+def test_cached_entries_equal_the_per_term_helper_evaluation(law):
+    """Once an arm total is cached at a mass, every other split of it is read
+    from the cache, and equals the per-term evaluation in value and type,
+    zero entries included."""
+    family = RandomGender(Measure1D.from_dict(law))
+    for m in range(1, 9):
+        for k in range(m + 4):
+            concentration(family, Fraction(1, 3), k, 0, m)
+            size = len(family._coefficients)
+            for t in (Fraction(1, 3), Fraction(5, 2)):
+                for a in range(k + 1):
+                    got = concentration(family, t, a, k - a, m)
+                    expected = _reference_concentration(family, t, a, k - a, m)
+                    assert got == expected, (law, t, a, k - a, m)
+                    assert type(got) is type(expected), (law, t, a, k - a, m)
+            assert len(family._coefficients) == size
