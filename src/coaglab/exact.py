@@ -53,9 +53,18 @@ that an entry at t = p/q is the one Fraction
 keys S on ``(a + b, m)``, since each arm's gender is drawn alone: its cache
 holds one entry per arm total and mass read, never one per species or per
 time (320 for the table of ``mu1`` on {1, 3} through mass 32, which has 4040
-species).  The other families cache nothing.  Float inputs sum the terms in log
-space (log-gamma factorials, log-sum-exp), so large masses neither overflow
-nor lose the leading digits.
+species).  Every factor of such an entry but ``1/(a! b!)`` is then shared by
+all the species of one key at one time, so the family also keeps a memo of
+the last time read: per key, the integer pair ``X = S_num p^(m-1) q^(a+b)``,
+``Y = S_den (p+q)^(m-1+a+b)``, reduced, and an entry is the one Fraction
+``X / (Y a! b!)``.  A new time replaces the memo, so it holds at most one
+pair per key.  It serves callers that read a table time-major, t in the
+outer loop, as ``coaglab explicit`` does; a caller that alternates times
+rebuilds one small dict per switch.  The other families cache nothing, and
+keep no such memo.  Every family keeps the pairs ``live_types`` lists for
+each mass read, so a table at several times lists each mass once.  Float
+inputs sum the terms in log space (log-gamma factorials, log-sum-exp), so
+large masses neither overflow nor lose the leading digits.
 """
 
 from __future__ import annotations
@@ -100,10 +109,24 @@ class _Family:
         # _coefficient_key(a, b, m) -> a! b! K(a, b, m), a reduced (num, den), filled on first read
         return {}
 
+    @cached_property
+    def _scaled(self) -> dict:
+        # {(p, q): {_coefficient_key(a, b, m): _scaled_coefficient(...), reduced}},
+        # holding only the time t = p/q last read
+        return {}
+
+    @cached_property
+    def _live_types(self) -> dict:
+        # m -> live_types(self, m) as a tuple, filled on first read; each pair
+        # (a, b) is also a key, mapped to itself, so that every mass holds the
+        # one tuple of a pair (630 for the 4040 live types of mu1 on {1, 3}
+        # through mass 32)
+        return {}
+
     def _coefficient_key(self, a, b, m):
         """The key under which ``concentration`` caches ``a! b! K(a, b, m)``,
-        or None to cache nothing: that product must be the same for every
-        species of one key."""
+        or None to cache nothing: that product, m and a + b must be the same
+        for every species of one key."""
         return None
 
     def _power_weights(self, i: int, k: int) -> dict:
@@ -278,51 +301,82 @@ def _terms_of(family, a, b, m):
     return family._terms(a, b, m) if m > 1 else [((), (), (family._c0[(a, b, 1)],))]
 
 
+def _scaled_coefficient(family, key, p, q, a, b, m):
+    """``(X, Y) = (S_num p^(m-1) q^(a+b), S_den (p+q)^(m-1+a+b))``, so that
+    c_t(a, b, m) = X / (Y a! b!) at t = p/q (tau = p/(p+q), 1+t = (p+q)/q).
+    S = a! b! K(a, b, m) = S_num/S_den is read from the family's cache under
+    ``key``, or summed unnormalised over plain ints and, with a key, reduced
+    and cached."""
+    if key is not None and key in family._coefficients:
+        num, den = family._coefficients[key]
+    else:
+        # Weights come first: a zero-weight term's factorial arguments may be
+        # negative, and facts[-1] would read the largest one.
+        num, den = 0, 1
+        facts = _FACTORIALS
+        for nums, dens, weights in _terms_of(family, a, b, m):
+            n = d = 1
+            for w in weights:
+                wn, wd = w.as_integer_ratio()
+                if not wn:
+                    break
+                n, d = n * wn, d * wd
+            else:
+                size = len(facts)
+                for x in nums:
+                    n *= facts[x] if 0 <= x < size else _factorial(x)
+                for x in dens:
+                    d *= facts[x] if 0 <= x < size else _factorial(x)
+                num, den = num * d + n * den, den * d
+        num *= _factorial(a) * _factorial(b)
+        if key is not None:
+            g = math.gcd(num, den)
+            num, den = family._coefficients[key] = num // g, den // g
+    return num * p ** (m - 1) * q ** (a + b), den * (p + q) ** (m - 1 + a + b)
+
+
 def concentration(family, t, a: int, b: int, m: int):
-    """Closed-form c_t(a, b, m) = K(a, b, m) tau^(m-1) (1+t)^-(a+b) of a family."""
+    """Closed-form c_t(a, b, m) = K(a, b, m) tau^(m-1) (1+t)^-(a+b) of a family.
+
+    A negative or non-finite time is refused: the float branch would take
+    ``log(inf)`` and return NaN.
+    """
     if a < 0 or b < 0 or m < 1:
         raise ValueError(f"invalid species ({a}, {b}, {m})")
     # t = p/q; the sign and zero of an exact t are read off p, with no Fraction compared
     exact_t = _is_exact(t)
+    if not (exact_t or math.isfinite(t)):
+        raise ValueError(f"time must be finite, got {t}")
     p, q = t.as_integer_ratio() if exact_t else (t, 1)
     if p < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
     if p == 0:
         return family._c0[(a, b, 1)] if m == 1 else 0
     if exact_t and family._exact:
-        # S = a! b! K = num/den, summed unnormalised over plain ints, or read
-        # from the family's cache under its key; the entry is the one Fraction
-        # built.  Weights come first: a zero-weight term's factorial arguments
-        # may be negative, and facts[-1] would read the largest one.
+        # X/Y = a! b! K times the time factors, shared by every species of
+        # one key at one time; the entry is the one Fraction X / (Y a! b!).
         key = family._coefficient_key(a, b, m)
-        arms = _factorial(a) * _factorial(b)
-        if key is not None and key in family._coefficients:
-            num, den = family._coefficients[key]
+        if key is None:
+            num, den = _scaled_coefficient(family, key, p, q, a, b, m)
         else:
-            num, den = 0, 1
-            facts = _FACTORIALS
-            for nums, dens, weights in _terms_of(family, a, b, m):
-                n = d = 1
-                for w in weights:
-                    wn, wd = w.as_integer_ratio()
-                    if not wn:
-                        break
-                    n, d = n * wn, d * wd
-                else:
-                    size = len(facts)
-                    for x in nums:
-                        n *= facts[x] if 0 <= x < size else _factorial(x)
-                    for x in dens:
-                        d *= facts[x] if 0 <= x < size else _factorial(x)
-                    num, den = num * d + n * den, den * d
-            num *= arms
-            if key is not None:
+            scaled = family._scaled
+            try:
+                at_t = scaled[p, q]
+            except KeyError:  # a new time: drop the last one's entries
+                scaled.clear()
+                at_t = scaled[p, q] = {}
+            try:
+                num, den = at_t[key]
+            except KeyError:  # kept reduced: the entries' gcds then run on shorter ints
+                num, den = _scaled_coefficient(family, key, p, q, a, b, m)
                 g = math.gcd(num, den)
-                num, den = family._coefficients[key] = num // g, den // g
+                num, den = at_t[key] = num // g, den // g
         if not num:  # every term is positive, so no term was left
             return 0
-        # tau = p/(p+q), 1+t = (p+q)/q
-        return Fraction(num * p ** (m - 1) * q ** (a + b), den * arms * (p + q) ** (m - 1 + a + b))
+        facts = _FACTORIALS
+        size = len(facts)
+        arms = (facts[a] if a < size else _factorial(a)) * (facts[b] if b < size else _factorial(b))
+        return Fraction(num, den * arms)
     # log-sum-exp: single factorial ratios overflow long before the
     # time-weighted sum does.
     logs = [_log_term(*term) for term in _terms_of(family, a, b, m) if all(term[2])]
@@ -354,10 +408,16 @@ def live_types(family, m: int) -> list[tuple[int, int]]:
     At mass 1 this is the initial support; above it, it is derived from the
     supports of the convolution powers in the family's coefficient, so the
     list is exact (types outside it have concentration identically 0).  The
-    list is sorted; a mass below 1 is refused.
+    list is sorted; a mass below 1 is refused.  Each family instance keeps
+    the pairs of each mass it listed, so a table at several times derives
+    them once per mass; every call returns a fresh list.
     """
     if m < 1:
         raise ValueError(f"mass must be at least 1, got {m}")
-    if m == 1:
-        return [(p.a, p.b) for p in family._c0.support()]
-    return family._live(m)
+    memo = family._live_types
+    try:
+        live = memo[m]
+    except KeyError:
+        live = [(p.a, p.b) for p in family._c0.support()] if m == 1 else family._live(m)
+        live = memo[m] = tuple([memo.setdefault(pair, pair) for pair in live])
+    return list(live)  # the caller's own list: the memo holds a tuple

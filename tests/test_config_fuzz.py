@@ -1,4 +1,5 @@
-"""Random configs through the subcommands: each run ends in exit 0, 2 or 3.
+"""Random configs through the subcommands: each run ends in exit 0, 2 or 3,
+and a run that exits 0 writes the same bytes when run again.
 
 The strategy draws every top-level config key at small sizes (caps <= 6,
 ``n`` <= 60, ``max_mass`` <= 8, ``gw.population_cap`` <= 60), with numbers as
@@ -147,11 +148,21 @@ def configs(draw):
 OVERFLOW = {"initial": {"family": "two_gender", "mu1": {"2": "1e400", "1": 0.5}, "mu2": {"1": 1}}}
 
 
-def _run(command: str, config_path: Path, out: Path) -> tuple[int, str]:
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+def _run(command: str, config_path: Path, out: Path) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one subcommand run."""
+    std, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(std), contextlib.redirect_stderr(err):
         code = cli.main([command, str(config_path), "--out", str(out)])
-    return code, err.getvalue()
+    return code, std.getvalue(), err.getvalue()
+
+
+def _written(out: Path) -> "bytes | dict":
+    """What a run wrote: the bytes of the one file ``analyze`` writes, or for
+    the other subcommands the bytes of each file in the ``--out`` directory,
+    by name."""
+    if out.is_file():
+        return out.read_bytes()
+    return {path.name: path.read_bytes() for path in out.iterdir()}
 
 
 @settings(
@@ -166,12 +177,19 @@ def test_every_config_exits_0_2_or_3_and_a_failure_writes_nothing(config, comman
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(config), encoding="utf-8")
-        out = Path(tmp) / "out"
+        outs = [Path(tmp) / "out", Path(tmp) / "again"]
         if command != "analyze":  # analyze takes a file, the others a directory
-            out.mkdir()
-        code, err = _run(command, path, out)
+            for out in outs:
+                out.mkdir()
+        code, std, err = _run(command, path, outs[0])
         assert code in (0, 2, 3), (code, err)
         assert "Traceback" not in err, err
         if code:
             assert err.strip()
-            assert not out.exists() if command == "analyze" else not any(out.iterdir())
+            assert not outs[0].exists() if command == "analyze" else not any(outs[0].iterdir())
+            return
+        # the same config into a fresh --out writes the same bytes (stderr may hold wall times)
+        again, std_again, err_again = _run(command, path, outs[1])
+        assert again == 0, err_again
+        assert std_again == std
+        assert _written(outs[1]) == _written(outs[0])

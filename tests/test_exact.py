@@ -181,6 +181,12 @@ def test_time_sign_and_zero_for_every_time_type(fam_one_female):
     for t in (-1, Fraction(-1, 3), -0.5, -1e-300):
         with pytest.raises(ValueError, match="nonnegative"):
             concentration(fam_one_female, t, 1, 1, 1)
+    # the float branch would take log(inf) and return nan
+    rg_1_3 = RandomGender(Measure1D.from_dict({1: 0.5, 3: 0.5}))
+    for t in (math.inf, math.nan, -math.inf):
+        for fam in (fam_one_female, rg_1_3):
+            with pytest.raises(ValueError, match=f"time must be finite, got {t}"):
+                concentration(fam, t, 1, 0, 1)
     for t in (0, Fraction(0), 0.0, -0.0):
         assert concentration(fam_one_female, t, 1, 1, 1) == 1
         assert concentration(fam_one_female, t, 1, 1, 2) == 0
@@ -239,6 +245,17 @@ def test_closed_forms_equal_tau_recursion(family, request):
                 assert concentration(family, t, a, b, m) == expected, (t, a, b, m)
         if isinstance(family, TwoGender) and m >= 2:
             assert k.get((0, 0, m), 0) == limiting_mass_concentration(family, m)
+
+
+def test_time_major_table_equals_tau_recursion():
+    """The benchmark's law at its times, read time-major as its table reads
+    them, so entries come from the memo of one time while it is current."""
+    family = RandomGender(Measure1D.from_dict({1: Fraction(1, 2), 3: Fraction(1, 2)}))
+    k = _tau_recursion(family, 8)
+    table = _table(family, 8, [Fraction(1, 4), Fraction(1, 2), Fraction(1)])
+    assert {(a, b, m) for _, a, b, m in table} == set(k)
+    for (t, a, b, m), got in table.items():
+        assert got == k[(a, b, m)] * (t / (1 + t)) ** (m - 1) / (1 + t) ** (a + b), (t, a, b, m)
 
 
 def test_factorial_table_equals_math_factorial_on_both_sides_of_its_bound():
@@ -467,6 +484,14 @@ def test_random_gender_caches_one_coefficient_per_arm_total_and_mass():
     assert (len(table), len(species)) == (12120, 4040)
     assert set(family._coefficients) == {(a + b, m) for a, b, m in species}
     assert len(family._coefficients) == 320
+    # the time memo holds the last time only, and only the keys read there
+    assert list(family._scaled) == [(1, 1)]
+    assert set(family._scaled[1, 1]) == set(family._coefficients)
+    for a, b, m in [(1, 0, 3), (0, 1, 3), (2, 3, 7)]:
+        concentration(family, Fraction(2, 3), a, b, m)
+    assert list(family._scaled) == [(2, 3)]
+    assert set(family._scaled[2, 3]) == {(1, 3), (5, 7)}
+    assert len(family._coefficients) == 320
 
 
 def test_one_female_and_two_gender_tables_cache_nothing():
@@ -477,6 +502,7 @@ def test_one_female_and_two_gender_tables_cache_nothing():
     ):
         assert _table(family, 10, [Fraction(1, 3), Fraction(2)])
         assert family._coefficients == {}
+        assert family._scaled == {}
 
 
 @pytest.mark.parametrize(
@@ -503,3 +529,40 @@ def test_cached_entries_equal_the_per_term_helper_evaluation(law):
                     assert got == expected, (law, t, a, k - a, m)
                     assert type(got) is type(expected), (law, t, a, k - a, m)
             assert len(family._coefficients) == size
+
+
+def _entries(family, top):
+    """Species to read at each time: the live types through ``top``, and a
+    few off them, whose entries are 0."""
+    species = [(a, b, m) for m in range(1, top + 1) for a, b in live_types(family, m)]
+    return species + [(0, 0, m) for m in range(2, top + 1)] + [(top + 2, 0, top), (0, 1, top + 1)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(_law_of_mean(2), st.builds(Fraction, st.integers(1, 9), st.integers(1, 9)))
+def test_table_is_the_same_in_every_reading_order(law, t_random):
+    """Time-major (the memo of one time serves every split of a key),
+    time-inner (the memo is replaced at every entry) and one fresh family per
+    entry give the same entries, in value and type, zero entries included."""
+    times = [Fraction(1, 4), t_random, Fraction(3)]
+    family = RandomGender(law)
+    species = _entries(family, 7)
+    time_major = {(t, *s): concentration(family, t, *s) for t in times for s in species}
+    family = RandomGender(law)
+    time_inner = {(t, *s): concentration(family, t, *s) for s in species for t in times}
+    fresh = {(t, *s): concentration(RandomGender(law), t, *s) for t in times for s in species}
+    assert time_major == time_inner == fresh
+    for key, value in time_major.items():
+        assert type(value) is type(time_inner[key]) is type(fresh[key]), key
+    assert len(family._scaled) == 1
+
+
+def test_live_types_returns_a_list_the_caller_owns(fam_random_gender, fam_two_gender):
+    for fam in (fam_random_gender, fam_two_gender):
+        for m in (1, 4):
+            first = live_types(fam, m)
+            expected = list(first)
+            first.append((99, 99))
+            first.sort(reverse=True)
+            assert live_types(fam, m) == expected
+            assert live_types(fam, m) is not live_types(fam, m)
