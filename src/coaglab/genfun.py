@@ -162,6 +162,8 @@ class InitialGF:
         return self._critical
 
     def _check_subcritical(self, t):
+        if not -math.inf < t < math.inf:  # NaN compares false to T_c, and inf passes T_c = inf
+            raise ValueError(f"time must be finite, got {t}")
         if t < 0:
             raise ValueError(f"time must be nonnegative, got {t}")
         t_crit = self._critical.t_crit

@@ -47,6 +47,7 @@ time, so no implicit machinery is warranted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from functools import cached_property, partial
 from typing import Iterable, NamedTuple, Sequence
@@ -712,10 +713,19 @@ def _snapshot(system: _Engine, y: np.ndarray, t: float) -> _Checkpoint:
 
 
 def checkpoint_times(t_end: float, checkpoints: "Sequence[float] | None") -> list[float]:
-    """Sorted checkpoint times, ``[t_end]`` by default; each must lie in [0, t_end]."""
+    """Sorted checkpoint times, ``[t_end]`` by default; each must lie in [0, t_end].
+
+    An inf or NaN time is refused: past an absorbed chain the simulator's
+    next event is at inf, and ``t + inf <= inf`` would never end its loop.
+    """
+    if not -math.inf < t_end < math.inf:
+        raise ValueError(f"t_end must be finite, got {t_end}")
     if t_end < 0:
         raise ValueError(f"t_end must be nonnegative, got {t_end}")
     cks = sorted(float(t) for t in (checkpoints if checkpoints is not None else [t_end]))
+    for t in cks:
+        if not -math.inf < t < math.inf:
+            raise ValueError(f"checkpoints must be finite, got {t}")
     if cks and (cks[0] < 0 or cks[-1] > t_end + 1e-12):
         raise ValueError(f"checkpoints must lie in [0, {t_end}]")
     return cks

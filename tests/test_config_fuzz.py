@@ -2,11 +2,13 @@
 and a run that exits 0 writes the same bytes when run again.
 
 The strategy draws every top-level config key at small sizes (caps <= 6,
-``n`` <= 60, ``max_mass`` <= 8, ``gw.population_cap`` <= 60), with numbers as
-ints, floats and rational strings, malformed values mixed in, and runs each
+``n`` <= 60, ``max_mass`` <= 8, ``gw.population_cap`` <= 60) and runs each
 config through one of ``analyze``, ``ode``, ``explicit``, ``simulate``,
-``limit`` and ``gw``.  A valid config is a valid run, so the sizes are
-bounded here, not by a timeout.
+``limit`` and ``gw``.  Half the configs are drawn to run on their
+subcommand: an initial state it accepts, caps that hold it, sane values.
+The other half hold numbers as ints, floats and rational strings, random
+arm laws and particle rows, and malformed values mixed in.  A valid config
+is a valid run, so the sizes are bounded here, not by a timeout.
 """
 
 import contextlib
@@ -88,24 +90,79 @@ _PARTICLES = st.one_of(
     ),
     st.lists(_ROW, min_size=1, max_size=3),
 )
-_TIMES = st.lists(
-    st.sampled_from([0, 0.25, 0.5, 1, 2, "1/3", "1/2", "3/2"]), min_size=1, max_size=3, unique=True
-).map(lambda ts: sorted(ts, key=Fraction))
 
-_VALID = st.fixed_dictionaries(
-    {
-        "initial": st.one_of(_FAMILY, _PARTICLES),
-        "truncation": st.fixed_dictionaries({"mass_cap": _size(1, 6), "arm_cap": _size(0, 6)}),
-        "solver": st.fixed_dictionaries(
-            {"dt": st.sampled_from([0.05, 0.1, 0.25, "1/8"])},
-            optional={"rhs": st.sampled_from(["full", "reduced"])},
-        ),
-        "n": _size(1, 60),
-        "max_mass": _size(1, 8),
-        "gw": st.fixed_dictionaries({"replicates": _size(1, 20), "population_cap": _size(2, 60)}),
-    },
-    optional={"t_grid": _TIMES, "seed": _size(0, 9), "replicates": _size(1, 2)},
+
+def _grids(key):
+    """A ``t_grid`` of up to three times, sorted, with no two equal under ``key``."""
+    times = st.sampled_from([0, 0.25, 0.5, 1, 2, "1/3", "1/2", "3/2"])
+    return st.lists(times, min_size=1, max_size=3, unique_by=key).map(lambda ts: sorted(ts, key=Fraction))
+
+
+def _config(initial, arm_cap, n, t_grid):
+    """A config of every top-level key, with ``initial``,
+    ``truncation.arm_cap``, ``n`` and ``t_grid`` drawn from the strategies
+    passed."""
+    return st.fixed_dictionaries(
+        {
+            "initial": initial,
+            "truncation": st.fixed_dictionaries({"mass_cap": _size(1, 6), "arm_cap": arm_cap}),
+            "solver": st.fixed_dictionaries(
+                {"dt": st.sampled_from([0.05, 0.1, 0.25, "1/8"])},
+                optional={"rhs": st.sampled_from(["full", "reduced"])},
+            ),
+            "n": n,
+            "max_mass": _size(1, 8),
+            "gw": st.fixed_dictionaries({"replicates": _size(1, 20), "population_cap": _size(2, 60)}),
+        },
+        optional={"t_grid": t_grid, "seed": _size(0, 9), "replicates": _size(1, 2)},
+    )
+
+
+# "1/2" beside 0.5 is a grid that does not increase
+_VALID = _config(st.one_of(_FAMILY, _PARTICLES), _size(0, 6), _size(1, 60), _grids(repr))
+
+# Initial states that run.  Every subcommand takes the first group: T_c is
+# infinite and no tree is degenerate.  The one-female families and the
+# single (1, 1, 1) particle make degenerate trees, which ``gw`` refuses; the
+# other two gel, which ``limit`` and ``gw`` refuse.  ``explicit`` needs a
+# family.
+_TREES_END = (
+    {"family": "random_gender", "mu1": {"2": 1}},
+    *({"family": "two_gender", "mu1": law, "mu2": law} for law in _UNIT_MEAN),
+    {"family": "two_gender", "mu1": {"0": "1/2", "2": "1/2"}, "mu2": {"0": 0.5, "2": 0.5}},
+    [
+        {"a": 1, "b": 0, "m": 1, "conc": "1/2"},
+        {"a": 0, "b": 1, "m": 1, "conc": "1/2"},
+        {"a": 1, "b": 1, "m": 1, "conc": "1/2"},
+    ],
 )
+_DEGENERATE = (
+    *({"family": "one_female", "mu1": law} for law in _UNIT_MEAN),
+    [{"a": 1, "b": 1, "m": 1, "conc": 1}],
+)
+_GELLING = (
+    {"family": "random_gender", "mu1": {"1": "1/2", "3": "1/2"}},
+    {"family": "random_gender", "mu1": {"0": 0.25, "2": 0.25, "3": 0.5}},
+    [{"a": 3, "b": 0, "m": 1, "conc": 0.5}, {"a": 0, "b": 3, "m": 1, "conc": 0.5}],
+)
+_ANY_STATE = _TREES_END + _DEGENERATE + _GELLING
+_RUNS_ON = {
+    "analyze": _ANY_STATE,
+    "ode": _ANY_STATE,
+    "explicit": tuple(state for state in _ANY_STATE if isinstance(state, dict)),
+    "simulate": _ANY_STATE,
+    "limit": _TREES_END + _DEGENERATE,
+    "gw": _TREES_END,
+}
+
+
+def _runnable(command):
+    """A config that ``command`` runs: its initial state has mass 1 and at
+    most 3 arms, so ``arm_cap`` >= 3 holds it, and ``n`` >= 4 gives every
+    state at least one particle."""
+    return _config(st.sampled_from(_RUNS_ON[command]), _size(3, 6), _size(4, 60), _grids(Fraction))
+
+
 # where a spoiled config holds a wrong value; the last path is an unknown key
 _PATHS = [
     ("initial",),
@@ -129,11 +186,18 @@ _PATHS = [
     ("unknown",),
 ]
 
+_COMMAND = st.shared(st.sampled_from(COMMANDS), key="command")
+
+
 @st.composite
 def configs(draw):
-    """A config at small sizes, with at most two values made wrong: a wrong
-    type, a bad string or a number out of range.  A wrong size is drawn
-    here from a fixed list, so no run is large."""
+    """A config at small sizes for the drawn subcommand: either one it runs,
+    or one of any shape with at most two values made wrong: a wrong type, a
+    bad string or a number out of range.  A wrong size is drawn here from a
+    fixed list, so no run is large."""
+    command = draw(_COMMAND)
+    if draw(st.booleans()):
+        return draw(_runnable(command))
     config = draw(_VALID)
     for path in draw(st.lists(st.sampled_from(_PATHS), max_size=2)):
         *parents, key = path
@@ -172,7 +236,7 @@ def _written(out: Path) -> "bytes | dict":
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 @example(OVERFLOW, "analyze")
-@given(configs(), st.sampled_from(COMMANDS))
+@given(configs(), _COMMAND)
 def test_every_config_exits_0_2_or_3_and_a_failure_writes_nothing(config, command):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"

@@ -477,21 +477,23 @@ def _table(family, top, times):
 
 def test_random_gender_caches_one_coefficient_per_arm_total_and_mass():
     """The table of the benchmark's exact study, 4040 species at three times,
-    fills one cache entry per distinct (a + b, m), never one per species."""
+    leaves one memo entry per distinct (a + b, m) read at the last time, never
+    one per species, and the family keeps no other per-instance dict but the
+    per-law power lookup."""
     family = RandomGender(Measure1D.from_dict({1: Fraction(1, 2), 3: Fraction(1, 2)}))
     table = _table(family, 32, [Fraction(1, 4), Fraction(1, 2), Fraction(1)])
     species = {(a, b, m) for _, a, b, m in table}
     assert (len(table), len(species)) == (12120, 4040)
-    assert set(family._coefficients) == {(a + b, m) for a, b, m in species}
-    assert len(family._coefficients) == 320
     # the time memo holds the last time only, and only the keys read there
     assert list(family._scaled) == [(1, 1)]
-    assert set(family._scaled[1, 1]) == set(family._coefficients)
+    assert set(family._scaled[1, 1]) == {(a + b, m) for a, b, m in species}
+    assert len(family._scaled[1, 1]) == 320
     for a, b, m in [(1, 0, 3), (0, 1, 3), (2, 3, 7)]:
         concentration(family, Fraction(2, 3), a, b, m)
     assert list(family._scaled) == [(2, 3)]
     assert set(family._scaled[2, 3]) == {(1, 3), (5, 7)}
-    assert len(family._coefficients) == 320
+    dicts = {name for name, value in vars(family).items() if isinstance(value, dict)}
+    assert dicts - {"_c0", "_exact", "_laws"} == {"_scaled", "_power_index"}
 
 
 def test_one_female_and_two_gender_tables_cache_nothing():
@@ -501,7 +503,6 @@ def test_one_female_and_two_gender_tables_cache_nothing():
         TwoGender(mu, mu),
     ):
         assert _table(family, 10, [Fraction(1, 3), Fraction(2)])
-        assert family._coefficients == {}
         assert family._scaled == {}
 
 
@@ -513,22 +514,28 @@ def test_one_female_and_two_gender_tables_cache_nothing():
         pytest.param({0: Fraction(1, 8), 1: Fraction(1, 2), 4: Fraction(3, 8)}, id="arms-0-1-or-4"),
     ],
 )
-def test_cached_entries_equal_the_per_term_helper_evaluation(law):
-    """Once an arm total is cached at a mass, every other split of it is read
-    from the cache, and equals the per-term evaluation in value and type,
-    zero entries included."""
+def test_cached_entries_equal_the_per_term_helper_evaluation(law, monkeypatch):
+    """Once an arm total is in the memo at a mass and time, every other split
+    of it is a hit on the memo, and equals the per-term evaluation in value
+    and type, zero entries included."""
+    real = exact._scaled_coefficient
+    misses = []
+    monkeypatch.setattr(exact, "_scaled_coefficient", lambda *args: misses.append(args) or real(*args))
     family = RandomGender(Measure1D.from_dict(law))
-    for m in range(1, 9):
-        for k in range(m + 4):
-            concentration(family, Fraction(1, 3), k, 0, m)
-            size = len(family._coefficients)
-            for t in (Fraction(1, 3), Fraction(5, 2)):
+    for t in (Fraction(1, 3), Fraction(5, 2)):
+        for m in range(1, 9):
+            for k in range(m + 4):
+                concentration(family, t, k, 0, m)
+                count = len(misses)
                 for a in range(k + 1):
                     got = concentration(family, t, a, k - a, m)
                     expected = _reference_concentration(family, t, a, k - a, m)
                     assert got == expected, (law, t, a, k - a, m)
                     assert type(got) is type(expected), (law, t, a, k - a, m)
-            assert len(family._coefficients) == size
+                assert len(misses) == count
+                assert (k, m) in family._scaled[t.as_integer_ratio()]
+    # one miss per key and time read
+    assert len(misses) == len({(p, q, a + b, m) for _, p, q, a, b, m in misses})
 
 
 def _entries(family, top):

@@ -73,6 +73,16 @@ def test_invert_phi_rejects_supercritical(gf_three):
         gf_three.second_moments(2.0)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_non_finite_time_is_refused(gf_d11, gf_three, t):
+    """With T_c = inf (gf_d11) and below a finite T_c (gf_three) alike."""
+    for gf in (gf_d11, gf_three):
+        with pytest.raises(ValueError, match=f"time must be finite, got {t}"):
+            gf.invert_phi(t, 0.5, 0.5, 0.5)
+        with pytest.raises(ValueError, match=f"time must be finite, got {t}"):
+            gf.second_moments(t)
+
+
 def test_eval_g_examples(gf_d11):
     x, y, z = 0.4, 0.9, 0.8
     assert gf_d11.eval_g(0.0, x, y, z) == gf_d11.value(x, y, z)

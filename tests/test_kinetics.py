@@ -883,6 +883,28 @@ def test_integrate_refuses_a_negative_checkpoint(request, monkeypatch, engine):
         integrate(c0, 0.5, pol, SolverSettings(dt=0.25), [0.25, 0.5])
 
 
+@pytest.mark.parametrize(
+    "t_end, checkpoints, message",
+    [
+        (math.nan, None, "t_end must be finite, got nan"),
+        (math.inf, None, "t_end must be finite, got inf"),
+        (-math.inf, None, "t_end must be finite, got -inf"),
+        (1.0, [0.5, math.nan], "checkpoints must be finite, got nan"),
+        (1.0, [math.inf], "checkpoints must be finite, got inf"),
+    ],
+)
+def test_checkpoint_times_refuse_a_non_finite_time(t_end, checkpoints, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        kinetics.checkpoint_times(t_end, checkpoints)
+
+
+def test_integrate_refuses_a_nan_time(pq_state):
+    with pytest.raises(ValueError, match="t_end must be finite, got nan"):
+        integrate(pq_state, math.nan)
+    with pytest.raises(ValueError, match="checkpoints must be finite, got nan"):
+        integrate(pq_state, 1.0, checkpoints=[0.5, math.nan])
+
+
 def test_checkpoint_interval_takes_no_step_on_float_jitter(monkeypatch):
     """On the ``mixed_pairs`` grid, 200 steps of 0.0025 from 0.5 stop short of
     1 by float jitter; that gap is not a step."""

@@ -1,7 +1,11 @@
 import math
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -342,6 +346,38 @@ def test_counts_validation():
         ParticleSystemState({(1, 1, 1): -2}, n=2)
     with pytest.raises(ValueError, match="no possible event"):
         first_event_distribution({(1, 0, 1): 3}, 10)
+
+
+def test_run_simulation_refuses_a_nan_time():
+    counts = {(1, 0, 1): 3, (0, 1, 1): 3}
+    with pytest.raises(ValueError, match="t_end must be finite, got nan"):
+        run_simulation(counts, 6, math.nan)
+    with pytest.raises(ValueError, match="checkpoints must be finite, got nan"):
+        run_simulation(counts, 6, 1.0, checkpoints=[math.nan])
+
+
+def test_run_simulation_refuses_an_infinite_time():
+    """Once the chain is absorbed its next event is at inf, which never
+    passes an inf end time.  Run in a subprocess with a timeout, so a
+    simulator that loops fails the test."""
+    probe = (
+        "import math\n"
+        "from coaglab import run_simulation\n"
+        "try:\n"
+        "    run_simulation({(1, 0, 1): 3, (0, 1, 1): 3}, 6, math.inf)\n"
+        "except ValueError as e:\n"
+        "    print(e)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "t_end must be finite, got inf"
 
 
 def test_non_integral_counts_are_refused():
