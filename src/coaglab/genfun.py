@@ -8,8 +8,7 @@ The solution's generating function is obtained by inverting the explicit map
 
     phi_t(x, y, z) = ((1+t) x - t dg0/dy, (1+t) y - t dg0/dx)
 
-through a fixed-point iteration (the map is a contraction before the critical
-time) and composing:
+through a fixed-point solve and composing:
 
     g_t(x, y, z) = g0(h_t, z) - t/(1+t) * dg0/dx(h_t, z) * dg0/dy(h_t, z).
 
@@ -24,6 +23,12 @@ and the second factorial arm moments admit the closed forms
     D(t) = (1 + t - t*alpha)^2 - t^2 * gamma * beta,
 
 valid strictly before the critical time.
+
+The inverse ``h_t`` is the fixed point of a map that is a contraction of the
+unit square before the critical time, which makes it unique.  It is found by
+Newton steps with the second arm partials, and a step that does not shrink
+the residual falls back to the contraction step; ``limits.h_infinity``, the
+t -> infinity fixed point at a scalar z, uses the same solver.
 
 All derivative evaluations are exact term-wise sums over the finite support;
 no finite differences are used anywhere.  All entry points accept floats or
@@ -117,10 +122,15 @@ class InitialGF:
         self._dx = [(a - 1, b, m, a * w) for a, b, m, w in terms if a >= 1]
         self._dy = [(a, b - 1, m, b * w) for a, b, m, w in terms if b >= 1]
         self._dz = [(a, b, m - 1, m * w) for a, b, m, w in terms]
+        # Second arm partials, for the Newton steps of _fixed_point.
+        self._dxx = [(a - 1, b, m, a * w) for a, b, m, w in self._dx if a >= 1]
+        self._dxy = [(a - 1, b, m, a * w) for a, b, m, w in self._dy if a >= 1]
+        self._dyy = [(a, b - 1, m, b * w) for a, b, m, w in self._dy if b >= 1]
         # Float twins, read when x, y and z are all floats.
-        self._terms_float, self._dx_float, self._dy_float, self._dz_float = map(
-            _float_twin, (terms, self._dx, self._dy, self._dz)
-        )
+        (
+            self._terms_float, self._dx_float, self._dy_float, self._dz_float,
+            self._dxx_float, self._dxy_float, self._dyy_float,
+        ) = map(_float_twin, (terms, self._dx, self._dy, self._dz, self._dxx, self._dxy, self._dyy))
         big_m = self.alpha + _sqrt_exact_or_float(self.beta * self.gamma)
         t_crit = math.inf if big_m <= 1 else _quotient(1, big_m - 1)
         self._critical = CriticalData(self.alpha, self.beta, self.gamma, big_m, t_crit)
@@ -180,19 +190,61 @@ class InitialGF:
             (1 + t) * y - t * self.dx(x, y, z),
         )
 
-    def _fixed_point(self, cu, cv, fac, start, z, history=None):
-        """Iterate ``(x, y) <- (cu + fac dg0/dy, cv + fac dg0/dx)`` at ``z`` from
-        ``start`` until the max-norm step is below ``_FIXED_POINT_TOL``; None if
-        ``_FIXED_POINT_MAX_ITER`` steps do not get there.  Each step's max-norm
-        is appended to ``history`` if that is a list."""
-        x, y = start
+    def _fixed_point(self, cu, cv, fac, z, history=None):
+        """Solve ``(x, y) = (cu + fac dg0/dy, cv + fac dg0/dx)`` at ``z`` from
+        ``(cu, cv)`` by Newton steps on the residual
+
+            F(x, y) = (x - cu - fac dg0/dy, y - cv - fac dg0/dx),
+
+        each a 2x2 solve with the second partials.  A Newton step that does
+        not shrink the max-norm of F, or meets a singular Jacobian, is replaced
+        by the contraction step ``(cu + fac dg0/dy, cv + fac dg0/dx)`` from the
+        same point: every step either shrinks the residual or is the
+        contraction's own step.
+        With nonnegative arguments ``(cu, cv)`` lies below the fixed point and
+        the Newton steps climb to it without overshooting, as on any monotone
+        polynomial system (Esparza, Kiefer & Luttenberger 2010, SIAM J.
+        Comput. 39:2282).  From a start above it they can overshoot: near
+        T_c the first ones are refused, and ``invert_phi`` from ``(u, v)``
+        took 35 steps where it takes 9 (three-arm state, t = (1 - 1e-5) T_c,
+        u = v = 0.999, z = 1).  Stops once the max-norm step is below
+        ``_FIXED_POINT_TOL``; None if ``_FIXED_POINT_MAX_ITER`` steps do not
+        get there.  Each step's max-norm is appended to ``history`` if that
+        is a list."""
+        ev = self._eval
+
+        def image(x, y):  # the contraction step from (x, y)
+            return (
+                cu + fac * ev(self._dy, self._dy_float, x, y, z),
+                cv + fac * ev(self._dx, self._dx_float, x, y, z),
+            )
+
+        x, y = cu, cv
+        px, py = image(x, y)
         for _ in range(_FIXED_POINT_MAX_ITER):
-            x1 = cu + fac * self.dy(x, y, z)
-            y1 = cv + fac * self.dx(x, y, z)
+            fx, fy = x - px, y - py
+            residual = max(abs(fx), abs(fy))
+            if not residual:  # (x, y) is a fixed point in floats: either step would be 0
+                if history is not None:
+                    history.append(residual)
+                return (x, y)
+            # The Jacobian of F is [[diag, jxy], [jyx, diag]].
+            diag = 1 - fac * ev(self._dxy, self._dxy_float, x, y, z)
+            jxy = -fac * ev(self._dyy, self._dyy_float, x, y, z)
+            jyx = -fac * ev(self._dxx, self._dxx_float, x, y, z)
+            det = diag * diag - jxy * jyx
+            newton = det != 0
+            if newton:
+                x1, y1 = x + (jxy * fy - diag * fx) / det, y + (jyx * fx - diag * fy) / det
+                px1, py1 = image(x1, y1)
+                newton = max(abs(x1 - px1), abs(y1 - py1)) < residual
+            if not newton:
+                x1, y1 = px, py
+                px1, py1 = image(x1, y1)
             delta = max(abs(x1 - x), abs(y1 - y))
             if history is not None:
                 history.append(delta)
-            x, y = x1, y1
+            x, y, px, py = x1, y1, px1, py1
             if delta < _FIXED_POINT_TOL:
                 return (x, y)
         return None
@@ -200,22 +252,26 @@ class InitialGF:
     def invert_phi(self, t, u, v, z, history: "list | None" = None):
         """Right inverse ``h_t(u, v, z)`` of the characteristic map.
 
-        Solves ``phi_t(x, y, z) = (u, v)`` by iterating
+        Solves ``phi_t(x, y, z) = (u, v)``, that is the fixed point of
 
             (x, y) <- (u/(1+t) + t/(1+t) dg0/dy(x, y, z),
-                       v/(1+t) + t/(1+t) dg0/dx(x, y, z))
+                       v/(1+t) + t/(1+t) dg0/dx(x, y, z)),
 
-        from ``(u, v)``.  Before the critical time this self-map of the unit
-        square is a contraction, so the iteration converges geometrically; the
-        result is verified by a round trip through ``phi`` to within
-        ``10 * _FIXED_POINT_TOL``.  If ``history`` is a list, the successive
-        max-norm iterate differences are appended to it.
+        with ``_fixed_point``: Newton steps from ``(u/(1+t), v/(1+t))``, each
+        replaced by this contraction step when it does not shrink the
+        residual.  Before the critical time the map is a contraction of the
+        unit square, which makes the fixed point unique; Newton converges
+        quadratically, in a handful of steps even close to T_c, where the
+        contraction needs hundreds.  The result is verified by a round trip
+        through ``phi`` to within ``10 * _FIXED_POINT_TOL``.  If ``history``
+        is a list, the max-norm of each step taken, Newton or contraction, is
+        appended to it.
         """
         self._check_subcritical(t)
         if t == 0:
             return (u, v)
         cu, cv, fac = u / (1 + t), v / (1 + t), t / (1 + t)
-        xy = self._fixed_point(cu, cv, fac, (u, v), z, history)
+        xy = self._fixed_point(cu, cv, fac, z, history)
         if xy is None:
             raise ConvergenceError(
                 f"fixed-point inversion did not converge in {_FIXED_POINT_MAX_ITER} "

@@ -26,6 +26,11 @@ fixed points, ``(h1, h2)`` and the progeny generating functions, are solved
 by one online pass: every term carries a factor z (or r), so coefficient k
 follows from the coefficients below k, and order n costs O(n^2) coefficient
 products per power of the unknowns rather than a sweep per coefficient.
+The same pass reads off the series that are wanted of the fixed point, as
+readouts from the powers ``x^a y^b`` it builds: ``dg0/dz(h1, h2, z)``, whose
+antiderivative is the limiting generating function, and the product
+``g_m g_f`` of the progeny generating functions.  No series product is
+taken after the pass.
 Each coefficient follows the cell rule of ``measures._products``: the sum of
 its products, exact while they are exact and ``math.fsum`` once a float is
 among them.
@@ -127,11 +132,15 @@ def _require_no_gelation(gf: InitialGF) -> None:
 
 
 def h_infinity(gf: InitialGF, z: float):
-    """Numeric fixed point (h1, h2) at a scalar z in [0, 1); needs T_c = inf."""
+    """Numeric fixed point (h1, h2) at a scalar z in [0, 1); needs T_c = inf.
+
+    Solved by ``InitialGF._fixed_point`` from (0, 0): Newton steps, each
+    replaced by the plain iteration ``(h1, h2) <- (dg0/dy, dg0/dx)`` when it
+    does not shrink the residual."""
     _require_no_gelation(gf)
     if not (0 <= z < 1):
         raise ValueError(f"z must lie in [0, 1), got {z}")
-    xy = gf._fixed_point(0.0, 0.0, 1.0, (0.0, 0.0), z)
+    xy = gf._fixed_point(0.0, 0.0, 1.0, z)
     if xy is None:
         raise ConvergenceError(f"limit fixed point did not converge at z = {z}")
     return xy
@@ -143,36 +152,45 @@ def _require_probability_laws(nu_m: Measure2D, nu_f: Measure2D) -> None:
             raise ValueError(f"{name} must be a probability measure, total = {nu.total()}")
 
 
-def _online_fixed_point(x_terms, y_terms, order: int):
+def _online_fixed_point(x_terms, y_terms, order: int, readouts=()):
     """Series fixed point ``x = sum w x^a y^b z^m`` over ``x_terms`` and
     ``y = sum w x^a y^b z^m`` over ``y_terms`` (terms ``(a, b, m, w)``, all
-    with m >= 1), truncated at ``order``, in one online pass.
+    with m >= 1), truncated at ``order``, in one online pass.  Returns x, y
+    and, for each term list in ``readouts`` (there m >= 0), the series
+    ``sum w x^a y^b z^m`` over it.
 
     Because m >= 1, coefficient k of x and y reads the powers ``x^a y^b``
     only through coefficient k - 1.  So step k first extends every power by
-    its coefficient k - 1, then sets x[k] and y[k]; nothing is recomputed.
-    Each power of degree 2 or more is the power before it in a chain times x
-    or y, and costs one convolution; degrees 0 and 1 are 1, x and y
-    themselves.  The pass costs O(P n^2) for P such powers.
+    its coefficient k - 1, reads coefficient k - 1 of every readout off
+    them, then sets x[k] and y[k]; nothing is recomputed.  Each power of
+    degree 2 or more is the power before it in a chain times x or y, and
+    costs one convolution; degrees 0 and 1 are 1, x and y themselves.  The
+    pass costs O(P n^2) for P such powers, readouts included.
 
     Each coefficient is the sum of its list of products, exact while they
     are exact and ``math.fsum`` once a float is among them.  Exact weights
     over a common denominator D run the pass on integers: coefficient k of
-    every series is scaled by D^k, an integer because a term of z-degree k
-    holds at most k weights, so a term with z^m carries its weight's
-    numerator times D^(m-1).  A coefficient of x or y that received
-    products, even ones that cancel, is returned as ``Fraction(c, D^k)``
-    when a weight is a Fraction; one that received none stays int 0.
+    x, y and every power is scaled by D^k, an integer because a term of
+    z-degree k holds at most k weights, so a term with z^m carries its
+    weight's numerator times D^(m-1).  Coefficient k of a readout is scaled
+    by D^(k+1), so a readout term with z^m carries its numerator times D^m,
+    an integer for m = 0 too.  A coefficient that received products, even
+    ones that cancel, is returned as a Fraction over that scale when a
+    weight is a Fraction; one that received none stays int 0.  The
+    denominator is common to every weight, readouts included, and weights
+    of mixed types (an int beside Fractions) keep the generic sum.
     """
     n = order + 1
-    exact = _over_common_denominator([w for *_, w in x_terms] + [w for *_, w in y_terms])
+    weights = [w for terms in (x_terms, y_terms, *readouts) for *_, w in terms]
+    exact = _over_common_denominator(weights)
     add, d, fraction = _sum, 1, False
     if exact is not None:
         nums, d, fraction = exact
         add = sum
-        x_nums, y_nums = nums[: len(x_terms)], nums[len(x_terms) :]
-        x_terms = [(a, b, m, c * d ** (m - 1)) for (a, b, m, _), c in zip(x_terms, x_nums)]
-        y_terms = [(a, b, m, c * d ** (m - 1)) for (a, b, m, _), c in zip(y_terms, y_nums)]
+        nums = iter(nums)
+        x_terms = [(a, b, m, next(nums) * d ** (m - 1)) for a, b, m, _ in x_terms]
+        y_terms = [(a, b, m, next(nums) * d ** (m - 1)) for a, b, m, _ in y_terms]
+        readouts = [[(a, b, m, next(nums) * d**m) for a, b, m, _ in terms] for terms in readouts]
     x, y = [0] * n, [0] * n
     powers = {(0, 0): [1] + [0] * order, (1, 0): x, (0, 1): y}
     chain = []  # (power, previous power, x or y), each after its previous power
@@ -185,19 +203,32 @@ def _online_fixed_point(x_terms, y_terms, order: int):
             chain.append((powers[(a, b)], powers[prev], factor))
         return powers[(a, b)]
 
+    def coefficient(terms, k):
+        """Coefficient k of ``sum w p z^m`` over ``terms``, None if it received no product."""
+        products = [w * p[k - m] for p, m, w in terms if m <= k and p[k - m]]
+        return add(products) if products else None
+
     x_terms = [(power(a, b), m, w) for a, b, m, w in x_terms]
     y_terms = [(power(a, b), m, w) for a, b, m, w in y_terms]
+    readouts = [[(power(a, b), m, w) for a, b, m, w in terms] for terms in readouts]
     cell = Fraction if fraction else lambda c, _: c  # a received coefficient, from its scaled value
     hx, hy = [0] * n, [0] * n
-    for k in range(1, n):
+    read = [[0] * n for _ in readouts]
+    for k in range(1, n + 1):
         for p, q, s in chain:
             p[k - 1] = add([q[i] * s[k - 1 - i] for i in range(k) if q[i] and s[k - 1 - i]])
+        for r, terms in zip(read, readouts):
+            c = coefficient(terms, k - 1)
+            if c is not None:
+                r[k - 1] = cell(c, d**k)
+        if k == n:
+            break
         for out, h, terms in ((x, hx, x_terms), (y, hy, y_terms)):
-            products = [w * p[k - m] for p, m, w in terms if m <= k and p[k - m]]
-            if products:
-                out[k] = add(products)
-                h[k] = cell(out[k], d**k)
-    return TruncatedSeries(tuple(hx)), TruncatedSeries(tuple(hy))
+            c = coefficient(terms, k)
+            if c is not None:
+                out[k] = c
+                h[k] = cell(c, d**k)
+    return tuple(TruncatedSeries(tuple(c)) for c in (hx, hy, *read))
 
 
 def limiting_concentrations(c0: "ConcentrationState | dict", max_mass: int) -> LimitState:
@@ -209,9 +240,9 @@ def limiting_concentrations(c0: "ConcentrationState | dict", max_mass: int) -> L
     _require_no_gelation(gf)
     if max_mass < 1:
         raise ValueError(f"max_mass must be >= 1, got {max_mass}")
-    h1, h2 = _online_fixed_point(gf._dy, gf._dx, max_mass)  # every term carries z^m, m >= 1
-    z = TruncatedSeries.identity(max_mass)
-    g = gf.dz(h1, h2, z).antiderivative()
+    # every x and y term carries z^m, m >= 1; the readout is dg0/dz(h1, h2, z)
+    h1, h2, dg = _online_fixed_point(gf._dy, gf._dx, max_mass, [gf._dz])
+    g = dg.antiderivative()
     c_inf = {m: g[m] for m in range(1, max_mass + 1)}
     total_c = _sum(c_inf.values())
     total_m = _sum(m * v for m, v in c_inf.items())
@@ -223,19 +254,24 @@ def gw_progeny_pmf_series(nu_m: Measure2D, nu_f: Measure2D, max_total: int) -> l
 
     Solves ``g_m(r) = r phi_m(g_m, g_f)`` and ``g_f(r) = r phi_f(g_m, g_f)``
     as truncated series (``phi_m``, ``phi_f`` are the reproduction-law
-    generating functions) and returns the coefficients of ``g_m * g_f``, whose
-    r^m coefficient is P(total progeny = m) from one male and one female
-    ancestor.  Index k of the returned list is P(T = k); entries 0 and 1 are 0.
+    generating functions) and returns the coefficients of ``g_m * g_f``, read
+    off the same pass, whose r^m coefficient is P(total progeny = m) from one
+    male and one female ancestor.  Index k of the returned list is P(T = k);
+    entries 0 and 1 are 0.
     """
     _require_probability_laws(nu_m, nu_f)
     if max_total < 1:
         raise ValueError(f"max_total must be >= 1, got {max_total}")
-    gm, gf_ = _online_fixed_point(
+    # the readout's weight 1 takes the type of the laws' weights: an int 1
+    # beside Fractions would send the pass to the generic sum
+    one = type(nu_m.weights[0][1])(1)
+    _, _, progeny = _online_fixed_point(
         [(a, b, 1, w) for (a, b), w in nu_m.weights],
         [(a, b, 1, w) for (a, b), w in nu_f.weights],
         max_total,
+        [[(1, 1, 0, one)]],
     )
-    return list((gm * gf_).coeffs)
+    return list(progeny.coeffs)
 
 
 def _inverse_cdf(nu: Measure2D) -> tuple[list, list[float]]:

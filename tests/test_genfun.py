@@ -1,5 +1,6 @@
 import copy
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -159,19 +160,38 @@ def test_arm_derivative_identity(gf_d11, gf_pair, pq_state):
         assert checked >= 5
 
 
+def _contraction(gf, t, u, v, z, start=None, tol=1e-12):
+    """The inverse ``h_t(u, v, z)`` by the plain contraction
+    ``(x, y) <- (u/(1+t) + t/(1+t) dg0/dy, v/(1+t) + t/(1+t) dg0/dx)`` from
+    ``start`` (default ``(u, v)``) until the max-norm step is below ``tol``,
+    or with ``tol = 0`` until it is 0: the reference for the Newton solver.
+    Returns the fixed point and the list of step norms."""
+    cu, cv, fac = u / (1 + t), v / (1 + t), t / (1 + t)
+    x, y = (u, v) if start is None else start
+    history = []
+    while not history or (history[-1] >= tol and history[-1]):
+        x1, y1 = cu + fac * gf.dy(x, y, z), cv + fac * gf.dx(x, y, z)
+        history.append(max(abs(x1 - x), abs(y1 - y)))
+        x, y = x1, y1
+        assert len(history) < 10**6
+    return (x, y), history
+
+
 def test_contraction_is_geometric(gf_three):
+    """The map whose fixed point is h_t contracts by at most t/(1+t) M, the
+    uniqueness argument for h_t before T_c."""
     t = 0.5
     d = gf_three.critical_data()
     bound = t / (1 + t) * float(d.alpha + math.sqrt(d.beta * d.gamma)) + 0.05
-    history = []
-    gf_three.invert_phi(t, 0.4, 0.6, 0.7, history=history)
+    xy, history = _contraction(gf_three, t, 0.4, 0.6, 0.7)
     ratios = [b / a for a, b in zip(history, history[1:]) if a > 1e-14]
-    assert ratios and max(ratios) <= bound
+    assert len(ratios) > 10 and max(ratios) <= bound
+    assert gf_three.invert_phi(t, 0.4, 0.6, 0.7) == pytest.approx(xy, abs=1e-11)
 
 
 def test_invert_phi_reports_nonconvergence(gf_three, monkeypatch):
-    monkeypatch.setattr(genfun, "_FIXED_POINT_MAX_ITER", 5)
-    with pytest.raises(ConvergenceError, match="in 5 iterations"):
+    monkeypatch.setattr(genfun, "_FIXED_POINT_MAX_ITER", 2)
+    with pytest.raises(ConvergenceError, match="in 2 iterations"):
         gf_three.invert_phi(0.9, 0.5, 0.5, 0.5)
 
 
@@ -192,6 +212,7 @@ def _on_weights(gf):
     evaluation multiplies the Fraction weights by its arguments."""
     ref = copy.copy(gf)
     ref._terms_float, ref._dx_float, ref._dy_float, ref._dz_float = gf._terms, gf._dx, gf._dy, gf._dz
+    ref._dxx_float, ref._dxy_float, ref._dyy_float = gf._dxx, gf._dxy, gf._dyy
     return ref
 
 
@@ -307,3 +328,81 @@ def test_term_of_exponents_zero_refuses_a_weight_beyond_float_range():
     assert (0, 0, 0, Fraction(10**400)) in gf._dz_float
     with pytest.raises(OverflowError):
         gf.dz(0.5, 0.5, 0.5)
+
+
+# --- Newton steps against the contraction ---
+
+def test_newton_close_to_the_critical_time(gf_three):
+    """At t = (1 - 1e-5) T_c the contraction takes 667 steps; the Newton
+    steps from (u/(1+t), v/(1+t)) take 9."""
+    t, u, v, z = 1 - 1e-5, 0.999, 0.999, 1.0
+    history = []
+    got = gf_three.invert_phi(t, u, v, z, history=history)
+    want, contraction_history = _contraction(gf_three, t, u, v, z)
+    assert len(history) <= 15 < 600 < len(contraction_history)
+    assert got == pytest.approx(want, abs=1e-10)
+    pu, pv = gf_three.phi(t, *got, z)
+    assert max(abs(pu - u), abs(pv - v)) <= 1e-12
+
+
+def test_complex_arguments_round_trip(gf_three, pq_state):
+    for gf, t in ((gf_three, 0.9), (InitialGF(pq_state), 2.0), (_UNIT_GFS["mixed_pairs"], 1.5)):
+        for u, v, z in ((0.4 + 0.3j, 0.6 - 0.2j, 0.7j), (-0.5j, 0.5, complex(math.cos(2), math.sin(2)))):
+            history = []
+            x, y = gf.invert_phi(t, u, v, z, history=history)
+            pu, pv = gf.phi(t, x, y, z)
+            assert isinstance(x, complex) and max(abs(pu - u), abs(pv - v)) <= 1e-12
+            assert len(history) <= 8
+            assert (x, y) == pytest.approx(_contraction(gf, t, u, v, z)[0], abs=1e-11)
+
+
+def test_refused_newton_steps_fall_back_to_the_contraction(gf_three):
+    """With NaN second partials every Newton step fails to shrink the
+    residual, so each step is the contraction step from the same point: the
+    bits of the contraction from (u/(1+t), v/(1+t))."""
+    spoiled = copy.copy(gf_three)
+    nan_terms = [(0, 0, 0, math.nan)]
+    spoiled._dxx_float = spoiled._dxy_float = spoiled._dyy_float = nan_terms
+    t, u, v, z = 0.5, 0.4, 0.6, 0.7
+    history = []
+    got = spoiled.invert_phi(t, u, v, z, history=history)
+    want, want_history = _contraction(gf_three, t, u, v, z, start=(u / (1 + t), v / (1 + t)))
+    assert len(history) > 10
+    assert _bits(got) == _bits(want) and _bits(history) == _bits(want_history)
+
+
+_NEWTON_GFS = {**_GFS, "mixed_pairs": _UNIT_GFS["mixed_pairs"]}
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(sorted(_NEWTON_GFS)), _unit, _unit, _unit, st.sampled_from([0.1, 0.5, 0.9, 0.9999]))
+@example("mixed_pairs", 1.0, 1.0, 1.0, 0.9999)  # the contraction takes 509 078 steps
+def test_newton_inverse_equals_the_contraction(name, u, v, z, frac):
+    """The contraction runs from (u/(1+t), v/(1+t)), where its nonnegative
+    iterates rise monotonically, to a float fixed point.  At the corner
+    example its rate at the fixed point is 1 - 5e-5, so both solvers are
+    good only to a few 1e-12 there; they agree within 3.6e-12."""
+    gf = _NEWTON_GFS[name]
+    t = frac * min(float(gf.critical_data().t_crit), 10.0)
+    got = gf.invert_phi(t, u, v, z)
+    want, _ = _contraction(gf, t, u, v, z, start=(u / (1 + t), v / (1 + t)), tol=0)
+    assert max(abs(got[0] - want[0]), abs(got[1] - want[1])) <= 1e-11
+    pu, pv = gf.phi(t, *got, z)
+    assert max(abs(pu - u), abs(pv - v)) <= 1e-12
+
+
+def test_inversion_steps_stay_few():
+    """The 384 inversions of the benchmark's exact-limit study at seed 41:
+    the contraction took 5 928 steps, the Newton steps take 1 137."""
+    rng = random.Random(41)
+    steps = 0
+    for c0 in (TWIN_STATES["three_arm"], TWIN_STATES["pq"]):
+        gf = InitialGF(c0)
+        horizon = min(float(gf.critical_data().t_crit), 10.0)
+        for frac in (0.1, 0.5, 0.9):
+            for _ in range(64):
+                u, v, z = (rng.uniform(0.05, 0.95) for _ in range(3))
+                history = []
+                gf.invert_phi(frac * horizon, u, v, z, history=history)
+                steps += len(history)
+    assert steps <= 1500

@@ -22,8 +22,9 @@ from coaglab import (
     limiting_concentrations,
     moment,
 )
+from coaglab import limits
 from coaglab.limits import _online_fixed_point
-from coaglab.measures import Measure2D, TruncatedSeries, size_biased_laws
+from coaglab.measures import Measure2D, TruncatedSeries, _over_common_denominator, _sum, size_biased_laws
 from coaglab.particles import _block_stream
 
 
@@ -215,6 +216,73 @@ def test_float_limit_holds_only_floats_and_int_zeros(c0):
     cells = [*ls.h1.coeffs, *ls.h2.coeffs, *ls.g.coeffs, *ls.c_inf.values(), ls.total_concentration, ls.total_mass]
     assert all(type(c) is float or (type(c) is int and c == 0) for c in cells)
     json.dumps(ls.c_inf)
+
+
+# int weights: x = z^2, y = z, and an armless mass-3 species in dg0/dz
+INTS = {(1, 0, 1): 1, (0, 1, 2): 1, (0, 0, 3): 2}
+READOUT_STATES = {"quadratic": QUADRATIC, "mixed": MIXED, "thirds": THIRDS, "ints": INTS}
+
+
+def _types(cells):
+    return [type(c) for c in cells]
+
+
+@pytest.mark.parametrize("name", sorted(READOUT_STATES))
+def test_readouts_equal_sweeps_in_value_and_type(name):
+    """THIRDS holds an armless mass-1 species: a z^0 readout weight whose
+    denominator 3 is not that of any x or y weight."""
+    c0 = READOUT_STATES[name]
+    order = 30
+    ls = limiting_concentrations(c0, order)
+    _, _, g = _swept_limit(c0, order)
+    assert ls.g.coeffs == g.coeffs and _types(ls.g.coeffs) == _types(g.coeffs)
+    assert type(ls.g[0]) is int and ls.g[0] == 0  # no product reaches z^0 of g
+    if all(p[2] == 1 for p in c0):
+        laws = size_biased_laws(initial_arm_measure(ConcentrationState(c0)))
+        pmf, want = gw_progeny_pmf_series(*laws, order), _swept_pmf(*laws, order)
+        assert pmf == want and _types(pmf) == _types(want)
+
+
+def test_int_laws_give_int_progeny_cells():
+    nu_m, nu_f = Measure2D.delta(0, 1), Measure2D.delta(0, 0)  # every tree is a male, a female and her child
+    pmf = gw_progeny_pmf_series(nu_m, nu_f, 6)
+    assert pmf == _swept_pmf(nu_m, nu_f, 6) == [0, 0, 0, 1, 0, 0, 0]
+    assert _types(pmf) == [int] * 7
+
+
+def _ulps(a, b):
+    return abs(a - b) / math.ulp(max(abs(a), abs(b)))
+
+
+@pytest.mark.parametrize("name", ["quadratic", "mixed", "thirds"])
+def test_float_readouts_within_two_ulps_of_sweeps(name):
+    c0 = {p: float(w) for p, w in READOUT_STATES[name].items()}
+    order = 30
+    ls = limiting_concentrations(c0, order)
+    _, _, g = _swept_limit(c0, order)
+    assert _types(ls.g.coeffs) == _types(g.coeffs)
+    assert max(_ulps(a, b) for a, b in zip(ls.g.coeffs, g.coeffs) if a or b) <= 2
+    if name != "thirds":
+        laws = size_biased_laws(initial_arm_measure(ConcentrationState(c0)))
+        pmf, want = gw_progeny_pmf_series(*laws, order), _swept_pmf(*laws, order)
+        assert _types(pmf) == _types(want)
+        assert max(_ulps(a, b) for a, b in zip(pmf, want) if a or b) <= 2
+
+
+def test_readout_weight_typed_unlike_the_laws_leaves_the_integer_pass(pq_laws, monkeypatch):
+    """An int 1 beside Fraction laws has no common denominator with them, so
+    the pass falls to the generic sum (about ten times slower at order 96),
+    with the same values.  ``gw_progeny_pmf_series`` types its weight 1
+    like the laws and stays on integers."""
+    sums = []
+    monkeypatch.setattr(limits, "_sum", lambda values: sums.append(1) or _sum(values))
+    nu_m, nu_f = pq_laws
+    pmf = gw_progeny_pmf_series(nu_m, nu_f, 20)
+    assert not sums
+    laws = [[(a, b, 1, w) for (a, b), w in nu.weights] for nu in (nu_m, nu_f)]
+    assert _over_common_denominator([w for _, w in nu_m.weights + nu_f.weights] + [1]) is None
+    _, _, progeny = _online_fixed_point(*laws, 20, [[(1, 1, 0, 1)]])
+    assert sums and list(progeny.coeffs) == pmf and _types(progeny.coeffs) == _types(pmf)
 
 
 def test_online_pmf_equals_sweeps_on_quadratic_laws():
